@@ -241,7 +241,7 @@ impl Attack for DeepSearch {
 
         // Deduplication (not re-proposal) guarantees every classifier
         // submission is unique, so the whole run shares one guard scope.
-        oracle.begin_candidate_scope();
+        oracle.begin_run();
         let mut probed: HashMap<(u16, u16, u8), f32> = HashMap::new();
         let mut scores: Vec<f32> = Vec::with_capacity(clean.len());
         let mut frontier: BinaryHeap<Node> = BinaryHeap::new();

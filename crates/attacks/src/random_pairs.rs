@@ -85,7 +85,7 @@ impl Attack for RandomPairs {
         // through the pixel-delta query path so incremental backends reuse
         // cached base activations. The shuffle enumerates each candidate
         // exactly once, so the whole run shares one query-guard scope.
-        oracle.begin_candidate_scope();
+        oracle.begin_run();
         let mut scores: Vec<f32> = Vec::with_capacity(clean.len());
         // The visiting order is fixed once shuffled, so upcoming chunks can
         // be speculatively prefetched: a batched backend evaluates 8

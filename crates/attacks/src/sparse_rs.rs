@@ -130,6 +130,7 @@ impl Attack for SparseRs {
             };
         }
 
+        oracle.begin_run();
         let mut current_loc = random_location(rng, h, w);
         let mut current_corner = random_corner(rng);
         let mut best_margin = f32::INFINITY;
@@ -148,7 +149,7 @@ impl Attack for SparseRs {
         // assumption that no proposal in the chunk is accepted. An accept
         // changes `current_*`, invalidating every still-pending speculated
         // candidate, so the attack re-prefetches from the new state at the
-        // next iteration (the oracle replaces the stale batch) —
+        // next iteration, replacing the stale speculation —
         // accounting and scores are unaffected either way. Pre-drawing
         // happens unconditionally so candidate sequences are identical
         // whether or not the oracle actually prefetches.
@@ -188,7 +189,7 @@ impl Attack for SparseRs {
                     Draw::Loc(l) => (*l, current_corner.as_pixel()),
                     Draw::Corner(c) => (current_loc, c.as_pixel()),
                 }));
-                oracle.prefetch_pixel_batch(image, &upcoming);
+                oracle.replace_pixel_batch(image, &upcoming);
             }
             let (loc, corner, phase, trace_phase) = match drawn.pop_front().expect("refilled above")
             {

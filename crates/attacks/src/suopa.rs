@@ -147,6 +147,8 @@ impl Attack for SuOpa {
             };
         }
 
+        oracle.begin_run();
+
         // Evaluate one gene: Ok(fitness) where lower is better, or the
         // success/budget outcome. Every candidate is the base image with
         // one pixel replaced, so it goes through the pixel-delta query
@@ -199,9 +201,9 @@ impl Attack for SuOpa {
         // draws, same stream order) and speculatively evaluated as a
         // batch. Accepted mutants change the population, invalidating the
         // still-pending speculated mutants, so the attack re-prefetches
-        // from the updated population at the next step (the oracle
-        // replaces the stale batch) — accounting and scores are
-        // unaffected either way.
+        // from the updated population at the next step, replacing the
+        // stale speculation — accounting and scores are unaffected either
+        // way.
         const PREFETCH_BATCH: usize = 8;
         let mut upcoming: Vec<(Location, Pixel)> = Vec::with_capacity(PREFETCH_BATCH);
 
@@ -295,7 +297,7 @@ impl Attack for SuOpa {
                         let m = mutant_of(&population, abc);
                         (m.location(), m.pixel())
                     }));
-                    oracle.prefetch_pixel_batch(image, &upcoming);
+                    oracle.replace_pixel_batch(image, &upcoming);
                 }
                 let abc = picks.pop_front().expect("refilled above");
                 let mutant = mutant_of(&population, abc);

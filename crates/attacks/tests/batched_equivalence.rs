@@ -12,11 +12,12 @@ use oppsla_core::pair::{Location, Pixel};
 use std::cell::Cell;
 
 /// Wraps a classifier with a real batch override (scoring all candidates
-/// in one call) and counts how often the batch entry point runs.
+/// in one call) and counts how often each pixel-delta entry point runs.
 struct BatchingClassifier<C> {
     inner: C,
     batch_calls: Cell<u64>,
     batched_candidates: Cell<u64>,
+    sequential_candidates: Cell<u64>,
 }
 
 impl<C> BatchingClassifier<C> {
@@ -25,6 +26,7 @@ impl<C> BatchingClassifier<C> {
             inner,
             batch_calls: Cell::new(0),
             batched_candidates: Cell::new(0),
+            sequential_candidates: Cell::new(0),
         }
     }
 }
@@ -45,6 +47,8 @@ impl<C: Classifier> Classifier for BatchingClassifier<C> {
         pixel: Pixel,
         out: &mut Vec<f32>,
     ) {
+        self.sequential_candidates
+            .set(self.sequential_candidates.get() + 1);
         self.inner
             .scores_pixel_delta_into(base, location, pixel, out);
     }
@@ -94,7 +98,10 @@ fn weak() -> FnClassifier<impl Fn(&Image) -> Vec<f32>> {
     })
 }
 
-fn check_attack(attack: &dyn Attack, seed: u64, dims: (usize, usize)) {
+/// Runs `attack` on both classifiers, checks that outcome and query count
+/// agree and that the batch path was armed, and returns the share of the
+/// batched run's counted pixel-delta queries served from batches.
+fn check_attack(attack: &dyn Attack, seed: u64, dims: (usize, usize)) -> f64 {
     use rand::SeedableRng;
     let img = Image::filled(dims.0, dims.1, Pixel([0.5, 0.5, 0.5]));
 
@@ -126,6 +133,10 @@ fn check_attack(attack: &dyn Attack, seed: u64, dims: (usize, usize)) {
         "{} batches were trivial",
         attack.name()
     );
+    // Every attack spends one full-image baseline query.
+    let delta_queries = oracle.queries() - 1;
+    let served_from_batches = delta_queries - batching.sequential_candidates.get();
+    served_from_batches as f64 / delta_queries as f64
 }
 
 #[test]
@@ -162,10 +173,17 @@ fn suopa_batched_matches_sequential() {
 fn sketch_attack_batched_matches_sequential() {
     use oppsla_attacks::SketchProgramAttack;
     use oppsla_core::dsl::Program;
-    // Both the reorder-free and the always-eager instantiations: the
-    // latter reorders the queue constantly, stressing flush-and-fallback.
+    // The reorder-free and the always-eager instantiations (the latter
+    // reorders the queue constantly), and the paper's program, whose
+    // eager refinement issues most of its queries.
     for program in [Program::constant(false), Program::constant(true)] {
         let attack = SketchProgramAttack::new(program);
         check_attack(&attack, 0, (5, 5));
     }
+    let attack = SketchProgramAttack::new(Program::paper_example());
+    let coverage = check_attack(&attack, 0, (5, 5));
+    assert!(
+        coverage >= 0.8,
+        "only {coverage:.3} of the paper program's queries were served from batches"
+    );
 }

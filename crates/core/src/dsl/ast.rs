@@ -121,6 +121,19 @@ impl Condition {
     pub fn is_paper_grammar(&self) -> bool {
         matches!(self, Condition::Compare { .. } | Condition::Const(_))
     }
+
+    /// True when the condition can read the perturbed scores
+    /// (`score_diff` occurs in it). A condition that reads no scores
+    /// depends only on the image and the location, so its value for a
+    /// candidate is known before the candidate is queried.
+    pub fn reads_scores(&self) -> bool {
+        match self {
+            Condition::Compare { func, .. } => *func == Func::ScoreDiff,
+            Condition::Const(_) => false,
+            Condition::Not(inner) => inner.reads_scores(),
+            Condition::And(a, b) | Condition::Or(a, b) => a.reads_scores() || b.reads_scores(),
+        }
+    }
 }
 
 /// A complete adversarial program: the sketch's four conditions.
@@ -306,6 +319,17 @@ mod tests {
             "{s}"
         );
         assert!(s.contains("B4: center(l) < 8"), "{s}");
+    }
+
+    #[test]
+    fn reads_scores_finds_score_diff_at_any_depth() {
+        let [b1, b2, b3, b4] = Program::paper_example().conditions;
+        assert!(b1.reads_scores() && b3.reads_scores());
+        assert!(!b2.reads_scores() && !b4.reads_scores());
+        assert!(!Condition::TRUE.reads_scores());
+        let nested = Condition::Or(Box::new(b2.clone()), Box::new(Condition::Not(Box::new(b3))));
+        assert!(nested.reads_scores());
+        assert!(!Condition::And(Box::new(b2), Box::new(b4)).reads_scores());
     }
 
     #[test]

@@ -7,7 +7,9 @@
 
 use crate::image::Image;
 use crate::pair::{Location, Pixel};
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::BuildHasherDefault;
 
 /// A black-box image classifier: maps an image to one score per class.
 ///
@@ -298,15 +300,15 @@ pub fn image_content_id(image: &Image) -> u64 {
 /// patterns (the same shape [`QueryLogEntry::pixel`] uses). Full-tuple
 /// equality, not just a hash, so distinct candidates can never collide.
 #[cfg(feature = "query-memo")]
-type MemoKey = (u64, Option<(u16, u16, [u32; 3])>);
+type MemoKey = (u64, Option<CandidateKey>);
 
-/// FNV-1a 64 as a `HashMap` hasher for [`MemoKey`]s: deterministic
-/// across processes (no per-process seed), cheap on short keys.
-#[cfg(feature = "query-memo")]
+/// FNV-1a 64 as a `HashMap` hasher for [`MemoKey`]s and speculation pool
+/// keys: deterministic across processes (no per-process seed), cheap on
+/// short keys. Keys are candidates the program itself generates, never
+/// outside input.
 #[derive(Default)]
 struct FnvHasher(u64);
 
-#[cfg(feature = "query-memo")]
 impl std::hash::Hasher for FnvHasher {
     fn finish(&self) -> u64 {
         self.0
@@ -519,19 +521,67 @@ impl fmt::Display for BudgetExhausted {
 
 impl std::error::Error for BudgetExhausted {}
 
-/// Speculatively pre-evaluated one-pixel candidates, waiting to be
-/// consumed (and only then counted) by
+/// A one-pixel candidate as exact bit patterns: `(row, col, rgb)`, the
+/// shape [`QueryLogEntry::pixel`] uses.
+type CandidateKey = (u16, u16, [u32; 3]);
+
+fn candidate_key(location: Location, pixel: Pixel) -> CandidateKey {
+    (location.row, location.col, pixel.0.map(f32::to_bits))
+}
+
+/// Speculatively pre-evaluated one-pixel candidates against one base
+/// image, waiting to be consumed (and only then counted) by
 /// [`Oracle::query_pixel_delta_into`]. See
 /// [`Oracle::prefetch_pixel_batch`] for the protocol.
-struct PixelBatch {
-    /// Address of the base `Image` the batch was evaluated against,
-    /// stored as `usize` (never dereferenced) so the oracle stays `Send`.
+#[derive(Default)]
+struct SpecPool {
+    /// Address of the base `Image` every pending candidate was evaluated
+    /// against, stored as `usize` (never dereferenced) so the oracle stays
+    /// `Send`. Meaningless while the pool is empty.
     base_addr: usize,
-    /// Unserved candidates (pixels as exact bit patterns) with the index
-    /// of their score block in `flat`; serving removes the entry.
-    items: Vec<(Location, [u32; 3], usize)>,
-    /// `num_classes` scores per candidate, in the original batch order.
-    flat: Vec<f32>,
+    /// Pending candidates, each with the slot holding its scores.
+    pending: HashMap<CandidateKey, usize, BuildHasherDefault<FnvHasher>>,
+    /// `num_classes` scores per slot.
+    slots: Vec<f32>,
+    /// Slots whose candidate was consumed, reused before `slots` grows, so
+    /// the pool never holds more score blocks than candidates ever pending
+    /// at once.
+    free: Vec<usize>,
+    /// Scratch for one prefetch: the fresh candidates with their slots, and
+    /// the batch's scores in candidate order.
+    fresh: Vec<(Location, Pixel)>,
+    fresh_slots: Vec<usize>,
+    batch_scores: Vec<f32>,
+}
+
+impl SpecPool {
+    /// Drops every pending candidate, keeping the buffers.
+    fn clear(&mut self) {
+        self.pending.clear();
+        self.slots.clear();
+        self.free.clear();
+    }
+
+    /// Moves the scores of `key` into `out` (cleared first) and returns
+    /// true when it is pending against the base at `base_addr`.
+    fn take(
+        &mut self,
+        base_addr: usize,
+        key: &CandidateKey,
+        classes: usize,
+        out: &mut Vec<f32>,
+    ) -> bool {
+        if self.base_addr != base_addr {
+            return false;
+        }
+        let Some(slot) = self.pending.remove(key) else {
+            return false;
+        };
+        out.clear();
+        out.extend_from_slice(&self.slots[slot * classes..(slot + 1) * classes]);
+        self.free.push(slot);
+        true
+    }
 }
 
 /// True when `OPPSLA_SEQUENTIAL` is set (to anything but `0`): disables
@@ -563,9 +613,9 @@ pub struct Oracle<'a> {
     classifier: &'a dyn Classifier,
     queries: u64,
     budget: Option<u64>,
-    /// Speculatively evaluated candidates (none until the first
+    /// Speculatively evaluated candidates awaiting consumption (see
     /// [`Oracle::prefetch_pixel_batch`]).
-    batch: Option<PixelBatch>,
+    pool: SpecPool,
     /// When false, [`Oracle::prefetch_pixel_batch`] is a no-op (see
     /// [`Oracle::without_speculation`]).
     speculate: bool,
@@ -582,7 +632,7 @@ pub struct Oracle<'a> {
     /// used by the `query-guard` feature to catch accidental double
     /// queries that would silently inflate reported query counts.
     #[cfg(feature = "query-guard")]
-    scope: std::collections::HashSet<(u16, u16, [u32; 3])>,
+    scope: std::collections::HashSet<CandidateKey>,
 }
 
 impl<'a> Oracle<'a> {
@@ -592,7 +642,7 @@ impl<'a> Oracle<'a> {
             classifier,
             queries: 0,
             budget: None,
-            batch: None,
+            pool: SpecPool::default(),
             speculate: true,
             log: None,
             #[cfg(feature = "query-memo")]
@@ -609,7 +659,7 @@ impl<'a> Oracle<'a> {
             classifier,
             queries: 0,
             budget: Some(budget),
-            batch: None,
+            pool: SpecPool::default(),
             speculate: true,
             log: None,
             #[cfg(feature = "query-memo")]
@@ -669,7 +719,7 @@ impl<'a> Oracle<'a> {
         if let Some(log) = &mut self.log {
             log.push(QueryLogEntry {
                 seq,
-                pixel: pixel.map(|(l, p)| (l.row, l.col, p.0.map(f32::to_bits))),
+                pixel: pixel.map(|(l, p)| candidate_key(l, p)),
                 pred: argmax(scores) as u32,
                 score_hash: hash_scores(scores),
             });
@@ -697,6 +747,18 @@ impl<'a> Oracle<'a> {
     pub fn begin_candidate_scope(&mut self) {
         #[cfg(feature = "query-guard")]
         self.scope.clear();
+    }
+
+    /// Starts an attack run: drops all pending speculation and opens a
+    /// fresh candidate scope ([`Oracle::begin_candidate_scope`]). Every
+    /// prefetching attack calls this once before its first candidate.
+    ///
+    /// Pending speculation is keyed by the base image's *address*, so an
+    /// oracle reused after its image was changed in place would otherwise
+    /// serve the old image's scores to the next run.
+    pub fn begin_run(&mut self) {
+        self.drop_speculation();
+        self.begin_candidate_scope();
     }
 
     /// Submits an image, counting one query.
@@ -806,10 +868,7 @@ impl<'a> Oracle<'a> {
         #[cfg(feature = "query-memo")]
         let memo_key = match self.memo {
             Some(memo) => {
-                let key = (
-                    image_content_id(base),
-                    Some((location.row, location.col, pixel.0.map(f32::to_bits))),
-                );
+                let key = (image_content_id(base), Some(candidate_key(location, pixel)));
                 if memo.lookup_into(&key, out) {
                     self.memo_hits += 1;
                     crate::telemetry::count(crate::telemetry::Counter::MemoHit);
@@ -824,10 +883,10 @@ impl<'a> Oracle<'a> {
                 return Err(BudgetExhausted { budget });
             }
         }
+        let key = candidate_key(location, pixel);
         #[cfg(feature = "query-guard")]
         debug_assert!(
-            self.scope
-                .insert((location.row, location.col, pixel.0.map(f32::to_bits),)),
+            self.scope.insert(key),
             "candidate (({}, {}), {:?}) scored twice in one sketch scope",
             location.row,
             location.col,
@@ -840,42 +899,34 @@ impl<'a> Oracle<'a> {
         // adds the delta-cache tag when it actually runs.
         crate::telemetry::trace::tag_route(crate::telemetry::trace::RouteTag::Delta);
 
-        // Serve from the speculative batch when it holds this exact
-        // candidate against the same base, in *any* position — scores are
-        // a pure function of (base, location, pixel) and the base never
-        // changes within a run, so every unserved entry stays valid even
-        // when the caller's consumption order diverges (e.g. an eager
-        // program reordering its queue). A miss leaves the batch intact
-        // for later queries; only a different base discards it. Either
-        // way the accounting above already ran, and the batched backend is
-        // bit-identical, so scores and counts cannot depend on the route.
-        if let Some(batch) = &mut self.batch {
-            if batch.base_addr == base as *const Image as usize {
-                let key = (location, pixel.0.map(f32::to_bits));
-                if let Some(pos) = batch.items.iter().position(|&(l, p, _)| (l, p) == key) {
-                    let idx = batch.items.swap_remove(pos).2;
-                    let classes = self.classifier.num_classes();
-                    out.clear();
-                    out.extend_from_slice(&batch.flat[idx * classes..(idx + 1) * classes]);
-                    crate::telemetry::count(crate::telemetry::Counter::BatchHit);
-                    crate::telemetry::trace::tag_route(crate::telemetry::trace::RouteTag::BatchHit);
-                    if batch.items.is_empty() {
-                        self.batch = None;
-                    }
-                    self.log_query(self.queries, Some((location, pixel)), out);
-                    // Batch-served scores were computed (and just
-                    // counted), so they are memoized like sequential ones.
-                    #[cfg(feature = "query-memo")]
-                    if let (Some(memo), Some(key)) = (self.memo, memo_key) {
-                        memo.insert(key, out);
-                    }
-                    return Ok(());
+        // Serve from the speculation pool when it holds this exact
+        // candidate against the same base — scores are a pure function of
+        // (base, location, pixel), so a pending entry stays valid however
+        // far the caller's consumption order diverges from prefetch order.
+        // A miss leaves the pool intact; only a different base drops it.
+        // Either way the accounting above already ran, and the batched
+        // backend is bit-identical, so scores and counts cannot depend on
+        // the route.
+        if !self.pool.pending.is_empty() {
+            let base_addr = base as *const Image as usize;
+            let classes = self.classifier.num_classes();
+            if self.pool.take(base_addr, &key, classes, out) {
+                crate::telemetry::count(crate::telemetry::Counter::BatchHit);
+                crate::telemetry::trace::tag_route(crate::telemetry::trace::RouteTag::BatchHit);
+                self.log_query(self.queries, Some((location, pixel)), out);
+                // Pool-served scores were computed (and just counted), so
+                // they are memoized like sequential ones.
+                #[cfg(feature = "query-memo")]
+                if let (Some(memo), Some(key)) = (self.memo, memo_key) {
+                    memo.insert(key, out);
                 }
+                return Ok(());
+            }
+            if self.pool.base_addr == base_addr {
                 crate::telemetry::count(crate::telemetry::Counter::BatchMiss);
                 crate::telemetry::trace::tag_route(crate::telemetry::trace::RouteTag::BatchMiss);
             } else {
-                crate::telemetry::count(crate::telemetry::Counter::BatchFlush);
-                self.batch = None;
+                self.drop_speculation();
             }
         }
         self.classifier
@@ -888,83 +939,129 @@ impl<'a> Oracle<'a> {
         Ok(())
     }
 
-    /// Speculatively evaluates up to `candidates.len()` one-pixel
-    /// candidates against `base` in one batched classifier call,
-    /// **without counting any queries**. Subsequent
-    /// [`Oracle::query_pixel_delta_into`] calls against the same base are
-    /// served from the cached scores whenever the candidate is still in
-    /// the batch (in any position — consumption order is free to diverge
+    /// Speculatively evaluates one-pixel `candidates` against `base` in
+    /// one batched classifier call, **without counting any queries**, and
+    /// adds them to the oracle's speculation pool. Candidates already
+    /// pending are skipped, so callers may re-submit a lookahead that
+    /// overlaps earlier ones; the pool keeps every pending entry until it
+    /// is consumed, the run ends ([`Oracle::begin_run`]) or a different
+    /// base image arrives. Subsequent [`Oracle::query_pixel_delta_into`]
+    /// calls against the same base are served from the pool whenever the
+    /// candidate is pending (in any order — consumption is free to diverge
     /// from prefetch order), each with the full sequential accounting
-    /// (budget check, duplicate guard, query count) at consume time. A
-    /// query for a candidate *not* in the batch runs sequentially and
-    /// leaves the batch intact; querying against a different base image
-    /// discards it. Callers whose speculation went stale (e.g. a
-    /// stochastic attack accepting a proposal, changing every upcoming
-    /// candidate) simply prefetch again — the pending batch is replaced
-    /// (counted as a flush).
+    /// (budget check, duplicate guard, query count, query log, memo) at
+    /// consume time. A query for a candidate *not* pending runs
+    /// sequentially and leaves the pool intact. Callers whose speculation
+    /// went stale (e.g. a stochastic attack accepting a proposal, changing
+    /// every upcoming candidate) use [`Oracle::replace_pixel_batch`].
     ///
     /// This protocol keeps query counts *identical* to the sequential
     /// path by construction: speculation changes only *when* the
     /// classifier computes a score, never whether a query is counted —
     /// candidates the caller never consumes (early exits) are computed
     /// but not counted, exactly as if they were never queried. And
-    /// because a batch entry is evaluated once and served at most once,
-    /// callers that consume every prefetched candidate (the sketch's
-    /// removal discipline) submit each candidate to the classifier
-    /// exactly once, reorderings included.
+    /// because a pending entry is evaluated once and served at most once,
+    /// callers that prefetch only candidates they will query once (the
+    /// sketch's removal discipline) submit each candidate to the
+    /// classifier exactly once, reorderings included.
     ///
-    /// The batch is clamped to the remaining budget, so a prefetched
-    /// candidate can always be consumed. A no-op when the
-    /// `OPPSLA_SEQUENTIAL` environment variable is set — the A/B switch
-    /// for verifying batched-vs-sequential equivalence.
+    /// Fresh candidates are clamped to the remaining budget, so each one
+    /// evaluated could still be consumed. A no-op without speculation
+    /// ([`Oracle::speculates`]).
     pub fn prefetch_pixel_batch(&mut self, base: &Image, candidates: &[(Location, Pixel)]) {
-        if !self.speculate || sequential_only() {
+        if !self.speculates() {
             return;
         }
-        let remaining = self
+        let base_addr = base as *const Image as usize;
+        if self.pool.base_addr != base_addr {
+            self.drop_speculation();
+            self.pool.base_addr = base_addr;
+        }
+        let room = self
             .budget
             .map_or(u64::MAX, |b| b.saturating_sub(self.queries));
-        let n = (candidates.len() as u64).min(remaining) as usize;
-        // Reuse the previous batch's buffers when possible.
-        let mut batch = match self.batch.take() {
-            Some(mut b) => {
-                crate::telemetry::count(crate::telemetry::Counter::BatchFlush);
-                b.items.clear();
-                b.flat.clear();
-                b
+        let classes = self.classifier.num_classes();
+        let pool = &mut self.pool;
+        pool.fresh.clear();
+        pool.fresh_slots.clear();
+        for &(location, pixel) in candidates {
+            if pool.fresh.len() as u64 >= room {
+                break;
             }
-            None => PixelBatch {
-                base_addr: 0,
-                items: Vec::new(),
-                flat: Vec::new(),
-            },
-        };
+            let key = candidate_key(location, pixel);
+            if pool.pending.contains_key(&key) {
+                continue;
+            }
+            let slot = pool.free.pop().unwrap_or_else(|| {
+                pool.slots.resize(pool.slots.len() + classes, 0.0);
+                pool.slots.len() / classes - 1
+            });
+            pool.pending.insert(key, slot);
+            pool.fresh.push((location, pixel));
+            pool.fresh_slots.push(slot);
+        }
+        let n = pool.fresh.len();
         if n == 0 {
             return;
         }
         crate::telemetry::count(crate::telemetry::Counter::BatchPrefetch);
         crate::telemetry::count_n(crate::telemetry::Counter::BatchPrefetched, n as u64);
         self.classifier
-            .scores_pixel_delta_batch_into(base, &candidates[..n], &mut batch.flat);
+            .scores_pixel_delta_batch_into(base, &pool.fresh, &mut pool.batch_scores);
         assert_eq!(
-            batch.flat.len(),
-            n * self.classifier.num_classes(),
+            pool.batch_scores.len(),
+            n * classes,
             "batched backend returned a wrong-size score block"
         );
-        batch.base_addr = base as *const Image as usize;
-        batch.items.extend(
-            candidates[..n]
-                .iter()
-                .enumerate()
-                .map(|(i, &(l, p))| (l, p.0.map(f32::to_bits), i)),
-        );
-        self.batch = Some(batch);
+        for (scores, &slot) in pool
+            .batch_scores
+            .chunks_exact(classes)
+            .zip(&pool.fresh_slots)
+        {
+            pool.slots[slot * classes..(slot + 1) * classes].copy_from_slice(scores);
+        }
     }
 
-    /// True when a prefetched batch is still pending consumption. Callers
-    /// that prefetch in chunks re-arm when this goes false.
+    /// Drops all pending speculation, then prefetches `candidates` like
+    /// [`Oracle::prefetch_pixel_batch`]: for callers whose earlier
+    /// speculation went stale and will never be consumed.
+    pub fn replace_pixel_batch(&mut self, base: &Image, candidates: &[(Location, Pixel)]) {
+        self.drop_speculation();
+        self.prefetch_pixel_batch(base, candidates);
+    }
+
+    /// Drops every pending candidate (counted as a flush when any was
+    /// pending).
+    fn drop_speculation(&mut self) {
+        if !self.pool.pending.is_empty() {
+            crate::telemetry::count(crate::telemetry::Counter::BatchFlush);
+            self.pool.clear();
+        }
+    }
+
+    /// True when speculative candidates are still pending consumption.
+    /// Callers that prefetch in chunks re-arm when this goes false.
     pub fn has_prefetched(&self) -> bool {
-        self.batch.as_ref().is_some_and(|b| !b.items.is_empty())
+        !self.pool.pending.is_empty()
+    }
+
+    /// True when the candidate `base` with `location` set to `pixel` is
+    /// pending in the speculation pool, so querying it takes no forward.
+    pub fn is_prefetched(&self, base: &Image, location: Location, pixel: Pixel) -> bool {
+        self.pool.base_addr == base as *const Image as usize
+            && self
+                .pool
+                .pending
+                .contains_key(&candidate_key(location, pixel))
+    }
+
+    /// True when [`Oracle::prefetch_pixel_batch`] evaluates anything:
+    /// false after [`Oracle::without_speculation`] or with the
+    /// `OPPSLA_SEQUENTIAL` environment variable set (the process-wide A/B
+    /// switch for verifying batched-vs-sequential equivalence). Callers
+    /// skip planning a lookahead nobody will evaluate.
+    pub fn speculates(&self) -> bool {
+        self.speculate && !sequential_only()
     }
 
     /// Scores the first `min(candidates.len(), remaining budget)`
@@ -1025,8 +1122,7 @@ impl<'a> Oracle<'a> {
         for _item in &candidates[..n] {
             #[cfg(feature = "query-guard")]
             debug_assert!(
-                self.scope
-                    .insert((_item.0.row, _item.0.col, _item.1 .0.map(f32::to_bits))),
+                self.scope.insert(candidate_key(_item.0, _item.1)),
                 "candidate (({}, {}), {:?}) scored twice in one sketch scope",
                 _item.0.row,
                 _item.0.col,
@@ -1417,6 +1513,79 @@ mod tests {
 
         let mut seq = Oracle::new(&clf);
         assert_eq!(got, seq.query_pixel_delta(&other, loc, px).unwrap());
+    }
+
+    #[test]
+    fn prefetch_adds_only_candidates_not_pending() {
+        let calls = std::cell::Cell::new(0);
+        let clf = counting_mean_classifier(&calls);
+        let base = Image::filled(3, 3, Pixel([0.3; 3]));
+        let candidates = some_candidates(6);
+        let mut oracle = Oracle::new(&clf);
+        oracle.prefetch_pixel_batch(&base, &candidates[..4]);
+        assert_eq!(calls.get(), 4);
+        // An overlapping lookahead evaluates only its two new candidates
+        // and keeps the four already pending.
+        oracle.prefetch_pixel_batch(&base, &candidates[2..]);
+        assert_eq!(calls.get(), 6, "pending candidates are not re-evaluated");
+
+        let mut seq = Oracle::new(&clf);
+        let mut got = Vec::new();
+        for &(loc, px) in candidates.iter().rev() {
+            oracle
+                .query_pixel_delta_into(&base, loc, px, &mut got)
+                .unwrap();
+            assert_eq!(got, seq.query_pixel_delta(&base, loc, px).unwrap());
+        }
+        assert_eq!(calls.get(), 6 + 6, "only the reference oracle recomputed");
+        assert!(!oracle.has_prefetched());
+    }
+
+    #[test]
+    fn each_prefetch_is_clamped_to_the_budget_left_then() {
+        let calls = std::cell::Cell::new(0);
+        let clf = counting_mean_classifier(&calls);
+        let base = Image::filled(3, 3, Pixel([0.1; 3]));
+        let candidates = some_candidates(8);
+        let mut oracle = Oracle::with_budget(&clf, 5);
+        oracle.prefetch_pixel_batch(&base, &candidates[..4]);
+        let mut buf = Vec::new();
+        for &(loc, px) in &candidates[..2] {
+            oracle
+                .query_pixel_delta_into(&base, loc, px, &mut buf)
+                .unwrap();
+        }
+        oracle.prefetch_pixel_batch(&base, &candidates[4..]);
+        assert_eq!(calls.get(), 4 + 3, "3 queries left admit 3 of 4");
+        let (loc, px) = candidates[7];
+        assert!(!oracle.is_prefetched(&base, loc, px));
+        assert!(oracle.is_prefetched(&base, candidates[6].0, candidates[6].1));
+    }
+
+    #[test]
+    fn a_new_run_or_a_replace_drops_pending_speculation() {
+        let calls = std::cell::Cell::new(0);
+        let clf = counting_mean_classifier(&calls);
+        let mut base = Image::filled(3, 3, Pixel([0.3; 3]));
+        let candidates = some_candidates(3);
+        let (loc, px) = candidates[0];
+        let mut oracle = Oracle::new(&clf);
+        oracle.prefetch_pixel_batch(&base, &candidates);
+        oracle.replace_pixel_batch(&base, &candidates[1..]);
+        assert!(!oracle.is_prefetched(&base, loc, px), "replaced");
+        assert!(oracle.is_prefetched(&base, candidates[1].0, candidates[1].1));
+
+        // The same image, changed in place: same address, new scores.
+        oracle.begin_run();
+        assert!(!oracle.has_prefetched());
+        base.set_pixel(Location::new(2, 2), Pixel([0.9; 3]));
+        oracle.prefetch_pixel_batch(&base, &candidates);
+        let mut got = Vec::new();
+        oracle
+            .query_pixel_delta_into(&base, loc, px, &mut got)
+            .unwrap();
+        let mut seq = Oracle::new(&clf);
+        assert_eq!(got, seq.query_pixel_delta(&base, loc, px).unwrap());
     }
 
     #[test]

@@ -177,10 +177,15 @@ impl PairQueue {
     /// The paper's `closest_pert(L, l)`: the next pair in queue order whose
     /// location is `l`, if any.
     pub fn next_at_location(&self, loc: Location) -> Option<Pair> {
-        let li = self.loc_index(loc);
-        self.per_location[li]
-            .first()
-            .map(|&c| Pair::new(loc, Corner::new(c)))
+        self.pairs_at_location(loc).next()
+    }
+
+    /// The pairs still in the queue whose location is `loc`, in queue
+    /// order (at most 8; the first is [`PairQueue::next_at_location`]).
+    pub fn pairs_at_location(&self, loc: Location) -> impl Iterator<Item = Pair> + '_ {
+        self.per_location[self.loc_index(loc)]
+            .iter()
+            .map(move |&c| Pair::new(loc, Corner::new(c)))
     }
 
     /// The paper's `closest_loc(l, p)`: all pairs still in the queue whose

@@ -178,13 +178,19 @@ pub fn run_sketch_with_goal_prior(
     }
 
     let mut queue = PairQueue::for_image_with_prior(image, true_class, prior);
+    let conditions = Conditions {
+        program,
+        image,
+        orig_scores: &orig_scores,
+        true_class,
+    };
 
     // Query hot path: every candidate is the base image with one pixel
     // replaced, submitted through [`Oracle::query_pixel_delta_into`] into
     // one reused score buffer. Incremental backends serve these from
     // cached base activations, recomputing only the dirty region; counts
     // and scores are identical to querying the perturbed image in full.
-    oracle.begin_candidate_scope();
+    oracle.begin_run();
     let mut buf: Vec<f32> = Vec::with_capacity(orig_scores.len());
 
     // Submits a candidate; `Ok(true)` = adversarial (scores in `buf`),
@@ -218,29 +224,45 @@ pub fn run_sketch_with_goal_prior(
         Ok::<bool, ()>(goal.is_adversarial(buf, true_class))
     };
 
-    // Speculative prefetch: batch the next few init-scan candidates so a
-    // batched backend evaluates them in one layer-major sweep. The peek
-    // reflects queue order *now*; if a condition reorders the queue (B1/B2
-    // push-backs) or B3/B4 queries a refined candidate first, the oracle
-    // serves whichever batch entries still match (membership, not order)
-    // and evaluates the others sequentially — query counts and scores are
-    // unaffected either way, and because every batched pair is eventually
-    // popped exactly once, the removal discipline's no-duplicate-queries
-    // guarantee survives speculation.
-    const PREFETCH_BATCH: usize = 8;
+    // Speculative prefetch into the oracle's pool (see
+    // [`Oracle::prefetch_pixel_batch`]), so a batched backend evaluates
+    // candidates in layer-major sweeps. The pool serves by membership, in
+    // any order, and counts at consume time, so query counts and scores
+    // are the same with or without it. Two sources feed it:
+    //
+    // * the init scan pools the next `INIT_PREFETCH` queue entries
+    //   whenever the queue head is not pooled. B1/B2 push-backs and eager
+    //   refinement may reorder them; they stay pooled until queried;
+    // * before a refine query whose candidate is not pooled, the sketch
+    //   plans the refine queries Algorithm 1 will certainly issue next
+    //   ([`Conditions::plan_refinement`]) and pools them.
+    //
+    // Every pooled pair is still in the queue, and the removal discipline
+    // takes each out once, so the no-duplicate-queries guarantee survives
+    // speculation.
+    const INIT_PREFETCH: usize = 8;
+    let speculate = oracle.speculates();
+    let mut plan: Vec<Pair> = Vec::with_capacity(REFINE_LOOKAHEAD);
     let mut upcoming: Vec<(crate::pair::Location, crate::pair::Pixel)> =
-        Vec::with_capacity(PREFETCH_BATCH);
+        Vec::with_capacity(REFINE_LOOKAHEAD);
+    let mut prefetch = |oracle: &mut Oracle<'_>, pairs: &[Pair]| {
+        upcoming.clear();
+        upcoming.extend(pairs.iter().map(|p| (p.location, p.corner.as_pixel())));
+        oracle.prefetch_pixel_batch(image, &upcoming);
+    };
+    let pooled =
+        |oracle: &Oracle<'_>, p: Pair| oracle.is_prefetched(image, p.location, p.corner.as_pixel());
 
     loop {
-        if !oracle.has_prefetched() {
-            upcoming.clear();
-            upcoming.extend(
-                queue
-                    .iter()
-                    .take(PREFETCH_BATCH)
-                    .map(|p| (p.location, p.corner.as_pixel())),
-            );
-            oracle.prefetch_pixel_batch(image, &upcoming);
+        if speculate
+            && queue
+                .iter()
+                .next()
+                .is_some_and(|head| !pooled(oracle, head))
+        {
+            plan.clear();
+            plan.extend(queue.iter().take(INIT_PREFETCH));
+            prefetch(oracle, &plan);
         }
         let Some(pair) = queue.pop() else { break };
         match try_pair(oracle, &mut buf, pair, Counter::QueryInitScan, "init_scan") {
@@ -258,17 +280,8 @@ pub fn run_sketch_with_goal_prior(
             }
         }
 
-        let ctx = CondCtx {
-            image,
-            location: pair.location,
-            perturbation: pair.corner.as_pixel(),
-            orig_scores: &orig_scores,
-            pert_scores: &buf,
-            true_class,
-        };
-
         // B1: push back the closest pairs with respect to the location.
-        if program.condition(1, &ctx) {
+        if conditions.holds(1, pair, &buf) {
             telemetry::count(Counter::ReprioritizeB1);
             trace::record_cond("b1");
             for neighbor in queue.location_neighbors(pair.location, pair.corner) {
@@ -276,7 +289,7 @@ pub fn run_sketch_with_goal_prior(
             }
         }
         // B2: push back the closest pair with respect to the perturbation.
-        if program.condition(2, &ctx) {
+        if conditions.holds(2, pair, &buf) {
             telemetry::count(Counter::ReprioritizeB2);
             trace::record_cond("b2");
             if let Some(next) = queue.next_at_location(pair.location) {
@@ -294,19 +307,23 @@ pub fn run_sketch_with_goal_prior(
 
         while !loc_q.is_empty() || !pert_q.is_empty() {
             while let Some((failed, failed_scores)) = loc_q.pop_front() {
-                let ctx = CondCtx {
-                    image,
-                    location: failed.location,
-                    perturbation: failed.corner.as_pixel(),
-                    orig_scores: &orig_scores,
-                    pert_scores: &failed_scores,
-                    true_class,
-                };
-                if !program.condition(3, &ctx) {
+                if !conditions.holds(3, failed, &failed_scores) {
                     continue;
                 }
                 trace::record_cond("b3");
-                for candidate in queue.location_neighbors(failed.location, failed.corner) {
+                let neighbors = queue.location_neighbors(failed.location, failed.corner);
+                for (i, &candidate) in neighbors.iter().enumerate() {
+                    if speculate && !pooled(oracle, candidate) {
+                        conditions.plan_refinement(
+                            &queue,
+                            &neighbors[i..],
+                            true,
+                            &loc_q,
+                            &pert_q,
+                            &mut plan,
+                        );
+                        prefetch(oracle, &plan);
+                    }
                     queue.remove(candidate);
                     match try_pair(
                         oracle,
@@ -334,19 +351,22 @@ pub fn run_sketch_with_goal_prior(
                 }
             }
             while let Some((failed, failed_scores)) = pert_q.pop_front() {
-                let ctx = CondCtx {
-                    image,
-                    location: failed.location,
-                    perturbation: failed.corner.as_pixel(),
-                    orig_scores: &orig_scores,
-                    pert_scores: &failed_scores,
-                    true_class,
-                };
-                if !program.condition(4, &ctx) {
+                if !conditions.holds(4, failed, &failed_scores) {
                     continue;
                 }
                 trace::record_cond("b4");
                 if let Some(candidate) = queue.next_at_location(failed.location) {
+                    if speculate && !pooled(oracle, candidate) {
+                        conditions.plan_refinement(
+                            &queue,
+                            &[candidate],
+                            false,
+                            &loc_q,
+                            &pert_q,
+                            &mut plan,
+                        );
+                        prefetch(oracle, &plan);
+                    }
                     queue.remove(candidate);
                     match try_pair(
                         oracle,
@@ -378,6 +398,130 @@ pub fn run_sketch_with_goal_prior(
 
     SketchOutcome::Exhausted {
         queries: spent(oracle),
+    }
+}
+
+/// The most refine queries one lookahead plans (and so the most
+/// candidates one refine prefetch evaluates).
+const REFINE_LOOKAHEAD: usize = 32;
+
+/// Everything the conditions read besides a failed pair and its scores.
+struct Conditions<'a> {
+    program: &'a Program,
+    image: &'a Image,
+    orig_scores: &'a [f32],
+    true_class: usize,
+}
+
+impl Conditions<'_> {
+    /// Whether `B_slot` holds for the failed `pair` with perturbed scores
+    /// `scores`.
+    fn holds(&self, slot: usize, pair: Pair, scores: &[f32]) -> bool {
+        self.program.condition(
+            slot,
+            &CondCtx {
+                image: self.image,
+                location: pair.location,
+                perturbation: pair.corner.as_pixel(),
+                orig_scores: self.orig_scores,
+                pert_scores: scores,
+                true_class: self.true_class,
+            },
+        )
+    }
+
+    /// Whether `B_slot` is known to hold for `pair` before it is queried,
+    /// which only a condition reading no scores can be.
+    fn holds_unqueried(&self, slot: usize, pair: Pair) -> bool {
+        // The placeholder scores are never read.
+        !self.program.conditions[slot - 1].reads_scores()
+            && self.holds(slot, pair, self.orig_scores)
+    }
+
+    /// Plans into `plan` the refine queries Algorithm 1 will certainly
+    /// issue next, unless a success or the budget ends the run first, in
+    /// the order it is expected to issue them and at most
+    /// [`REFINE_LOOKAHEAD`] of them. `next` are the queries due now, all
+    /// still in `queue`: the rest of a B3 entry's neighbours (`in_b3`) or
+    /// one B4 candidate. `loc_q` and `pert_q` hold the unprocessed entries
+    /// with their scores.
+    ///
+    /// Between now and the end of the refinement the queue only loses
+    /// pairs, each to a query, so every planned pair is queried:
+    ///
+    /// * while B3 drains, the known `loc_q` entries are processed next, in
+    ///   order, before any entry whose scores are unknown now; where B3
+    ///   holds, their neighbours are exactly those in the queue and not
+    ///   planned before them;
+    /// * a `pert_q` entry where B4 holds queries the first pair left at
+    ///   its location, so k such entries at one location are planned the
+    ///   first k pairs left there. A pair another query takes first was
+    ///   queried anyway, and after those k entries the first k pairs are
+    ///   gone either way. When B4 reads no scores it holds for every entry
+    ///   at a location alike, so each planned pair's entry continues its
+    ///   location's chain (round-robin over the drain, as the FIFO runs
+    ///   it) until the location is empty;
+    /// * while B4 drains, the known `loc_q` entries wait for the next B3
+    ///   drain. A neighbour planned for one of them is either still in the
+    ///   queue then, so queried by it, or already taken by a query.
+    fn plan_refinement(
+        &self,
+        queue: &PairQueue,
+        next: &[Pair],
+        in_b3: bool,
+        loc_q: &VecDeque<(Pair, Vec<f32>)>,
+        pert_q: &VecDeque<(Pair, Vec<f32>)>,
+        plan: &mut Vec<Pair>,
+    ) {
+        plan.clear();
+        plan.extend(next.iter().take(REFINE_LOOKAHEAD));
+        let b3_neighbors = |plan: &mut Vec<Pair>| {
+            for (entry, scores) in loc_q {
+                if plan.len() >= REFINE_LOOKAHEAD {
+                    return;
+                }
+                if self.holds(3, *entry, scores) {
+                    for n in queue.location_neighbors(entry.location, entry.corner) {
+                        if plan.len() < REFINE_LOOKAHEAD && !plan.contains(&n) {
+                            plan.push(n);
+                        }
+                    }
+                }
+            }
+        };
+        if in_b3 {
+            b3_neighbors(plan);
+        }
+        // The B4 drain's FIFO: the entries known now, then one entry per
+        // planned query (each failed query joins `pert_q`), in plan order.
+        let b4_step = |plan: &mut Vec<Pair>, entry: Pair, scores: Option<&[f32]>| {
+            let holds = match scores {
+                Some(scores) => self.holds(4, entry, scores),
+                None => self.holds_unqueried(4, entry),
+            };
+            if holds {
+                if let Some(c) = queue
+                    .pairs_at_location(entry.location)
+                    .find(|p| !plan.contains(p))
+                {
+                    plan.push(c);
+                }
+            }
+        };
+        for (entry, scores) in pert_q {
+            if plan.len() >= REFINE_LOOKAHEAD {
+                return;
+            }
+            b4_step(plan, *entry, Some(scores));
+        }
+        let mut i = 0;
+        while i < plan.len() && plan.len() < REFINE_LOOKAHEAD {
+            b4_step(plan, plan[i], None);
+            i += 1;
+        }
+        if !in_b3 {
+            b3_neighbors(plan);
+        }
     }
 }
 

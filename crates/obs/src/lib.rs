@@ -117,13 +117,15 @@ counters! {
     /// query (served from the batch). Batch occupancy — the fraction of
     /// speculative work that paid off — is `batch_hit / batch_prefetched`.
     BatchHit => "batch_hit",
-    /// Sequential queries that found no matching candidate in the pending
-    /// batch (the caller diverged from its speculation); the query runs
-    /// sequentially and the batch is kept for later hits.
+    /// Sequential queries that found no matching candidate in the
+    /// oracle's speculation pool (the caller diverged from its
+    /// speculation); the query runs sequentially and the pool is kept
+    /// for later hits.
     BatchMiss => "batch_miss",
-    /// Prefetched batches discarded before being fully consumed — the
-    /// caller prefetched again (stale speculation) or queried against a
-    /// different base image — counted per discarded batch.
+    /// Speculation pools dropped before being fully consumed — a run
+    /// began, the caller replaced stale speculation, or a query or
+    /// prefetch arrived against a different base image — counted per
+    /// drop.
     BatchFlush => "batch_flush",
     /// Images run through the layer-major batched full forward.
     BatchedForwardImages => "batched_forward_images",

@@ -724,12 +724,12 @@ pub enum RouteTag {
     /// Full-image forward (`query_into`).
     Full,
     /// Single-pixel incremental forward (`query_pixel_delta_into`, no
-    /// pending speculative batch).
+    /// pending speculation).
     Delta,
-    /// Served from a speculatively prefetched batch.
+    /// Served from the oracle's speculation pool.
     BatchHit,
-    /// A batch was pending but did not contain this candidate; the query
-    /// ran incrementally.
+    /// Speculation was pending but did not contain this candidate; the
+    /// query ran incrementally.
     BatchMiss,
     /// Part of an explicit counted batch (`query_batch`).
     Batch,

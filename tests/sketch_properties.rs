@@ -7,6 +7,9 @@
 //! 2. **No duplicate queries** — the removal discipline queries each
 //!    location–perturbation candidate at most once.
 //! 3. **Query bounds** — a run spends at most `8·d₁·d₂ + 1` queries.
+//! 4. **Passive speculation** — the oracle's speculative batches change
+//!    neither outcome, query count nor query log, and never submit a
+//!    candidate to the classifier twice.
 
 use oppsla::core::dsl::{random_program, ImageDims, Program};
 use oppsla::core::image::Image;
@@ -14,18 +17,22 @@ use oppsla::core::oracle::{Classifier, FnClassifier, Oracle};
 use oppsla::core::pair::{Corner, Location, Pixel};
 use oppsla::core::sketch::{run_sketch, SketchOutcome};
 use proptest::prelude::*;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashSet;
 
 /// A classifier that flips iff the pixel at `target` equals the `trigger`
-/// corner, and records every queried image to detect duplicates.
+/// corner, and records every queried image to detect duplicates, on
+/// either route (one at a time, or inside a batch). Other images get
+/// scores that vary with their content, so conditions reading
+/// `score_diff` fire unevenly, but never flip the decision.
 struct RecordingClassifier {
     target: Location,
     trigger: Pixel,
     seen: RefCell<HashSet<Vec<u32>>>,
     duplicates: RefCell<usize>,
+    batched: Cell<usize>,
 }
 
 impl RecordingClassifier {
@@ -35,6 +42,7 @@ impl RecordingClassifier {
             trigger,
             seen: RefCell::new(HashSet::new()),
             duplicates: RefCell::new(0),
+            batched: Cell::new(0),
         }
     }
 
@@ -50,13 +58,31 @@ impl Classifier for RecordingClassifier {
 
     fn scores(&self, image: &Image) -> Vec<f32> {
         let key: Vec<u32> = image.data().iter().map(|v| v.to_bits()).collect();
+        // FNV-1a over the content, scaled to a drop in [0, 0.35).
+        let hash = key.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &v| {
+            (h ^ u64::from(v)).wrapping_mul(0x100_0000_01b3)
+        });
+        let drop = (hash >> 40) as f32 / (1u64 << 24) as f32 * 0.35;
         if !self.seen.borrow_mut().insert(key) {
             *self.duplicates.borrow_mut() += 1;
         }
         if image.pixel(self.target) == self.trigger {
             vec![0.1, 0.9]
         } else {
-            vec![0.9, 0.1]
+            vec![0.9 - drop, 0.1 + drop]
+        }
+    }
+
+    fn scores_pixel_delta_batch_into(
+        &self,
+        base: &Image,
+        candidates: &[(Location, Pixel)],
+        out: &mut Vec<f32>,
+    ) {
+        self.batched.set(self.batched.get() + candidates.len());
+        out.clear();
+        for &(loc, pixel) in candidates {
+            out.extend(self.scores(&base.with_pixel(loc, pixel)));
         }
     }
 }
@@ -66,6 +92,20 @@ fn arb_program(height: usize, width: usize) -> impl Strategy<Value = Program> {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         random_program(&mut rng, ImageDims::new(height, width))
     })
+}
+
+/// An image whose pixels differ, so pixel-statistic conditions and the
+/// corner rankings vary by location.
+fn random_image(height: usize, width: usize, seed: u64) -> Image {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut image = Image::filled(height, width, Pixel([0.0; 3]));
+    for row in 0..height as u16 {
+        for col in 0..width as u16 {
+            let pixel = Pixel([rng.gen(), rng.gen(), rng.gen()]);
+            image.set_pixel(Location::new(row, col), pixel);
+        }
+    }
+    image
 }
 
 proptest! {
@@ -145,6 +185,89 @@ proptest! {
         };
         prop_assert_eq!(run(), run());
     }
+
+    /// Speculation is passive: with the oracle's speculative batches on
+    /// and off, the sketch reaches the same outcome with the same query
+    /// count and query log, and no candidate reaches the classifier twice
+    /// on either route. Covers score-reading and score-free B3/B4 (the
+    /// paper's program has both), with and without a budget.
+    #[test]
+    fn speculation_changes_no_outcome_count_or_log(
+        program in prop_oneof![arb_program(6, 6), Just(Program::paper_example())],
+        image_seed in any::<u64>(),
+        trigger in prop_oneof![Just(None), (0u16..6, 0u16..6, 0u8..8).prop_map(Some)],
+        budget in prop_oneof![Just(None), (0u64..300).prop_map(Some)],
+    ) {
+        let image = random_image(6, 6, image_seed);
+        // Without a trigger, a grey that no perturbation produces.
+        let (target, trigger) = match trigger {
+            Some((row, col, k)) => (Location::new(row, col), Corner::new(k).as_pixel()),
+            None => (Location::new(0, 0), Pixel([0.5; 3])),
+        };
+        let run = |speculate: bool| {
+            let clf = RecordingClassifier::new(target, trigger);
+            let oracle = match budget {
+                Some(b) => Oracle::with_budget(&clf, b),
+                None => Oracle::new(&clf),
+            };
+            let mut oracle = if speculate { oracle } else { oracle.without_speculation() };
+            oracle.enable_query_log();
+            let outcome = run_sketch(&program, &mut oracle, &image, 0);
+            let (queries, log) = (oracle.queries(), oracle.take_query_log());
+            (outcome, queries, log, clf.duplicates(), clf.batched.get())
+        };
+        let (on, off) = (run(true), run(false));
+        prop_assert_eq!(&on.0, &off.0);
+        prop_assert_eq!(on.1, off.1);
+        prop_assert_eq!(&on.2, &off.2);
+        prop_assert_eq!(on.3, 0, "a candidate reached the classifier twice");
+        prop_assert_eq!(off.3, 0, "a candidate reached the classifier twice");
+        prop_assert_eq!(off.4, 0, "nothing is batched without speculation");
+    }
+}
+
+/// An oracle may be reused across runs; pending speculation must not
+/// outlive the run that made it. Run 1 succeeds at once and leaves its
+/// prefetched candidates unconsumed; the image then changes in place, at
+/// the same address, and run 2 must see the new image's scores.
+#[test]
+fn a_reused_oracle_scores_the_current_image() {
+    let white = Pixel([1.0, 1.0, 1.0]);
+    let black = Pixel([0.0, 0.0, 0.0]);
+    let clf = FnClassifier::new(2, move |img: &Image| {
+        let hot = if img.pixel(Location::new(2, 2)) == black {
+            Location::new(0, 1)
+        } else {
+            Location::new(1, 1)
+        };
+        if img.pixel(hot) == white {
+            vec![0.1, 0.9]
+        } else {
+            vec![0.9, 0.1]
+        }
+    });
+    let program = Program::constant(false);
+    let mut img = Image::filled(3, 3, Pixel([0.4, 0.4, 0.4]));
+    let mut oracle = Oracle::new(&clf);
+    let first = run_sketch(&program, &mut oracle, &img, 0);
+    assert_eq!(first.queries(), 2);
+    assert!(first.is_success());
+    assert!(oracle.has_prefetched(), "run 1 leaves speculation behind");
+
+    img.set_pixel(Location::new(2, 2), black);
+    let reused = run_sketch(&program, &mut oracle, &img, 0);
+    let fresh = run_sketch(&program, &mut Oracle::new(&clf), &img, 0);
+    match &fresh {
+        SketchOutcome::Success { pair, queries } => {
+            assert_eq!(pair.location, Location::new(0, 1));
+            assert_eq!(*queries, 4);
+        }
+        other => panic!("expected success, got {other:?}"),
+    }
+    assert_eq!(
+        reused, fresh,
+        "the reused oracle served a previous run's scores"
+    );
 }
 
 /// Beyond proptest: the paper's Figure-level claim that success is shared
