@@ -154,7 +154,7 @@ impl Attack for SuOpa {
         // one pixel replaced, so it goes through the pixel-delta query
         // path and incremental backends recompute only the dirty region.
         // DE can re-propose a gene, so each evaluation opens its own
-        // query-guard scope. `phase` attributes the query to the initial
+        // guard scope. `phase` attributes the query to the initial
         // population scan or the per-generation refinement.
         enum Eval {
             Fitness(f32),

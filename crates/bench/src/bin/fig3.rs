@@ -15,8 +15,7 @@
 //!     [--fresh]                      (ignore cached program suites)
 //!     [--threads N]                  (worker threads; 0 = auto, default 0)
 //!     [--memo]                       (share a per-classifier query memo across
-//!                                     the attack roster; build with
-//!                                     --features query-memo)
+//!                                     the attack roster)
 //!     [--prior PATH]                 (mined saliency prior JSON reordering the
 //!                                     OPPSLA initial queue; see oppsla_eval::prior)
 //!     [--telemetry PATH]             (append per-phase telemetry events as JSONL)
@@ -28,8 +27,7 @@
 //! changes wall-clock time. `--telemetry` writes only to `PATH` and
 //! stderr, never stdout — table and chart output stays byte-identical
 //! with or without it (build with `--features telemetry` for non-zero
-//! counters). Without `--memo` the memo machinery is never touched, so
-//! stdout is byte-identical whether or not `query-memo` was compiled in.
+//! counters). Without `--memo` the memo machinery is never touched.
 //!
 //! Defaults are scaled down to finish in minutes on a laptop; the paper's
 //! full setting is `--test-per-class 100 --budget 10000 --synth-train 50
@@ -84,9 +82,6 @@ fn main() {
     let synth_train_per_class = args.get_usize("synth-train", 3);
     let seed = args.get_u64("seed", 0);
     let use_memo = args.has("memo");
-    if use_memo && cfg!(not(feature = "query-memo")) {
-        eprintln!("warning: built without --features query-memo; --memo is inert");
-    }
     let prior = args.get_opt_str("prior").map(|path| {
         let prior = oppsla_eval::prior::load_prior(std::path::Path::new(path))
             .unwrap_or_else(|e| panic!("--prior: {e}"));

@@ -51,7 +51,6 @@ struct Row {
     engine_ns: f64,
     incremental_ns: f64,
     batched_delta_ns: f64,
-    batched_forward_ns: f64,
     sequential_qps: f64,
     parallel_qps: f64,
     /// Full-forward conv routes, e.g. `direct:2,gemm:6` (`none` = no convs).
@@ -92,11 +91,6 @@ impl Row {
     /// Batched candidate throughput over the sequential delta path.
     fn batched_speedup(&self) -> f64 {
         self.incremental_ns / self.batched_delta_ns
-    }
-
-    /// Batched full-forward throughput over the sequential full forward.
-    fn batched_forward_speedup(&self) -> f64 {
-        self.engine_ns / self.batched_forward_ns
     }
 }
 
@@ -256,25 +250,6 @@ fn main() {
         }
         let batched_delta_ns = t3.elapsed().as_nanos() as f64 / (sweeps * batch_k) as f64;
 
-        // Batched full forward: `batch_k` whole images per layer-major
-        // sweep against the sequential compiled forward.
-        let batch_images: Vec<Tensor> = (0..batch_k)
-            .map(|b| {
-                Tensor::from_fn([input.channels, input.height, input.width], |i| {
-                    ((i + b * 53) % 97) as f32 / 97.0
-                })
-            })
-            .collect();
-        let batched_plan = plan.batched();
-        let mut bws = batched_plan.workspace(batch_k);
-        batched_plan.scores_batch_into(&mut bws, &batch_images, &mut batch_buf); // warm-up
-        let t4 = Instant::now();
-        for _ in 0..sweeps {
-            batched_plan.scores_batch_into(&mut bws, black_box(&batch_images), &mut batch_buf);
-            black_box(&batch_buf);
-        }
-        let batched_forward_ns = t4.elapsed().as_nanos() as f64 / (sweeps * batch_k) as f64;
-
         // Throughput over a batch of distinct images, sequential vs. the
         // scoped-thread parallel map used by synthesis and evaluation.
         let images: Vec<Tensor> = (0..batch)
@@ -313,14 +288,13 @@ fn main() {
             engine_ns,
             incremental_ns,
             batched_delta_ns,
-            batched_forward_ns,
             sequential_qps,
             parallel_qps,
             fwd_routes: route_summary(plan.tuner_report().iter().map(|d| d.route().to_owned())),
             delta_routes: route_summary(delta.tuner_report().iter().map(|d| d.route())),
         };
         eprintln!(
-            "[{arch} {}] tape {:.0} ns/q, engine {:.0} ns/q ({:.2}x), incr {:.0} ns/q ({:.2}x), batched-delta {:.0} ns/q ({:.2}x), batched-fwd {:.0} ns/q ({:.2}x), {:.0} q/s seq, {:.0} q/s x{threads}",
+            "[{arch} {}] tape {:.0} ns/q, engine {:.0} ns/q ({:.2}x), incr {:.0} ns/q ({:.2}x), batched-delta {:.0} ns/q ({:.2}x), {:.0} q/s seq, {:.0} q/s x{threads}",
             row.input,
             row.tape_ns,
             row.engine_ns,
@@ -329,8 +303,6 @@ fn main() {
             row.incremental_speedup(),
             row.batched_delta_ns,
             row.batched_speedup(),
-            row.batched_forward_ns,
-            row.batched_forward_speedup(),
             row.sequential_qps,
             row.parallel_qps,
         );
@@ -470,8 +442,8 @@ fn main() {
     }
 
     // Companion report: batched candidate inference (layer-major sweeps
-    // over shared base activations, plus batched whole-image forwards)
-    // against the sequential paths, same flat hand-rolled schema.
+    // over shared base activations) against the sequential delta path,
+    // same flat hand-rolled schema.
     let mut bat = String::from("{\n");
     bat.push_str("  \"benchmark\": \"batched_inference\",\n");
     bat.push_str(&format!("  \"iters\": {iters},\n"));
@@ -488,10 +460,7 @@ fn main() {
                 "\"sequential_delta_ns_per_candidate\": {:.1}, ",
                 "\"batched_delta_ns_per_candidate\": {:.1}, ",
                 "\"batched_candidates_per_sec\": {:.1}, ",
-                "\"batched_speedup\": {:.3}, ",
-                "\"sequential_forward_ns_per_image\": {:.1}, ",
-                "\"batched_forward_ns_per_image\": {:.1}, ",
-                "\"batched_forward_speedup\": {:.3}, \"tuned_route\": \"{}\"}}{}\n"
+                "\"batched_speedup\": {:.3}, \"tuned_route\": \"{}\"}}{}\n"
             ),
             row.arch,
             row.input,
@@ -499,9 +468,6 @@ fn main() {
             row.batched_delta_ns,
             1e9 / row.batched_delta_ns,
             row.batched_speedup(),
-            row.engine_ns,
-            row.batched_forward_ns,
-            row.batched_forward_speedup(),
             row.delta_routes,
             if i + 1 < rows.len() { "," } else { "" },
         ));

@@ -13,7 +13,7 @@
 //! downward and outcomes not at all before reporting.
 //!
 //! ```text
-//! cargo run --release -p oppsla-bench --features query-memo --bin search_bench -- \
+//! cargo run --release -p oppsla-bench --bin search_bench -- \
 //!     [--archs mlp,vgg-small,resnet-small]  (cifar-scale roster)
 //!     [--test-per-class N]   (default 1)
 //!     [--budget B]           (default 600)
@@ -34,9 +34,7 @@
 //! queries-to-success ratio against the committed `BENCH_search.json`.
 //! Query counts are exact integers from a deterministic evaluation —
 //! unlike the timing benches there is no run-to-run noise, so the gate's
-//! regression margin is pure headroom. Without the `query-memo` feature
-//! the memo arm degenerates to the off arm (speedup 1.0); the binary
-//! warns, and `--require-speedup` fails.
+//! regression margin is pure headroom.
 
 use oppsla_attacks::{Attack, DeepSearch, SketchProgramAttack};
 use oppsla_bench::cli::Args;
@@ -104,12 +102,6 @@ fn main() {
         v.parse()
             .unwrap_or_else(|_| panic!("--require-speedup expects a number, got {v:?}"))
     });
-    if cfg!(not(feature = "query-memo")) {
-        eprintln!(
-            "warning: built without --features query-memo; the memo arm pays full price \
-             and every speedup will be 1.0"
-        );
-    }
     let tracing = start_trace(&args);
 
     let scale = Scale::Cifar;
@@ -248,9 +240,7 @@ fn main() {
             speedups.len()
         );
         rows.push(format!(
-            "{{\"bench\": \"search_summary\", \"geomean_queries_speedup\": {g:.4}, \
-             \"memo_feature\": {}}}",
-            cfg!(feature = "query-memo")
+            "{{\"bench\": \"search_summary\", \"geomean_queries_speedup\": {g:.4}}}"
         ));
     }
 

@@ -13,8 +13,7 @@
 //!     [--fresh]
 //!     [--threads N]          (worker threads; 0 = auto, default 0)
 //!     [--memo]               (share one query memo per *target* classifier
-//!                             across all source suites; build with
-//!                             --features query-memo)
+//!                             across all source suites)
 //!     [--telemetry PATH]     (append per-phase telemetry events as JSONL)
 //!     [--trace PATH]         (record per-query trace records as JSONL;
 //!                             build with --features trace)
@@ -22,8 +21,7 @@
 //!
 //! Results are bit-identical for any `--threads` value and with or
 //! without `--telemetry` (which writes only to `PATH` and stderr).
-//! Without `--memo` the memo machinery is never touched, so stdout is
-//! byte-identical whether or not `query-memo` was compiled in.
+//! Without `--memo` the memo machinery is never touched.
 
 use oppsla_bench::cli::Args;
 use oppsla_bench::{
@@ -61,9 +59,6 @@ fn main() {
     let synth_train_per_class = args.get_usize("synth-train", 3);
     let seed = args.get_u64("seed", 0);
     let use_memo = args.has("memo");
-    if use_memo && cfg!(not(feature = "query-memo")) {
-        eprintln!("warning: built without --features query-memo; --memo is inert");
-    }
     let mut sink = telemetry_sink(&args);
     let tracing = start_trace(&args);
 

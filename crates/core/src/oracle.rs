@@ -7,9 +7,10 @@
 
 use crate::image::Image;
 use crate::pair::{Location, Pixel};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::hash::BuildHasherDefault;
+use std::sync::Mutex;
 
 /// A black-box image classifier: maps an image to one score per class.
 ///
@@ -58,9 +59,10 @@ pub trait Classifier {
 
     /// Writes `N(x)` for every image, appending each score vector to
     /// `out` (cleared first) in image order. The default loops over
-    /// [`Classifier::scores_into`]; batched backends override this to run
-    /// all images through one layer-major forward. Overrides must return
-    /// bit-identical scores, per image, to the sequential default.
+    /// [`Classifier::scores_into`], which is how every backend in this
+    /// workspace serves it; decorators override it only to forward the
+    /// call. Overrides must return bit-identical scores, per image, to the
+    /// sequential default.
     fn scores_batch_into(&self, images: &[Image], out: &mut Vec<f32>) {
         out.clear();
         let mut buf = Vec::new();
@@ -130,10 +132,6 @@ impl Classifier for SharedSession<'_> {
         // Forward explicitly so a wrapped incremental backend keeps its
         // fast path (the default would re-derive via `scores_into`).
         self.0.scores_pixel_delta_into(base, location, pixel, out);
-    }
-
-    fn scores_batch_into(&self, images: &[Image], out: &mut Vec<f32>) {
-        self.0.scores_batch_into(images, out);
     }
 
     fn scores_pixel_delta_batch_into(
@@ -299,7 +297,6 @@ pub fn image_content_id(image: &Image) -> u64 {
 /// for a full-image query, or the one-pixel perturbation as exact bit
 /// patterns (the same shape [`QueryLogEntry::pixel`] uses). Full-tuple
 /// equality, not just a hash, so distinct candidates can never collide.
-#[cfg(feature = "query-memo")]
 type MemoKey = (u64, Option<CandidateKey>);
 
 /// FNV-1a 64 as a `HashMap` hasher for [`MemoKey`]s and speculation pool
@@ -332,23 +329,13 @@ impl std::hash::Hasher for FnvHasher {
 /// entry this bounds a memo at a few tens of MB.
 pub const DEFAULT_MEMO_CAPACITY: usize = 1 << 18;
 
-#[cfg(feature = "query-memo")]
-mod memo_impl {
-    use super::{FnvHasher, MemoKey};
-    use std::collections::{HashMap, VecDeque};
-    use std::hash::BuildHasherDefault;
-    use std::sync::Mutex;
-
-    pub(super) struct MemoInner {
-        pub(super) map: HashMap<MemoKey, Vec<f32>, BuildHasherDefault<FnvHasher>>,
-        /// Keys in insertion order; eviction pops the oldest first, so
-        /// the cache contents are a deterministic function of the insert
-        /// stream — never of timing.
-        pub(super) order: VecDeque<MemoKey>,
-        pub(super) cap: usize,
-    }
-
-    pub(super) type Shared = Mutex<MemoInner>;
+struct MemoInner {
+    map: HashMap<MemoKey, Vec<f32>, BuildHasherDefault<FnvHasher>>,
+    /// Keys in insertion order; eviction pops the oldest first, so the
+    /// cache contents are a deterministic function of the insert stream —
+    /// never of timing.
+    order: VecDeque<MemoKey>,
+    cap: usize,
 }
 
 /// A cross-restart memoization cache for oracle queries, shared by
@@ -363,13 +350,10 @@ mod memo_impl {
 /// oracle queries (see [`Oracle::memo_hits`]): the whole point is that
 /// no candidate is ever paid for twice.
 ///
-/// Without the `query-memo` feature this is an inert zero-sized stub:
-/// [`Oracle::with_memo`] becomes a no-op and every query takes the
-/// unmemoized path, keeping counts bit-identical to builds without the
-/// feature.
+/// Attaching one ([`Oracle::with_memo`]) is the only switch: an oracle
+/// without a memo takes the unmemoized path on every query.
 pub struct QueryMemo {
-    #[cfg(feature = "query-memo")]
-    inner: memo_impl::Shared,
+    inner: Mutex<MemoInner>,
 }
 
 impl QueryMemo {
@@ -386,28 +370,18 @@ impl QueryMemo {
     /// Panics if `cap` is zero.
     pub fn with_capacity(cap: usize) -> Self {
         assert!(cap > 0, "memo capacity must be at least 1");
-        #[cfg(not(feature = "query-memo"))]
-        let _ = cap;
         QueryMemo {
-            #[cfg(feature = "query-memo")]
-            inner: std::sync::Mutex::new(memo_impl::MemoInner {
-                map: std::collections::HashMap::default(),
-                order: std::collections::VecDeque::new(),
+            inner: Mutex::new(MemoInner {
+                map: HashMap::default(),
+                order: VecDeque::new(),
                 cap,
             }),
         }
     }
 
-    /// The number of memoized entries (always 0 without `query-memo`).
+    /// The number of memoized entries.
     pub fn len(&self) -> usize {
-        #[cfg(feature = "query-memo")]
-        {
-            self.inner.lock().expect("memo poisoned").map.len()
-        }
-        #[cfg(not(feature = "query-memo"))]
-        {
-            0
-        }
+        self.inner.lock().expect("memo poisoned").map.len()
     }
 
     /// True when nothing is memoized.
@@ -417,7 +391,6 @@ impl QueryMemo {
 
     /// Writes the memoized scores for `key` into `out` (cleared first)
     /// and returns true; leaves `out` untouched on a miss.
-    #[cfg(feature = "query-memo")]
     fn lookup_into(&self, key: &MemoKey, out: &mut Vec<f32>) -> bool {
         let inner = self.inner.lock().expect("memo poisoned");
         match inner.map.get(key) {
@@ -433,7 +406,6 @@ impl QueryMemo {
     /// Memoizes `scores` for `key`. First write wins: scores are a pure
     /// function of the key, so a duplicate insert carries an identical
     /// value and is dropped without touching the eviction order.
-    #[cfg(feature = "query-memo")]
     fn insert(&self, key: MemoKey, scores: &[f32]) {
         let mut inner = self.inner.lock().expect("memo poisoned");
         if inner.map.contains_key(&key) {
@@ -624,15 +596,14 @@ pub struct Oracle<'a> {
     log: Option<Vec<QueryLogEntry>>,
     /// Cross-restart memo serving repeat candidates without counting a
     /// query (see [`Oracle::with_memo`]). `None` = every query pays.
-    #[cfg(feature = "query-memo")]
     memo: Option<&'a QueryMemo>,
     /// Queries served from the memo (never counted in `queries`).
     memo_hits: u64,
-    /// Candidates scored since the last [`Oracle::begin_candidate_scope`],
-    /// used by the `query-guard` feature to catch accidental double
-    /// queries that would silently inflate reported query counts.
-    #[cfg(feature = "query-guard")]
-    scope: std::collections::HashSet<CandidateKey>,
+    /// Candidates scored since the last [`Oracle::begin_candidate_scope`]:
+    /// the debug-build guard against accidental double queries that would
+    /// silently inflate reported query counts. Filled only inside
+    /// `debug_assert!`s, so it stays empty in release builds.
+    scope: HashSet<CandidateKey>,
 }
 
 impl<'a> Oracle<'a> {
@@ -645,11 +616,9 @@ impl<'a> Oracle<'a> {
             pool: SpecPool::default(),
             speculate: true,
             log: None,
-            #[cfg(feature = "query-memo")]
             memo: None,
             memo_hits: 0,
-            #[cfg(feature = "query-guard")]
-            scope: std::collections::HashSet::new(),
+            scope: HashSet::new(),
         }
     }
 
@@ -662,11 +631,9 @@ impl<'a> Oracle<'a> {
             pool: SpecPool::default(),
             speculate: true,
             log: None,
-            #[cfg(feature = "query-memo")]
             memo: None,
             memo_hits: 0,
-            #[cfg(feature = "query-guard")]
-            scope: std::collections::HashSet::new(),
+            scope: HashSet::new(),
         }
     }
 
@@ -682,13 +649,10 @@ impl<'a> Oracle<'a> {
     /// honest — [`Oracle::queries`] remains the number of times the
     /// classifier was actually consulted at a counted site.
     ///
-    /// Without the `query-memo` feature this is a no-op.
-    #[allow(unused_mut, unused_variables)]
+    /// This is the memo's only switch: an oracle built without it never
+    /// touches the memo machinery.
     pub fn with_memo(mut self, memo: &'a QueryMemo) -> Self {
-        #[cfg(feature = "query-memo")]
-        {
-            self.memo = Some(memo);
-        }
+        self.memo = Some(memo);
         self
     }
 
@@ -739,13 +703,11 @@ impl<'a> Oracle<'a> {
     }
 
     /// Opens a fresh duplicate-detection scope for pixel-delta candidates
-    /// (one sketch run over one base image). A no-op unless the
-    /// `query-guard` feature is enabled, in which case scoring the same
-    /// (location, pixel) candidate twice within a scope panics in debug
-    /// builds — the sketch's removal discipline guarantees each candidate
-    /// is queried at most once.
+    /// (one sketch run over one base image). In debug builds, scoring the
+    /// same (location, pixel) candidate twice within a scope panics — the
+    /// sketch's removal discipline guarantees each candidate is queried at
+    /// most once. Release builds compile the check out.
     pub fn begin_candidate_scope(&mut self) {
-        #[cfg(feature = "query-guard")]
         self.scope.clear();
     }
 
@@ -787,7 +749,6 @@ impl<'a> Oracle<'a> {
         // Memo lookup comes before the budget check: a hit is not a
         // query — it consumes no budget and succeeds even when the
         // budget is spent.
-        #[cfg(feature = "query-memo")]
         let memo_key = match self.memo {
             Some(memo) => {
                 let key = (image_content_id(image), None);
@@ -810,7 +771,6 @@ impl<'a> Oracle<'a> {
         crate::telemetry::trace::tag_route(crate::telemetry::trace::RouteTag::Full);
         self.classifier.scores_into(image, out);
         self.log_query(self.queries, None, out);
-        #[cfg(feature = "query-memo")]
         if let (Some(memo), Some(key)) = (self.memo, memo_key) {
             memo.insert(key, out);
         }
@@ -851,9 +811,8 @@ impl<'a> Oracle<'a> {
     ///
     /// # Panics
     ///
-    /// With the `query-guard` feature enabled, panics in debug builds if
-    /// the same (location, pixel) candidate is scored twice within one
-    /// [`Oracle::begin_candidate_scope`] scope.
+    /// In debug builds, panics if the same (location, pixel) candidate is
+    /// scored twice within one [`Oracle::begin_candidate_scope`] scope.
     pub fn query_pixel_delta_into(
         &mut self,
         base: &Image,
@@ -865,7 +824,6 @@ impl<'a> Oracle<'a> {
         // guard: a hit is not a query (no budget, no count, no
         // classifier), and re-requesting an already-paid-for candidate
         // is exactly what the memo exists to make free.
-        #[cfg(feature = "query-memo")]
         let memo_key = match self.memo {
             Some(memo) => {
                 let key = (image_content_id(base), Some(candidate_key(location, pixel)));
@@ -884,7 +842,6 @@ impl<'a> Oracle<'a> {
             }
         }
         let key = candidate_key(location, pixel);
-        #[cfg(feature = "query-guard")]
         debug_assert!(
             self.scope.insert(key),
             "candidate (({}, {}), {:?}) scored twice in one sketch scope",
@@ -916,7 +873,6 @@ impl<'a> Oracle<'a> {
                 self.log_query(self.queries, Some((location, pixel)), out);
                 // Pool-served scores were computed (and just counted), so
                 // they are memoized like sequential ones.
-                #[cfg(feature = "query-memo")]
                 if let (Some(memo), Some(key)) = (self.memo, memo_key) {
                     memo.insert(key, out);
                 }
@@ -932,7 +888,6 @@ impl<'a> Oracle<'a> {
         self.classifier
             .scores_pixel_delta_into(base, location, pixel, out);
         self.log_query(self.queries, Some((location, pixel)), out);
-        #[cfg(feature = "query-memo")]
         if let (Some(memo), Some(key)) = (self.memo, memo_key) {
             memo.insert(key, out);
         }
@@ -1080,8 +1035,8 @@ impl<'a> Oracle<'a> {
     ///
     /// # Panics
     ///
-    /// With the `query-guard` feature enabled, panics in debug builds on
-    /// a duplicate candidate within one scope, like the sequential path.
+    /// In debug builds, panics on a duplicate candidate within one scope,
+    /// like the sequential path.
     pub fn query_batch(
         &mut self,
         base: &Image,
@@ -1093,7 +1048,6 @@ impl<'a> Oracle<'a> {
         // bit-identical either way). Memo hits consume no budget, so the
         // upfront clamp below would be wrong here: the loop itself stops
         // exactly where the budget actually runs out.
-        #[cfg(feature = "query-memo")]
         if self.memo.is_some() {
             out.clear();
             let mut buf = Vec::new();
@@ -1119,14 +1073,13 @@ impl<'a> Oracle<'a> {
             });
         }
         let n = (candidates.len() as u64).min(remaining) as usize;
-        for _item in &candidates[..n] {
-            #[cfg(feature = "query-guard")]
+        for &(location, pixel) in &candidates[..n] {
             debug_assert!(
-                self.scope.insert(candidate_key(_item.0, _item.1)),
+                self.scope.insert(candidate_key(location, pixel)),
                 "candidate (({}, {}), {:?}) scored twice in one sketch scope",
-                _item.0.row,
-                _item.0.col,
-                _item.1 .0,
+                location.row,
+                location.col,
+                pixel.0,
             );
             self.queries += 1;
             crate::telemetry::count(crate::telemetry::Counter::OracleQueryPixelDelta);
@@ -1155,9 +1108,8 @@ impl<'a> Oracle<'a> {
     }
 
     /// The number of queries served from the attached memo (0 without
-    /// one, and always 0 without the `query-memo` feature). Counted
-    /// separately from [`Oracle::queries`] on purpose: a hit is not an
-    /// oracle query.
+    /// one). Counted separately from [`Oracle::queries`] on purpose: a
+    /// hit is not an oracle query.
     pub fn memo_hits(&self) -> u64 {
         self.memo_hits
     }
@@ -1329,7 +1281,7 @@ mod tests {
         assert_eq!(oracle.queries(), 0);
     }
 
-    #[cfg(all(feature = "query-guard", debug_assertions))]
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "scored twice")]
     fn guard_catches_duplicate_candidates_in_one_scope() {
@@ -1343,7 +1295,6 @@ mod tests {
         oracle.query_pixel_delta(&base, loc, px).unwrap();
     }
 
-    #[cfg(feature = "query-guard")]
     #[test]
     fn guard_scope_reset_permits_requerying() {
         // The same candidate across two sketch runs (scopes) is fine.
@@ -1357,6 +1308,31 @@ mod tests {
         oracle.begin_candidate_scope();
         oracle.query_pixel_delta(&base, loc, px).unwrap();
         assert_eq!(oracle.queries(), 2);
+    }
+
+    #[test]
+    fn begin_run_opens_a_fresh_guard_scope() {
+        // An oracle reused to re-attack the same image: each run starts
+        // with `begin_run`, so repeating the first run's candidates is
+        // legal on every serving route.
+        let clf = constant_classifier();
+        let base = Image::filled(3, 3, Pixel([0.2; 3]));
+        let candidates = some_candidates(4);
+        let mut oracle = Oracle::new(&clf);
+        let mut buf = Vec::new();
+        for _ in 0..2 {
+            oracle.begin_run();
+            oracle
+                .query_batch(&base, &candidates[..2], &mut buf)
+                .unwrap();
+            oracle.prefetch_pixel_batch(&base, &candidates[2..3]);
+            for &(loc, px) in &candidates[2..] {
+                oracle
+                    .query_pixel_delta_into(&base, loc, px, &mut buf)
+                    .unwrap();
+            }
+        }
+        assert_eq!(oracle.queries(), 8);
     }
 
     /// A classifier whose scores depend on the perturbed pixel, plus a
@@ -1660,7 +1636,20 @@ mod tests {
         assert_eq!(err, BudgetExhausted { budget: 3 });
     }
 
-    #[cfg(all(feature = "query-guard", debug_assertions))]
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "scored twice")]
+    fn guard_catches_duplicates_inside_one_query_batch() {
+        let clf = constant_classifier();
+        let base = Image::filled(3, 3, Pixel([0.2; 3]));
+        let (loc, px) = some_candidates(1)[0];
+        let mut oracle = Oracle::new(&clf);
+        oracle.begin_candidate_scope();
+        let mut buf = Vec::new();
+        let _ = oracle.query_batch(&base, &[(loc, px), (loc, px)], &mut buf);
+    }
+
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "scored twice")]
     fn guard_catches_duplicates_served_from_a_prefetched_batch() {
@@ -1750,7 +1739,6 @@ mod tests {
         assert!(oracle.take_query_log().is_empty());
     }
 
-    #[cfg(feature = "query-memo")]
     mod memo {
         use super::*;
 

@@ -11,10 +11,6 @@
 //!  3. eviction — a capped memo holds exactly the newest `cap` distinct
 //!     keys (deterministic FIFO on first-insert order), so which repeat
 //!     is free is a pure function of the query stream.
-//!
-//! Only compiled with the `query-memo` feature: without it the memo is
-//! an inert stub and there is nothing to test.
-#![cfg(feature = "query-memo")]
 
 use oppsla_core::image::Image;
 use oppsla_core::oracle::{image_content_id, FnClassifier, Oracle, QueryMemo};
@@ -83,6 +79,10 @@ proptest! {
         for &(loc, px) in &stream {
             let loc = clamp(&image, loc);
             distinct.insert((loc.row, loc.col, px.0.map(f32::to_bits)));
+            // The reference stands in for independent restarts: each of
+            // its queries opens a fresh guard scope, so the stream's
+            // repeats are legal re-queries rather than double counts.
+            reference.begin_candidate_scope();
             reference.query_pixel_delta_into(&image, loc, px, &mut want).unwrap();
             cold.query_pixel_delta_into(&image, loc, px, &mut got).unwrap();
             prop_assert_eq!(&got, &want, "cold pass diverged from reference");
@@ -95,6 +95,7 @@ proptest! {
         let mut warm = Oracle::new(&clf).with_memo(&memo);
         for &(loc, px) in &stream {
             let loc = clamp(&image, loc);
+            reference.begin_candidate_scope();
             reference.query_pixel_delta_into(&image, loc, px, &mut want).unwrap();
             warm.query_pixel_delta_into(&image, loc, px, &mut got).unwrap();
             prop_assert_eq!(&got, &want, "warm pass diverged from reference");

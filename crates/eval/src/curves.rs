@@ -134,9 +134,7 @@ pub fn evaluate_attack(
 /// shares the [`MemoBank`] entry for its test-set index, so a candidate
 /// already paid for by an earlier evaluation through the same bank is
 /// served for free. Scores and outcomes are bit-identical to the
-/// memo-less call; only query counts can drop. Without the core
-/// `query-memo` feature the bank is inert and this *is* the memo-less
-/// call.
+/// memo-less call; only query counts can drop.
 ///
 /// `memo.len()` must cover the test set (one entry per image index).
 pub fn evaluate_attack_with_memo(
@@ -452,7 +450,6 @@ mod tests {
                 a.queries(),
                 b.queries()
             );
-            #[cfg(feature = "query-memo")]
             assert!(
                 a.queries() < b.queries(),
                 "image {i}: a warm memo must repay something"

@@ -316,10 +316,6 @@ struct SessionState {
     /// whether their buffers still track the snapshot they were seeded
     /// from.
     next_cache_gen: u64,
-    /// Lazily sized workspace for batched full forwards.
-    bws: Option<oppsla_nn::batched::BatchedWorkspace>,
-    /// Reusable tensor conversions for batched full forwards.
-    batch_inputs: Vec<Tensor>,
     /// Reusable candidate buffer for batched delta queries.
     batch_candidates: Vec<(usize, usize, [f32; 3])>,
     /// Always-on LRU accounting (see [`SessionCacheStats`]): plain u64
@@ -372,8 +368,6 @@ impl SessionState {
             caches: Vec::new(),
             cache_capacity: cache_capacity.max(1),
             next_cache_gen: 0,
-            bws: None,
-            batch_inputs: Vec::new(),
             batch_candidates: Vec::new(),
             cache_stats: SessionCacheStats::default(),
             grouped_dws: Vec::new(),
@@ -455,33 +449,6 @@ impl SessionState {
             location.row as usize,
             location.col as usize,
             pixel.0,
-            out,
-        );
-    }
-
-    fn batch_into(&mut self, plan: &InferencePlan, images: &[Image], out: &mut Vec<f32>) {
-        out.clear();
-        if images.is_empty() {
-            return;
-        }
-        let batched = plan.batched();
-        let spec = plan.input_spec();
-        if self
-            .bws
-            .as_ref()
-            .is_none_or(|w| w.max_batch() < images.len())
-        {
-            self.bws = Some(batched.workspace(images.len()));
-        }
-        self.batch_inputs.resize_with(images.len(), || {
-            Tensor::zeros([spec.channels, spec.height, spec.width])
-        });
-        for (image, tensor) in images.iter().zip(self.batch_inputs.iter_mut()) {
-            image_into_tensor(image, tensor);
-        }
-        batched.scores_batch_into(
-            self.bws.as_mut().expect("sized above"),
-            &self.batch_inputs[..images.len()],
             out,
         );
     }
@@ -639,10 +606,6 @@ impl Classifier for ZooSession<'_> {
         self.state
             .borrow_mut()
             .pixel_delta_into(self.plan, self.delta, base, location, pixel, out);
-    }
-
-    fn scores_batch_into(&self, images: &[Image], out: &mut Vec<f32>) {
-        self.state.borrow_mut().batch_into(self.plan, images, out);
     }
 
     fn scores_pixel_delta_batch_into(
@@ -957,17 +920,9 @@ mod tests {
         let classifier = model.classifier();
         let session = classifier.session();
         let test = attack_test_set(Scale::Cifar, 1, 8);
-        let images: Vec<Image> = test.iter().take(4).map(|(img, _)| img.clone()).collect();
-
-        // Batched full forward: per image bit-identical to scores_into.
-        let mut got = Vec::new();
-        session.scores_batch_into(&images, &mut got);
+        let images: Vec<Image> = test.iter().take(2).map(|(img, _)| img.clone()).collect();
         let classes = session.num_classes();
-        let mut want = Vec::new();
-        for (b, img) in images.iter().enumerate() {
-            session.scores_into(img, &mut want);
-            assert_eq!(&got[b * classes..(b + 1) * classes], &want[..], "image {b}");
-        }
+        let (mut got, mut want) = (Vec::new(), Vec::new());
 
         // Batched pixel-delta: bit-identical to the sequential incremental
         // path, including across a delta-cache rebase (base switch).

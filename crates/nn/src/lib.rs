@@ -33,7 +33,6 @@
 #![warn(missing_docs)]
 
 pub mod autograd;
-pub mod batched;
 pub mod delta;
 pub mod infer;
 pub mod init;

@@ -127,8 +127,6 @@ counters! {
     /// prefetch arrived against a different base image — counted per
     /// drop.
     BatchFlush => "batch_flush",
-    /// Images run through the layer-major batched full forward.
-    BatchedForwardImages => "batched_forward_images",
     /// Cross-tenant grouped delta calls issued by the attack server's
     /// batch scheduler (one per merged GEMM dispatch).
     SchedGroupedCalls => "sched_grouped_calls",

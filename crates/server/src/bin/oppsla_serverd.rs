@@ -11,10 +11,9 @@
 //!                [--metrics-addr 127.0.0.1:9431] [--no-metrics]
 //! ```
 //!
-//! `--memo` shares a cross-tenant query memo per model shard (build with
-//! `--features query-memo`). Leave it off for determinism-witness
-//! deployments: a shared memo makes each job's query count and log
-//! digest depend on other tenants' history.
+//! `--memo` shares a cross-tenant query memo per model shard. Leave it
+//! off for determinism-witness deployments: a shared memo makes each
+//! job's query count and log digest depend on other tenants' history.
 //!
 //! The live metrics plane is on by default (it is passive and never
 //! changes job outcomes); `--metrics-addr` additionally serves the
@@ -60,9 +59,6 @@ fn main() {
     };
     if args.flag("no-metrics") && args.get_opt_str("metrics-addr").is_some() {
         eprintln!("oppsla_serverd: --no-metrics disables the /metrics listener too");
-    }
-    if args.flag("memo") && cfg!(not(feature = "query-memo")) {
-        eprintln!("oppsla_serverd: built without --features query-memo; --memo is inert");
     }
     let server = match Server::start(cfg) {
         Ok(s) => s,

@@ -51,7 +51,7 @@ pub struct ServerConfig {
     /// [`crate::session::ShardMemos`]). Off by default: with a shared
     /// memo a job's query count and `log_fnv` digest depend on other
     /// tenants' history, so determinism-witness deployments must leave
-    /// this disabled. Inert without the `query-memo` feature.
+    /// this disabled.
     pub memo: bool,
     /// Run the live metrics plane (see [`crate::metrics`]). On by
     /// default; the plane is passive (write-only from the job path), so

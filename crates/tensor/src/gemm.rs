@@ -60,7 +60,6 @@
 //! which only large GEMMs amortize, so small products always run serially
 //! on the caller's thread.
 
-use crate::ops::{im2col_into, Conv2dGeometry};
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 
 /// Micro-kernel row count: each micro-tile covers `MR` rows of `A`.
@@ -1305,77 +1304,6 @@ conv_core_kernel!(
     vmulq_f32,
     vaddq_f32
 );
-
-/// Unfolds a batch of NCHW images `[batch, c, h, w]` into `batch`
-/// consecutive `[c·kh·kw, oh·ow]` column matrices (one
-/// [`im2col_into`] result per image). Overwrites `out`.
-///
-/// # Panics
-///
-/// Panics if a slice length disagrees with `batch` and `geom`.
-pub fn im2col_batch_into(images: &[f32], batch: usize, geom: &Conv2dGeometry, out: &mut [f32]) {
-    let chw = geom.in_channels * geom.in_h * geom.in_w;
-    assert_eq!(images.len(), batch * chw, "im2col_batch_into images length");
-    let cols = geom.in_channels * geom.kernel_h * geom.kernel_w * geom.out_h() * geom.out_w();
-    assert_eq!(out.len(), batch * cols, "im2col_batch_into out length");
-    for (image, cols) in images.chunks_exact(chw).zip(out.chunks_exact_mut(cols)) {
-        im2col_into(image, geom, cols);
-    }
-}
-
-/// Convolves a batch of NCHW images `[batch, c, h, w]` with a pre-packed
-/// kernel bank (`weight = pack_a` of the flattened `[out_c, c·kh·kw]`
-/// filters) into `out: [batch, out_c, oh, ow]` via per-image im2col +
-/// [`matmul_packed_into`] + bias broadcast — the exact op sequence of the
-/// single-image im2col pipeline, so each image's result is bit-identical
-/// to processing it alone.
-///
-/// `cols` is per-image im2col scratch (`c·kh·kw · oh·ow` floats) and
-/// `pack_buf` the GEMM packing scratch; both are reused across the batch.
-///
-/// # Panics
-///
-/// Panics if a slice length disagrees with `batch`, `geom`, or the
-/// packed weight dimensions.
-#[allow(clippy::too_many_arguments)]
-pub fn conv2d_batch_into(
-    images: &[f32],
-    batch: usize,
-    weight: &PackedA,
-    bias: &[f32],
-    geom: &Conv2dGeometry,
-    out_c: usize,
-    cols: &mut [f32],
-    pack_buf: &mut Vec<f32>,
-    out: &mut [f32],
-) {
-    let chw = geom.in_channels * geom.in_h * geom.in_w;
-    assert_eq!(images.len(), batch * chw, "conv2d_batch_into images length");
-    let k = geom.in_channels * geom.kernel_h * geom.kernel_w;
-    assert_eq!(weight.m(), out_c, "conv2d_batch_into weight rows");
-    assert_eq!(weight.k(), k, "conv2d_batch_into weight depth");
-    assert_eq!(bias.len(), out_c, "conv2d_batch_into bias length");
-    let area = geom.out_h() * geom.out_w();
-    assert_eq!(cols.len(), k * area, "conv2d_batch_into cols length");
-    assert_eq!(
-        out.len(),
-        batch * out_c * area,
-        "conv2d_batch_into out length"
-    );
-    for (image, ob) in images
-        .chunks_exact(chw)
-        .zip(out.chunks_exact_mut(out_c * area))
-    {
-        im2col_into(image, geom, cols);
-        matmul_packed_into(weight, cols, area, pack_buf, ob);
-        for (oc, orow) in ob.chunks_exact_mut(area).enumerate() {
-            let b = bias[oc];
-            for o in orow.iter_mut() {
-                *o += b;
-            }
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {

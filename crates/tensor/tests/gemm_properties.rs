@@ -1,13 +1,11 @@
-//! The packed GEMM's determinism contract: [`matmul_packed_into`] and
-//! the batched conv kernels are **bit-identical** to the naive reference
-//! kernels — exact `to_bits` equality, not tolerance — across shapes that
-//! are deliberately not multiples of the block sizes (MR/NR/KC/MC/NC),
-//! so every ragged-edge path in the packing and micro-kernel is hit.
+//! The packed GEMM's determinism contract: [`matmul_packed_into`] is
+//! **bit-identical** to the naive reference kernel — exact `to_bits`
+//! equality, not tolerance — across shapes that are deliberately not
+//! multiples of the block sizes (MR/NR/KC/MC/NC), so every ragged-edge
+//! path in the packing and micro-kernel is hit.
 
-use oppsla_tensor::gemm::{
-    conv2d_batch_into, im2col_batch_into, matmul_packed_into, pack_a, KC, MC, MR, NC, NR,
-};
-use oppsla_tensor::ops::{im2col_into, matmul_into, Conv2dGeometry};
+use oppsla_tensor::gemm::{matmul_packed_into, pack_a, KC, MC, MR, NC, NR};
+use oppsla_tensor::ops::matmul_into;
 use proptest::prelude::*;
 
 fn bits(v: &[f32]) -> Vec<u32> {
@@ -73,86 +71,6 @@ proptest! {
             let mut out = vec![0.0; m * n];
             matmul_packed_into(&packed, &b, n, &mut pack_buf, &mut out);
             prop_assert_eq!(bits(&out), bits(&naive));
-        }
-    }
-
-    /// Batched conv == per-image im2col + naive matmul + bias, bit for bit.
-    #[test]
-    fn conv_batch_matches_per_image(
-        batch in 1usize..5,
-        c in 1usize..3,
-        hw in 3usize..8,
-        kernel in 1usize..4,
-        padding in 0usize..2,
-        out_c in 1usize..6,
-        seed in any::<u32>(),
-    ) {
-        let geom = Conv2dGeometry {
-            in_channels: c,
-            in_h: hw,
-            in_w: hw,
-            kernel_h: kernel,
-            kernel_w: kernel,
-            stride: 1,
-            padding,
-        };
-        let k = c * kernel * kernel;
-        let area = geom.out_h() * geom.out_w();
-        let images = lcg_data(batch * c * hw * hw, seed);
-        let weight = lcg_data(out_c * k, seed.wrapping_add(5));
-        let bias = lcg_data(out_c, seed.wrapping_add(9));
-
-        let mut reference = vec![0.0; batch * out_c * area];
-        let mut cols = vec![0.0; k * area];
-        for (image, ob) in images
-            .chunks_exact(c * hw * hw)
-            .zip(reference.chunks_exact_mut(out_c * area))
-        {
-            im2col_into(image, &geom, &mut cols);
-            matmul_into(&weight, &cols, out_c, k, area, ob);
-            for (oc, orow) in ob.chunks_exact_mut(area).enumerate() {
-                for o in orow.iter_mut() {
-                    *o += bias[oc];
-                }
-            }
-        }
-
-        let packed = pack_a(&weight, out_c, k);
-        let mut pack_buf = Vec::new();
-        let mut out = vec![0.0; batch * out_c * area];
-        conv2d_batch_into(
-            &images, batch, &packed, &bias, &geom, out_c, &mut cols, &mut pack_buf, &mut out,
-        );
-        prop_assert_eq!(bits(&out), bits(&reference));
-    }
-
-    /// Batched im2col == per-image im2col, concatenated.
-    #[test]
-    fn im2col_batch_matches_per_image(
-        batch in 1usize..5,
-        c in 1usize..3,
-        hw in 3usize..8,
-        kernel in 1usize..4,
-        seed in any::<u32>(),
-    ) {
-        let geom = Conv2dGeometry {
-            in_channels: c,
-            in_h: hw,
-            in_w: hw,
-            kernel_h: kernel,
-            kernel_w: kernel,
-            stride: 1,
-            padding: 0,
-        };
-        let chw = c * hw * hw;
-        let per = c * kernel * kernel * geom.out_h() * geom.out_w();
-        let images = lcg_data(batch * chw, seed);
-        let mut batched = vec![0.0; batch * per];
-        im2col_batch_into(&images, batch, &geom, &mut batched);
-        for b in 0..batch {
-            let mut one = vec![0.0; per];
-            im2col_into(&images[b * chw..(b + 1) * chw], &geom, &mut one);
-            prop_assert_eq!(bits(&one), bits(&batched[b * per..(b + 1) * per]).clone());
         }
     }
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # The full local gate: formatting, release build (including the
-# examples), test suite (including the opt-in query-guard feature), and
-# clippy with warnings denied.
+# examples), test suite (once per feature set), and clippy with warnings
+# denied.
 #
 # Formatting and clippy are scoped to the oppsla crates: the vendored
 # stubs under vendor/ are workspace members but not ours to lint.
@@ -24,13 +24,6 @@ cargo test -q --workspace
 # thrown: this covers the env-var resolution path the in-process
 # force_simd_level tests cannot reach.
 OPPSLA_NO_SIMD=1 cargo test -q -p oppsla-tensor -p oppsla-nn -p oppsla
-cargo test -q -p oppsla-core --features query-guard
-# The cross-restart query memo is opt-in for the same reason the guard
-# is: the default build must not even compile the machinery. The memoed
-# crates get a dedicated pass (including the A/B monotonicity tests that
-# only mean anything with the feature on).
-cargo test -q -p oppsla-core -p oppsla-eval -p oppsla-bench -p oppsla-server \
-    --features query-memo
 # The telemetry feature is additive but changes what is compiled in, so
 # the instrumented crates get their own test pass. Per-package (not
 # --workspace): the vendored stubs have no such feature.
@@ -41,12 +34,12 @@ cargo test -q -p oppsla-obs -p oppsla-core -p oppsla-nn -p oppsla-attacks \
 # thread-count-invariance test only compile under it.
 cargo test -q -p oppsla-obs -p oppsla-core -p oppsla-nn -p oppsla-attacks \
     -p oppsla-eval -p oppsla-bench -p oppsla-server --features trace
-# One clippy pass over every target (lib, bins, tests, benches,
-# examples) with the feature-matrix union enabled, so warnings in
-# feature-gated code are also denied.
 # The bench-gate self-test is pure shell; it runs in milliseconds.
 sh scripts/test_bench_gate.sh
+# One clippy pass over every target (lib, bins, tests, benches,
+# examples) with `trace` (which implies `telemetry`) enabled, so warnings
+# in feature-gated code are also denied.
 cargo clippy $OPPSLA_PKGS --all-targets \
-    --features oppsla-core/query-guard,oppsla-core/query-memo,oppsla-eval/query-memo,oppsla-bench/query-memo,oppsla-server/query-memo,oppsla-obs/trace,oppsla-core/trace,oppsla-nn/trace,oppsla-attacks/trace,oppsla-eval/trace,oppsla-bench/trace,oppsla-server/trace \
+    --features oppsla-obs/trace,oppsla-core/trace,oppsla-nn/trace,oppsla-attacks/trace,oppsla-eval/trace,oppsla-bench/trace,oppsla-server/trace \
     -- -D warnings
 echo "check.sh: all green"
