@@ -299,12 +299,12 @@ pub fn image_content_id(image: &Image) -> u64 {
 /// equality, not just a hash, so distinct candidates can never collide.
 type MemoKey = (u64, Option<CandidateKey>);
 
-/// FNV-1a 64 as a `HashMap` hasher for [`MemoKey`]s and speculation pool
-/// keys: deterministic across processes (no per-process seed), cheap on
-/// short keys. Keys are candidates the program itself generates, never
-/// outside input.
+/// FNV-1a 64 as a `HashMap` hasher for [`MemoKey`]s, speculation pool
+/// keys and the synthesizer's score tables: deterministic across
+/// processes (no per-process seed), cheap on short keys. Keys are
+/// candidates the program itself generates, never outside input.
 #[derive(Default)]
-struct FnvHasher(u64);
+pub(crate) struct FnvHasher(u64);
 
 impl std::hash::Hasher for FnvHasher {
     fn finish(&self) -> u64 {
@@ -339,9 +339,8 @@ struct MemoInner {
 }
 
 /// A cross-restart memoization cache for oracle queries, shared by
-/// reference across the [`Oracle`]s of many attack runs (restarts, the
-/// synthesizer's per-program evaluations, repeated server jobs against
-/// one shard).
+/// reference across the [`Oracle`]s of many attack runs (restarts,
+/// repeated server jobs against one shard).
 ///
 /// Scores are a pure function of (image, candidate), so serving a
 /// repeat from the memo returns bit-identical scores to re-querying the
@@ -495,9 +494,9 @@ impl std::error::Error for BudgetExhausted {}
 
 /// A one-pixel candidate as exact bit patterns: `(row, col, rgb)`, the
 /// shape [`QueryLogEntry::pixel`] uses.
-type CandidateKey = (u16, u16, [u32; 3]);
+pub(crate) type CandidateKey = (u16, u16, [u32; 3]);
 
-fn candidate_key(location: Location, pixel: Pixel) -> CandidateKey {
+pub(crate) fn candidate_key(location: Location, pixel: Pixel) -> CandidateKey {
     (location.row, location.col, pixel.0.map(f32::to_bits))
 }
 

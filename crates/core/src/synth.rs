@@ -10,13 +10,19 @@
 
 use crate::dsl::{mutate_in, random_program_in, GrammarConfig, ImageDims, Program};
 use crate::image::Image;
-use crate::oracle::{BatchClassifier, Classifier, MemoBank, Oracle, QueryMemo};
+use crate::oracle::{candidate_key, BatchClassifier, CandidateKey, Classifier, FnvHasher, Oracle};
+use crate::pair::{Location, Pixel};
 use crate::parallel::parallel_map_with;
 use crate::sketch::{run_sketch, SketchOutcome};
 use crate::telemetry::trace;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::cell::RefCell;
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
+use std::sync::Mutex;
 
 /// A training example: an image with its true class label.
 pub type Labeled = (Image, usize);
@@ -147,15 +153,11 @@ fn attack_one(
     image: &Image,
     true_class: usize,
     per_image_budget: Option<u64>,
-    memo: Option<&QueryMemo>,
 ) -> (u64, Option<u64>) {
     let mut oracle = match per_image_budget {
         Some(b) => Oracle::with_budget(classifier, b),
         None => Oracle::new(classifier),
     };
-    if let Some(memo) = memo {
-        oracle = oracle.with_memo(memo);
-    }
     let outcome = run_sketch(program, &mut oracle, image, true_class);
     let spent = outcome.queries();
     match outcome {
@@ -174,17 +176,9 @@ fn attack_one_traced(
     image: &Image,
     true_class: usize,
     per_image_budget: Option<u64>,
-    memo: Option<&QueryMemo>,
 ) -> (u64, Option<u64>) {
     trace::set_image(index);
-    let result = attack_one(
-        program,
-        classifier,
-        image,
-        true_class,
-        per_image_budget,
-        memo,
-    );
+    let result = attack_one(program, classifier, image, true_class, per_image_budget);
     trace::record_run(result.0, result.1.is_some());
     result
 }
@@ -216,7 +210,9 @@ fn reduce_evaluation(per_image: impl IntoIterator<Item = (u64, Option<u64>)>) ->
 
 /// Evaluates `program` on the training set: runs the sketch attack on
 /// every `(image, true_class)` pair and averages the query counts of the
-/// successful ones (Algorithm 2's inner loop).
+/// successful ones (Algorithm 2's inner loop). Every query reaches
+/// `classifier`: this is the reference that the score-table-backed
+/// evaluations of [`synthesize`] and [`evaluate_programs`] reproduce.
 ///
 /// # Panics
 ///
@@ -229,114 +225,54 @@ pub fn evaluate_program(
 ) -> Evaluation {
     assert!(!train.is_empty(), "training set is empty");
     reduce_evaluation(train.iter().enumerate().map(|(i, (image, c))| {
-        attack_one_traced(program, classifier, i, image, *c, per_image_budget, None)
+        attack_one_traced(program, classifier, i, image, *c, per_image_budget)
     }))
 }
 
-/// [`evaluate_program`] through a shared [`MemoBank`] (entry `i` serves
-/// training image `i`): candidates already paid for by an earlier
-/// evaluation through the same bank are served from the cache without
-/// counting a query. Success/failure per image is identical to the
-/// memo-less call; `avg_queries` and `queries_spent` measure only the
-/// *marginal* (previously unpaid) queries.
-///
-/// # Panics
-///
-/// Panics if `train` is empty, a true class is out of range, or the bank
-/// has fewer entries than `train`.
-pub fn evaluate_program_with_memo(
-    program: &Program,
-    classifier: &dyn Classifier,
-    train: &[Labeled],
-    per_image_budget: Option<u64>,
-    memo: &MemoBank,
-) -> Evaluation {
-    assert!(!train.is_empty(), "training set is empty");
-    assert!(
-        memo.len() >= train.len(),
-        "memo bank has {} entries for {} training images",
-        memo.len(),
-        train.len()
-    );
-    reduce_evaluation(train.iter().enumerate().map(|(i, (image, c))| {
-        attack_one_traced(
-            program,
-            classifier,
-            i,
-            image,
-            *c,
-            per_image_budget,
-            Some(memo.memo(i)),
-        )
-    }))
-}
-
-/// [`evaluate_program`] fanned out over `threads` workers, each querying
-/// through its own [`BatchClassifier::session`] handle. Returns the same
-/// [`Evaluation`], bit for bit, as the sequential function for any thread
-/// count: per-image query counts are exact and reduced order-independently.
+/// Evaluates each of `programs` on `train`, in order. Every
+/// [`Evaluation`], query counts included, equals what
+/// [`evaluate_program`] returns for that program alone; but the whole call
+/// shares one score table per training-set position, so each (image,
+/// candidate) pair reaches `classifier` at most once however many
+/// programs query it.
 ///
 /// # Panics
 ///
 /// Panics if `train` is empty or a true class is out of range.
-pub fn evaluate_program_parallel(
-    program: &Program,
-    classifier: &dyn BatchClassifier,
+pub fn evaluate_programs(
+    programs: &[Program],
+    classifier: &dyn Classifier,
     train: &[Labeled],
     per_image_budget: Option<u64>,
-    threads: usize,
-) -> Evaluation {
+) -> Vec<Evaluation> {
     assert!(!train.is_empty(), "training set is empty");
-    reduce_evaluation(parallel_map_with(
-        threads,
-        train,
-        || classifier.session(),
-        |session, i, (image, c)| {
-            attack_one_traced(program, &**session, i, image, *c, per_image_budget, None)
-        },
-    ))
+    let scorer = Scorer::new(Backend::Sequential(classifier), train);
+    programs
+        .iter()
+        .map(|p| scorer.evaluate(p, per_image_budget))
+        .collect()
 }
 
-/// [`evaluate_program_with_memo`] fanned out over `threads` workers. The
-/// bank is indexed by training-set position, so each worker only touches
-/// its current image's memo: the [`Evaluation`] is bit-identical to the
-/// sequential memo call for any thread count.
+/// [`evaluate_programs`] with each evaluation fanned out over `threads`
+/// workers. The evaluations, and the set of classifier forwards, are
+/// identical for any thread count.
 ///
 /// # Panics
 ///
-/// Panics if `train` is empty, a true class is out of range, or the bank
-/// has fewer entries than `train`.
-pub fn evaluate_program_parallel_with_memo(
-    program: &Program,
+/// Panics if `train` is empty or a true class is out of range.
+pub fn evaluate_programs_parallel(
+    programs: &[Program],
     classifier: &dyn BatchClassifier,
     train: &[Labeled],
     per_image_budget: Option<u64>,
     threads: usize,
-    memo: &MemoBank,
-) -> Evaluation {
+) -> Vec<Evaluation> {
     assert!(!train.is_empty(), "training set is empty");
-    assert!(
-        memo.len() >= train.len(),
-        "memo bank has {} entries for {} training images",
-        memo.len(),
-        train.len()
-    );
-    reduce_evaluation(parallel_map_with(
-        threads,
-        train,
-        || classifier.session(),
-        |session, i, (image, c)| {
-            attack_one_traced(
-                program,
-                &**session,
-                i,
-                image,
-                *c,
-                per_image_budget,
-                Some(memo.memo(i)),
-            )
-        },
-    ))
+    let scorer = Scorer::new(Backend::Parallel(classifier, threads), train);
+    programs
+        .iter()
+        .map(|p| scorer.evaluate(p, per_image_budget))
+        .collect()
 }
 
 /// The MH acceptance probability `min(1, exp(−β·(q_new − q_old)))`,
@@ -424,22 +360,28 @@ fn probe_one_traced(
 /// Zips probe results back onto `train`, keeping the attackable pairs and
 /// summing queries (exact, order-independent).
 fn keep_attackable(train: &[Labeled], probes: Vec<(u64, bool)>) -> (Vec<Labeled>, u64) {
-    let mut kept = Vec::with_capacity(train.len());
-    let mut kept_idx = Vec::with_capacity(train.len());
-    let mut queries = 0u64;
-    for (i, ((image, true_class), (spent, attackable))) in train.iter().zip(probes).enumerate() {
-        queries += spent;
-        if attackable {
-            kept_idx.push(i);
-            kept.push((image.clone(), *true_class));
-        }
-    }
-    trace::record_filter(&kept_idx);
-    (kept, queries)
+    let (kept, queries) = attackable_positions(&probes);
+    (kept.iter().map(|&i| train[i].clone()).collect(), queries)
+}
+
+/// The positions whose probe found an attack, and the probes' summed
+/// queries (exact, order-independent). Records the kept positions in the
+/// trace.
+fn attackable_positions(probes: &[(u64, bool)]) -> (Vec<usize>, u64) {
+    let kept: Vec<usize> = (0..probes.len()).filter(|&i| probes[i].1).collect();
+    trace::record_filter(&kept);
+    (kept, probes.iter().map(|p| p.0).sum())
 }
 
 /// Runs OPPSLA: synthesizes an adversarial program for `classifier` from
 /// `train` (Algorithm 2).
+///
+/// The call keeps one score table per training-set position, shared by
+/// the prefilter and every program evaluation and dropped on return, so
+/// each (image, candidate) pair reaches `classifier` at most once. The
+/// table sits below each attack's [`Oracle`], which still counts and
+/// budgets every query: the report is the one per-program
+/// [`evaluate_program`] calls give.
 ///
 /// # Panics
 ///
@@ -450,12 +392,7 @@ pub fn synthesize(
     train: &[Labeled],
     config: &SynthConfig,
 ) -> SynthReport {
-    run_mh(
-        train,
-        config,
-        &mut |t| filter_attackable(classifier, t),
-        &mut |p, t| evaluate_program(p, classifier, t, config.per_image_budget),
-    )
+    run_mh(Backend::Sequential(classifier), train, config)
 }
 
 /// [`synthesize`] with candidate evaluation fanned out over
@@ -463,7 +400,8 @@ pub fn synthesize(
 /// (mutation, acceptance sampling) stays on the calling thread, and every
 /// [`Evaluation`] is bit-identical to the sequential one, so the returned
 /// [`SynthReport`] is identical for any thread count — only wall-clock
-/// time changes.
+/// time changes. So are the classifier forwards: each position's table
+/// sees the same query stream whichever worker serves it.
 ///
 /// # Panics
 ///
@@ -474,96 +412,262 @@ pub fn synthesize_parallel(
     train: &[Labeled],
     config: &SynthConfig,
 ) -> SynthReport {
-    let threads = config.threads;
-    run_mh(
-        train,
-        config,
-        &mut |t| filter_attackable_parallel(classifier, t, threads),
-        &mut |p, t| evaluate_program_parallel(p, classifier, t, config.per_image_budget, threads),
-    )
+    run_mh(Backend::Parallel(classifier, config.threads), train, config)
 }
 
-/// [`synthesize`] with every candidate evaluation routed through one
-/// shared [`MemoBank`]: a candidate query any earlier iteration already
-/// paid for is served from the cache without touching the classifier.
-/// Because memo hits are never counted as oracle queries, the MH score
-/// ranks programs by their *marginal* query cost given the cache — a
-/// deliberately different (and much cheaper) search mode than
-/// [`synthesize`], whose trajectory it does not reproduce. Memo keys
-/// carry full image content hashes, so the prefilter reindexing the
-/// training set cannot cause false hits.
-///
-/// # Panics
-///
-/// Panics like [`synthesize`], or if the bank has fewer entries than
-/// `train`.
-pub fn synthesize_with_memo(
-    classifier: &dyn Classifier,
-    train: &[Labeled],
-    config: &SynthConfig,
-    memo: &MemoBank,
-) -> SynthReport {
-    assert!(
-        memo.len() >= train.len(),
-        "memo bank has {} entries for {} training images",
-        memo.len(),
-        train.len()
-    );
-    run_mh(
-        train,
-        config,
-        &mut |t| filter_attackable(classifier, t),
-        &mut |p, t| evaluate_program_with_memo(p, classifier, t, config.per_image_budget, memo),
-    )
+/// Scores a synthesis call has computed for one training image: its
+/// baseline `N(x)` and every one-pixel candidate, keyed by exact
+/// candidate bits. Scores live in one flat slab, `classes` per slot, so
+/// an entry costs no allocation of its own.
+#[derive(Default)]
+struct ScoreTable {
+    /// `N(x)`; empty until first computed.
+    baseline: Vec<f32>,
+    /// Each scored candidate's slot in `scores`.
+    slots: HashMap<CandidateKey, usize, BuildHasherDefault<FnvHasher>>,
+    scores: Vec<f32>,
+    /// Scratch for one batch: each candidate's slot, and the candidates
+    /// not yet scored.
+    batch_slots: Vec<usize>,
+    misses: Vec<(Location, Pixel)>,
 }
 
-/// [`synthesize_with_memo`] with candidate evaluation fanned out over
-/// [`SynthConfig::threads`] workers; the report is bit-identical to the
-/// sequential memo call for any thread count.
+impl ScoreTable {
+    /// The scores in `slot`.
+    fn slot(&self, slot: usize, classes: usize) -> &[f32] {
+        &self.scores[slot * classes..][..classes]
+    }
+}
+
+/// A [`Classifier`] decorator that answers queries about one training
+/// image from its [`ScoreTable`] and forwards only the misses to `inner`,
+/// filling the table. It serves the calls an [`Oracle`] makes about that
+/// exact image (by address, the reference the table was built for):
+/// [`Classifier::scores_into`] for the baseline and the sequential and
+/// batched pixel-delta calls, where a batch forwards its misses as one
+/// smaller batch. Every other call, and any other image, goes straight
+/// to `inner`.
 ///
-/// # Panics
-///
-/// Panics like [`synthesize_with_memo`].
-pub fn synthesize_parallel_with_memo(
-    classifier: &dyn BatchClassifier,
-    train: &[Labeled],
-    config: &SynthConfig,
-    memo: &MemoBank,
-) -> SynthReport {
-    assert!(
-        memo.len() >= train.len(),
-        "memo bank has {} entries for {} training images",
-        memo.len(),
-        train.len()
-    );
-    let threads = config.threads;
-    run_mh(
-        train,
-        config,
-        &mut |t| filter_attackable_parallel(classifier, t, threads),
-        &mut |p, t| {
-            evaluate_program_parallel_with_memo(
-                p,
-                classifier,
-                t,
-                config.per_image_budget,
+/// Scores are a pure function of (image, candidate), and every route of a
+/// backend returns the same bits, so a served score equals the forward it
+/// replaces.
+struct Tabled<'t> {
+    inner: &'t dyn Classifier,
+    image: &'t Image,
+    classes: usize,
+    table: RefCell<&'t mut ScoreTable>,
+}
+
+impl Tabled<'_> {
+    /// True when `image` is the very image this table scores.
+    fn serves(&self, image: &Image) -> bool {
+        std::ptr::eq(image, self.image)
+    }
+}
+
+impl Classifier for Tabled<'_> {
+    fn num_classes(&self) -> usize {
+        self.classes
+    }
+
+    fn scores(&self, image: &Image) -> Vec<f32> {
+        self.inner.scores(image)
+    }
+
+    fn scores_into(&self, image: &Image, out: &mut Vec<f32>) {
+        if !self.serves(image) {
+            return self.inner.scores_into(image, out);
+        }
+        let table = &mut **self.table.borrow_mut();
+        if table.baseline.is_empty() {
+            self.inner.scores_into(image, &mut table.baseline);
+        }
+        out.clear();
+        out.extend_from_slice(&table.baseline);
+    }
+
+    fn classify(&self, image: &Image) -> usize {
+        self.inner.classify(image)
+    }
+
+    fn scores_pixel_delta_into(
+        &self,
+        base: &Image,
+        location: Location,
+        pixel: Pixel,
+        out: &mut Vec<f32>,
+    ) {
+        if !self.serves(base) {
+            return self
+                .inner
+                .scores_pixel_delta_into(base, location, pixel, out);
+        }
+        let table = &mut **self.table.borrow_mut();
+        let key = candidate_key(location, pixel);
+        if let Some(&slot) = table.slots.get(&key) {
+            out.clear();
+            out.extend_from_slice(table.slot(slot, self.classes));
+            return;
+        }
+        self.inner
+            .scores_pixel_delta_into(base, location, pixel, out);
+        assert_eq!(out.len(), self.classes, "score vector length");
+        let slot = table.scores.len() / self.classes;
+        table.slots.insert(key, slot);
+        table.scores.extend_from_slice(out);
+    }
+
+    fn scores_batch_into(&self, images: &[Image], out: &mut Vec<f32>) {
+        self.inner.scores_batch_into(images, out);
+    }
+
+    fn scores_pixel_delta_batch_into(
+        &self,
+        base: &Image,
+        candidates: &[(Location, Pixel)],
+        out: &mut Vec<f32>,
+    ) {
+        if !self.serves(base) {
+            return self
+                .inner
+                .scores_pixel_delta_batch_into(base, candidates, out);
+        }
+        let table = &mut **self.table.borrow_mut();
+        // Misses take the next slots in order, so the forwarded batch's
+        // scores append to the slab as one block; a candidate repeated
+        // within the batch finds its slot already taken.
+        let first = table.scores.len() / self.classes;
+        table.batch_slots.clear();
+        table.misses.clear();
+        for &(location, pixel) in candidates {
+            let slot = match table.slots.entry(candidate_key(location, pixel)) {
+                Entry::Occupied(entry) => *entry.get(),
+                Entry::Vacant(entry) => {
+                    let slot = *entry.insert(first + table.misses.len());
+                    table.misses.push((location, pixel));
+                    slot
+                }
+            };
+            table.batch_slots.push(slot);
+        }
+        if !table.misses.is_empty() {
+            self.inner
+                .scores_pixel_delta_batch_into(base, &table.misses, out);
+            assert_eq!(
+                out.len(),
+                table.misses.len() * self.classes,
+                "batched backend returned a wrong-size score block"
+            );
+            table.scores.extend_from_slice(out);
+        }
+        out.clear();
+        for &slot in &table.batch_slots {
+            out.extend_from_slice(table.slot(slot, self.classes));
+        }
+    }
+}
+
+/// How a synthesis call reaches the classifier.
+#[derive(Clone, Copy)]
+enum Backend<'a> {
+    /// The caller's classifier, on the calling thread.
+    Sequential(&'a dyn Classifier),
+    /// One session per worker, on this many workers.
+    Parallel(&'a dyn BatchClassifier, usize),
+}
+
+/// One training-set position of a call: the labeled image and its table.
+struct Position<'a> {
+    labeled: &'a Labeled,
+    table: Mutex<ScoreTable>,
+}
+
+/// The training set as one call scores it: a fresh [`ScoreTable`] per
+/// position, never shared between positions (not even bit-identical
+/// ones) or outlived by the call.
+struct Scorer<'a> {
+    backend: Backend<'a>,
+    positions: Vec<Position<'a>>,
+}
+
+impl<'a> Scorer<'a> {
+    fn new(backend: Backend<'a>, train: &'a [Labeled]) -> Self {
+        Scorer {
+            backend,
+            positions: train
+                .iter()
+                .map(|labeled| Position {
+                    labeled,
+                    table: Mutex::default(),
+                })
+                .collect(),
+        }
+    }
+
+    /// Maps `f` over the positions, in order, on the call's backend.
+    /// `f` gets the position's tabled classifier, its index (the trace
+    /// address) and its pair. A position is served by one worker at a
+    /// time, so its table lock is never contended.
+    fn map<R: Send>(
+        &self,
+        f: impl Fn(&dyn Classifier, usize, &Image, usize) -> R + Sync,
+    ) -> Vec<R> {
+        let run = |classifier: &dyn Classifier, i: usize, position: &Position<'_>| {
+            let (image, true_class) = position.labeled;
+            let mut table = position.table.lock().expect("score table poisoned");
+            let tabled = Tabled {
+                inner: classifier,
+                image,
+                classes: classifier.num_classes(),
+                table: RefCell::new(&mut table),
+            };
+            f(&tabled, i, image, *true_class)
+        };
+        match self.backend {
+            Backend::Sequential(classifier) => self
+                .positions
+                .iter()
+                .enumerate()
+                .map(|(i, position)| run(classifier, i, position))
+                .collect(),
+            Backend::Parallel(classifier, threads) => parallel_map_with(
                 threads,
-                memo,
-            )
-        },
-    )
+                &self.positions,
+                || classifier.session(),
+                |session, i, position| run(&**session, i, position),
+            ),
+        }
+    }
+
+    fn evaluate(&self, program: &Program, per_image_budget: Option<u64>) -> Evaluation {
+        reduce_evaluation(self.map(|classifier, i, image, c| {
+            attack_one_traced(program, classifier, i, image, c, per_image_budget)
+        }))
+    }
+
+    /// The prefilter ([`filter_attackable`] through the tables): keeps
+    /// the attackable positions, dropping the others with their tables,
+    /// and returns the probes' queries. Keeps every position when none is
+    /// attackable.
+    fn filter(&mut self) -> u64 {
+        let fixed = Program::constant(false);
+        let probes =
+            self.map(|classifier, i, image, c| probe_one_traced(&fixed, classifier, i, image, c));
+        let (kept, queries) = attackable_positions(&probes);
+        if !kept.is_empty() {
+            let mut probes = probes.iter();
+            self.positions
+                .retain(|_| probes.next().is_some_and(|&(_, attackable)| attackable));
+        }
+        queries
+    }
 }
 
 /// The Metropolis–Hastings core shared by [`synthesize`] and
-/// [`synthesize_parallel`]: all classifier access goes through the
-/// injected `filter` and `eval` closures, so the chain's control flow (and
-/// its random stream) is written exactly once.
-fn run_mh(
-    train: &[Labeled],
-    config: &SynthConfig,
-    filter: &mut FilterFn<'_>,
-    eval: &mut dyn FnMut(&Program, &[Labeled]) -> Evaluation,
-) -> SynthReport {
+/// [`synthesize_parallel`]: the chain's control flow (and its random
+/// stream) is written once, and `backend` only decides where the
+/// per-image attacks run.
+fn run_mh(backend: Backend<'_>, train: &[Labeled], config: &SynthConfig) -> SynthReport {
     assert!(!train.is_empty(), "training set is empty");
     assert!(config.beta > 0.0, "beta must be positive");
     let dims = ImageDims::new(train[0].0.height(), train[0].0.width());
@@ -577,34 +681,26 @@ fn run_mh(
 
     // Optional prefilter: drop images that no instantiation can attack
     // (the sketch's success set is program-independent), so iterations
-    // stop re-paying their fixed exhaustive cost.
+    // stop re-paying their fixed exhaustive cost. With nothing
+    // attackable the full set stays, so the run still returns a
+    // (necessarily arbitrary) program.
+    let mut scorer = Scorer::new(backend, train);
     let mut prefilter_queries = 0u64;
-    let mut prefiltered = 0usize;
-    let filtered: Vec<Labeled>;
-    let train: &[Labeled] = if config.prefilter {
+    if config.prefilter {
         trace::begin_sweep("prefilter", train.len(), "");
-        let (kept, queries) = filter(train);
-        prefilter_queries = queries;
-        if kept.is_empty() {
-            // Nothing attackable: fall back to the full set so the run
-            // still returns a (necessarily arbitrary) program.
-            filtered = train.to_vec();
-        } else {
-            prefiltered = train.len() - kept.len();
-            filtered = kept;
-        }
-        &filtered
-    } else {
-        train
-    };
+        prefilter_queries = scorer.filter();
+    }
+    let prefiltered = train.len() - scorer.positions.len();
+    let kept = scorer.positions.len();
+    let eval = |program: &Program| scorer.evaluate(program, config.per_image_budget);
 
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
     let mut incumbent = random_program_in(&mut rng, dims, config.grammar);
     let initial_program = incumbent.clone();
     if trace::armed() {
-        trace::begin_sweep("eval", train.len(), &incumbent.to_string());
+        trace::begin_sweep("eval", kept, &incumbent.to_string());
     }
-    let initial = eval(&incumbent, train);
+    let initial = eval(&incumbent);
     crate::telemetry::count(crate::telemetry::Counter::SynthPrograms);
     if trace::armed() {
         // The initial program is the step-0 incumbent by definition.
@@ -617,9 +713,9 @@ fn run_mh(
     for iteration in 1..=config.max_iterations {
         let candidate = mutate_in(&mut rng, &incumbent, dims, config.grammar);
         if trace::armed() {
-            trace::begin_sweep("eval", train.len(), &candidate.to_string());
+            trace::begin_sweep("eval", kept, &candidate.to_string());
         }
-        let evaluation = eval(&candidate, train);
+        let evaluation = eval(&candidate);
         crate::telemetry::count(crate::telemetry::Counter::SynthPrograms);
         cumulative += evaluation.queries_spent;
         let p = acceptance_probability(config.beta, incumbent_avg, evaluation.avg_queries);
@@ -659,8 +755,7 @@ fn run_mh(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::FnClassifier;
-    use crate::pair::{Location, Pixel};
+    use crate::oracle::{FnClassifier, SharedSession};
 
     /// Classifier with a one-pixel weakness near the centre: any corner
     /// with a red channel of 1 at a location in the central 3×3 flips it.
@@ -706,72 +801,6 @@ mod tests {
         assert_eq!(eval.successes, 0);
         assert!(eval.avg_queries.is_infinite());
         assert_eq!(eval.queries_spent, 73);
-    }
-
-    #[test]
-    fn memo_evaluation_preserves_successes_and_only_cheapens_requeries() {
-        let clf = center_weak_classifier();
-        let train = train_set(3);
-        let program = Program::constant(false);
-        let plain = evaluate_program(&program, &clf, &train, None);
-
-        let bank = MemoBank::new(train.len(), crate::oracle::DEFAULT_MEMO_CAPACITY);
-        let first = evaluate_program_with_memo(&program, &clf, &train, None, &bank);
-        // A cold bank changes nothing: no candidate repeats within a run.
-        assert_eq!(first, plain);
-
-        // Re-evaluating the same program replays the same candidates, so
-        // everything is served from the warm bank: successes unchanged,
-        // counted queries only fall.
-        let second = evaluate_program_with_memo(&program, &clf, &train, None, &bank);
-        assert_eq!(second.successes, first.successes);
-        assert!(second.queries_spent <= first.queries_spent);
-        assert_eq!(
-            second.queries_spent, 0,
-            "a full replay through a warm memo must be free"
-        );
-
-        // Parallel memo evaluation is thread-count invariant.
-        for threads in [1, 2, 4] {
-            let bank_p = MemoBank::new(train.len(), crate::oracle::DEFAULT_MEMO_CAPACITY);
-            let seq = evaluate_program_with_memo(&program, &clf, &train, None, &bank_p);
-            assert_eq!(seq, first);
-            let par =
-                evaluate_program_parallel_with_memo(&program, &clf, &train, None, threads, &bank_p);
-            // The sequential call warmed bank_p, so the parallel replay is
-            // the "second" evaluation for every thread count.
-            assert_eq!(par, second, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn synthesize_with_memo_attacks_and_is_thread_count_invariant() {
-        let clf = center_weak_classifier();
-        let train = train_set(2);
-        let config = SynthConfig {
-            max_iterations: 3,
-            beta: 0.01,
-            seed: 5,
-            ..SynthConfig::default()
-        };
-        let bank = MemoBank::new(train.len(), crate::oracle::DEFAULT_MEMO_CAPACITY);
-        let memoed = synthesize_with_memo(&clf, &train, &config, &bank);
-        // The synthesized program still attacks the training set.
-        let check = evaluate_program(&memoed.program, &clf, &train, None);
-        assert!(check.avg_queries.is_finite());
-        // And the parallel form agrees with the sequential one for any
-        // thread count (fresh banks: the one above is warm).
-        for threads in [1, 3] {
-            let bank_a = MemoBank::new(train.len(), crate::oracle::DEFAULT_MEMO_CAPACITY);
-            let bank_b = MemoBank::new(train.len(), crate::oracle::DEFAULT_MEMO_CAPACITY);
-            let seq = synthesize_with_memo(&clf, &train, &config, &bank_a);
-            let cfg_threads = SynthConfig {
-                threads,
-                ..config.clone()
-            };
-            let par = synthesize_parallel_with_memo(&clf, &train, &cfg_threads, &bank_b);
-            assert_eq!(par, seq, "threads = {threads}");
-        }
     }
 
     #[test]
@@ -998,15 +1027,30 @@ mod tests {
 
     #[test]
     fn parallel_evaluation_is_bit_identical_to_sequential() {
-        let clf = center_weak_classifier();
-        let train = train_set(7);
-        let program = Program::constant(false);
-        for budget in [None, Some(10)] {
-            let reference = evaluate_program(&program, &clf, &train, budget);
+        // Several programs through one table per position (two of them
+        // holding bit-identical images), against the table-free reference.
+        let clf = graded_classifier();
+        let train = table_train_set();
+        let mut rng = ChaCha8Rng::seed_from_u64(2);
+        let mut programs = vec![Program::constant(false)];
+        programs
+            .extend((0..5).map(|_| {
+                random_program_in(&mut rng, ImageDims::new(9, 9), GrammarConfig::paper())
+            }));
+        for budget in [None, Some(10), Some(200)] {
+            let reference: Vec<Evaluation> = programs
+                .iter()
+                .map(|p| evaluate_program(p, &clf, &train, budget))
+                .collect();
+            assert_eq!(
+                evaluate_programs(&programs, &clf, &train, budget),
+                reference,
+                "budget = {budget:?}"
+            );
             for threads in [1, 2, 4, 16] {
-                let parallel = evaluate_program_parallel(&program, &clf, &train, budget, threads);
                 assert_eq!(
-                    parallel, reference,
+                    evaluate_programs_parallel(&programs, &clf, &train, budget, threads),
+                    reference,
                     "threads = {threads}, budget = {budget:?}"
                 );
             }
@@ -1057,5 +1101,209 @@ mod tests {
         // And both agree with the sequential entry point.
         let sequential = synthesize(&clf, &train, &base);
         assert_eq!(sequential, one);
+    }
+
+    /// Classifier whose scores move with every pixel, so conditions (and
+    /// costs) differ between programs; a white pixel at (1, 7), far from
+    /// where the sketch starts, flips it.
+    fn graded_classifier() -> FnClassifier<impl Fn(&Image) -> Vec<f32>> {
+        FnClassifier::new(2, |img: &Image| {
+            if img.pixel(Location::new(1, 7)) == Pixel([1.0, 1.0, 1.0]) {
+                return vec![0.3, 0.7];
+            }
+            let s = img
+                .data()
+                .iter()
+                .enumerate()
+                .map(|(i, v)| v * (i % 7) as f32)
+                .sum::<f32>()
+                / 2000.0;
+            vec![1.0 - s, s]
+        })
+    }
+
+    /// Three graded images, a bit-identical copy of the first at position
+    /// 3, and an already-misclassified image the prefilter drops.
+    fn table_train_set() -> Vec<Labeled> {
+        let mut train = train_set(3);
+        train.push(train[0].clone());
+        train.push((Image::filled(9, 9, Pixel([0.9, 0.9, 0.9])), 1));
+        train
+    }
+
+    /// Records every forward reaching `inner` as (training-set position,
+    /// candidate), `None` standing for the baseline. Positions are told
+    /// apart by the image's address, like the score tables tell them.
+    struct ForwardCounter<'a, C> {
+        inner: C,
+        train: &'a [Labeled],
+        forwards: Mutex<Vec<(usize, Option<CandidateKey>)>>,
+    }
+
+    impl<'a, C> ForwardCounter<'a, C> {
+        fn new(inner: C, train: &'a [Labeled]) -> Self {
+            ForwardCounter {
+                inner,
+                train,
+                forwards: Mutex::default(),
+            }
+        }
+
+        fn record(&self, image: &Image, candidate: Option<CandidateKey>) {
+            let position = self
+                .train
+                .iter()
+                .position(|(t, _)| std::ptr::eq(t, image))
+                .expect("every query names a training image");
+            self.forwards.lock().unwrap().push((position, candidate));
+        }
+    }
+
+    impl<C: Classifier> Classifier for ForwardCounter<'_, C> {
+        fn num_classes(&self) -> usize {
+            self.inner.num_classes()
+        }
+
+        fn scores(&self, image: &Image) -> Vec<f32> {
+            self.record(image, None);
+            self.inner.scores(image)
+        }
+
+        fn scores_pixel_delta_into(
+            &self,
+            base: &Image,
+            location: Location,
+            pixel: Pixel,
+            out: &mut Vec<f32>,
+        ) {
+            self.record(base, Some(candidate_key(location, pixel)));
+            self.inner
+                .scores_pixel_delta_into(base, location, pixel, out);
+        }
+    }
+
+    impl<C: Classifier + Sync> BatchClassifier for ForwardCounter<'_, C> {
+        fn session(&self) -> Box<dyn Classifier + '_> {
+            Box::new(SharedSession(self))
+        }
+    }
+
+    #[test]
+    fn synthesis_forwards_each_position_candidate_once_for_any_thread_count() {
+        let train = table_train_set();
+        let config = SynthConfig {
+            max_iterations: 8,
+            seed: 21,
+            per_image_budget: Some(300),
+            prefilter: true,
+            ..SynthConfig::default()
+        };
+        let mut runs = Vec::new();
+        for threads in [1, 2, 4] {
+            let clf = ForwardCounter::new(graded_classifier(), &train);
+            let report = synthesize_parallel(
+                &clf,
+                &train,
+                &SynthConfig {
+                    threads,
+                    ..config.clone()
+                },
+            );
+            let mut forwards = clf.forwards.into_inner().unwrap();
+            forwards.sort_unstable();
+            let total = forwards.len();
+            forwards.dedup();
+            assert_eq!(
+                forwards.len(),
+                total,
+                "threads = {threads}: a (position, candidate) was forwarded twice"
+            );
+            assert!(
+                (total as u64) < report.total_queries,
+                "threads = {threads}: {total} forwards for {} queries",
+                report.total_queries
+            );
+            // Bit-identical images at positions 0 and 3 keep separate
+            // tables, so each forwards the same candidates.
+            let at = |p: usize| forwards.iter().filter(move |f| f.0 == p).map(|f| f.1);
+            assert!(at(0).count() > 1);
+            assert!(at(0).eq(at(3)), "threads = {threads}");
+            runs.push((report, forwards));
+        }
+        assert_eq!(runs[0], runs[1]);
+        assert_eq!(runs[0], runs[2]);
+    }
+
+    #[test]
+    fn tabled_evaluations_equal_the_table_free_reference() {
+        let clf = graded_classifier();
+        let train = table_train_set();
+        let config = SynthConfig {
+            max_iterations: 8,
+            seed: 21,
+            per_image_budget: Some(300),
+            prefilter: true,
+            threads: 2,
+            ..SynthConfig::default()
+        };
+        let (kept, prefilter_queries) = filter_attackable(&clf, &train);
+        let reference =
+            |program: &Program| evaluate_program(program, &clf, &kept, config.per_image_budget);
+        for report in [
+            synthesize(&clf, &train, &config),
+            synthesize_parallel(&clf, &train, &config),
+        ] {
+            assert_eq!(report.prefiltered, train.len() - kept.len());
+            assert_eq!(report.initial, reference(&report.initial_program));
+            let mut cumulative = prefilter_queries + report.initial.queries_spent;
+            for rec in &report.iterations {
+                assert_eq!(
+                    rec.evaluation,
+                    reference(&rec.candidate),
+                    "iteration {}",
+                    rec.iteration
+                );
+                cumulative += rec.evaluation.queries_spent;
+                assert_eq!(rec.cumulative_queries, cumulative);
+            }
+        }
+    }
+
+    #[test]
+    fn a_table_serves_only_its_own_image() {
+        let image = Image::filled(9, 9, Pixel([0.4, 0.4, 0.4]));
+        // Bit-identical images at two addresses.
+        let set = vec![(image.clone(), 0), (image, 0)];
+        let clf = ForwardCounter::new(graded_classifier(), &set);
+        let mut table = ScoreTable::default();
+        let tabled = Tabled {
+            inner: &clf,
+            image: &set[0].0,
+            classes: 2,
+            table: RefCell::new(&mut table),
+        };
+        let (l, p) = (Location::new(1, 2), Pixel([1.0, 0.0, 1.0]));
+        let batch = [
+            (l, p),
+            (Location::new(0, 0), Pixel([0.0, 0.0, 0.0])),
+            (l, p),
+        ];
+        let (mut one, mut many) = (Vec::new(), Vec::new());
+        for (base, _) in &set {
+            tabled.scores_into(base, &mut one);
+            tabled.scores_into(base, &mut many);
+            assert_eq!(one, many);
+            tabled.scores_pixel_delta_into(base, l, p, &mut one);
+            tabled.scores_pixel_delta_batch_into(base, &batch, &mut many);
+            assert_eq!(many.len(), 6);
+            assert_eq!(many[..2], one[..]);
+            assert_eq!(many[4..], one[..]);
+        }
+        let forwards = clf.forwards.into_inner().unwrap();
+        let at = |p: usize| forwards.iter().filter(|f| f.0 == p).count();
+        // Its own image: the baseline, `(l, p)` and the batch's one new
+        // candidate. The twin: every call, in full.
+        assert_eq!(at(0), 3);
+        assert_eq!(at(1), 2 + 1 + batch.len());
     }
 }

@@ -8,7 +8,7 @@ use oppsla_attacks::{Attack, SketchProgramAttack, SparseRs, SparseRsConfig};
 use oppsla_core::dsl::{random_program, ImageDims, Program};
 use oppsla_core::oracle::{BatchClassifier, Classifier};
 use oppsla_core::synth::{
-    evaluate_program, evaluate_program_parallel, Evaluation, FilterFn, Labeled, SynthConfig,
+    evaluate_programs, evaluate_programs_parallel, Evaluation, FilterFn, Labeled, SynthConfig,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -16,7 +16,9 @@ use rand_chacha::ChaCha8Rng;
 /// The Sketch+Random baseline (Appendix C): samples `samples` random
 /// instantiations of the sketch, evaluates each on the training set, and
 /// returns the one with the lowest average query count, together with the
-/// total queries the selection itself spent.
+/// total queries the selection itself spent. The evaluations share one
+/// score table per training image ([`evaluate_programs`]), so a candidate
+/// many samples query is forwarded once; counted queries are unchanged.
 ///
 /// # Panics
 ///
@@ -28,8 +30,8 @@ pub fn random_search_program(
     seed: u64,
     per_image_budget: Option<u64>,
 ) -> (Program, u64) {
-    random_search_core(train, samples, seed, &mut |candidate, train| {
-        evaluate_program(candidate, classifier, train, per_image_budget)
+    random_search_core(train, samples, seed, &mut |candidates| {
+        evaluate_programs(candidates, classifier, train, per_image_budget)
     })
 }
 
@@ -44,8 +46,8 @@ pub fn random_search_program_parallel(
     per_image_budget: Option<u64>,
     threads: usize,
 ) -> (Program, u64) {
-    random_search_core(train, samples, seed, &mut |candidate, train| {
-        evaluate_program_parallel(candidate, classifier, train, per_image_budget, threads)
+    random_search_core(train, samples, seed, &mut |candidates| {
+        evaluate_programs_parallel(candidates, classifier, train, per_image_budget, threads)
     })
 }
 
@@ -53,27 +55,27 @@ fn random_search_core(
     train: &[Labeled],
     samples: usize,
     seed: u64,
-    eval: &mut dyn FnMut(&Program, &[Labeled]) -> Evaluation,
+    eval: &mut dyn FnMut(&[Program]) -> Vec<Evaluation>,
 ) -> (Program, u64) {
     assert!(samples > 0, "need at least one sample");
     assert!(!train.is_empty(), "training set is empty");
     let dims = ImageDims::new(train[0].0.height(), train[0].0.width());
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut best: Option<(Program, f64)> = None;
-    let mut total_queries = 0u64;
-    for _ in 0..samples {
-        let candidate = random_program(&mut rng, dims);
-        let evaluation = eval(&candidate, train);
-        total_queries += evaluation.queries_spent;
-        let better = match &best {
-            Some((_, best_avg)) => evaluation.avg_queries < *best_avg,
-            None => true,
-        };
-        if better {
-            best = Some((candidate, evaluation.avg_queries));
-        }
-    }
-    (best.expect("samples > 0").0, total_queries)
+    let mut candidates: Vec<Program> = (0..samples)
+        .map(|_| random_program(&mut rng, dims))
+        .collect();
+    let evaluations = eval(&candidates);
+    // `min_by` keeps the first of equal averages: a later sample must be
+    // strictly better to win.
+    let best = (0..samples)
+        .min_by(|&a, &b| {
+            evaluations[a]
+                .avg_queries
+                .total_cmp(&evaluations[b].avg_queries)
+        })
+        .expect("samples > 0");
+    let total_queries = evaluations.iter().map(|e| e.queries_spent).sum();
+    (candidates.swap_remove(best), total_queries)
 }
 
 /// One row of the ablation: an attack's query statistics on a test set.
@@ -314,6 +316,7 @@ mod tests {
     use oppsla_core::image::Image;
     use oppsla_core::oracle::FnClassifier;
     use oppsla_core::pair::{Location, Pixel};
+    use oppsla_core::synth::evaluate_program;
 
     /// Weak near the centre: white pixel in the central 3×3 flips it.
     fn weak_clf() -> FnClassifier<impl Fn(&Image) -> Vec<f32>> {
@@ -343,6 +346,52 @@ mod tests {
         // The selected program attacks the training set successfully.
         let eval = evaluate_program(&program, &clf, &train, None);
         assert!(eval.avg_queries.is_finite());
+    }
+
+    #[test]
+    fn random_search_selects_what_per_program_evaluation_selects() {
+        // Scores move with every pixel, so samples differ in cost; a white
+        // pixel at (1, 5) flips the class.
+        let clf = FnClassifier::new(2, |img: &Image| {
+            if img.pixel(Location::new(1, 5)) == Pixel([1.0, 1.0, 1.0]) {
+                return vec![0.3, 0.7];
+            }
+            let s = img
+                .data()
+                .iter()
+                .enumerate()
+                .map(|(i, v)| v * (i % 5) as f32)
+                .sum::<f32>()
+                / 1000.0;
+            vec![1.0 - s, s]
+        });
+        let (train, _) = sets();
+        let (samples, seed, budget) = (12, 3, Some(60));
+        // The selection as a running minimum over table-free evaluations.
+        let dims = ImageDims::new(7, 7);
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut best: Option<(Program, f64)> = None;
+        let mut total = 0;
+        for _ in 0..samples {
+            let candidate = random_program(&mut rng, dims);
+            let eval = evaluate_program(&candidate, &clf, &train, budget);
+            total += eval.queries_spent;
+            if best.as_ref().is_none_or(|(_, avg)| eval.avg_queries < *avg) {
+                best = Some((candidate, eval.avg_queries));
+            }
+        }
+        let expected = (best.expect("samples > 0").0, total);
+        assert_eq!(
+            random_search_program(&clf, &train, samples, seed, budget),
+            expected
+        );
+        for threads in [1, 3] {
+            assert_eq!(
+                random_search_program_parallel(&clf, &train, samples, seed, budget, threads),
+                expected,
+                "threads = {threads}"
+            );
+        }
     }
 
     #[test]

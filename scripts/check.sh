@@ -19,6 +19,10 @@ cargo fmt $OPPSLA_PKGS --check
 cargo build --release
 cargo build --release --examples
 cargo test -q --workspace
+# The end-to-end benchmark is a workspace of its own, so the line above
+# skips it; its decorator-passivity tests check that a classifier
+# decorator forwards every call the oracle makes, on the same route.
+cargo test -q --offline --manifest-path e2ebench/Cargo.toml
 # The SIMD micro-kernels are bit-identical to scalar by construction, so
 # the kernel/engine test surface must stay green with the escape hatch
 # thrown: this covers the env-var resolution path the in-process
