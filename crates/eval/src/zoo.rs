@@ -957,37 +957,36 @@ mod tests {
         let pixel = Pixel([0.9, 0.2, 0.4]);
 
         // Reference: per-image expected scores from the single-slot path.
-        let single = classifier.session();
         let mut want = Vec::new();
         let mut expected = Vec::new();
-        for img in &images {
-            single.scores_pixel_delta_into(img, location, pixel, &mut want);
-            expected.push(want.clone());
+        {
+            let single = classifier.session();
+            for img in &images {
+                single.scores_pixel_delta_into(img, location, pixel, &mut want);
+                expected.push(want.clone());
+            }
         }
 
         // A capacity-3 session interleaving three bases: every query after
         // the three cold captures must be a cache hit (no rebases), and
-        // every score bit-identical.
-        let lru = classifier.session_with_cache_capacity(3);
-        let before = telemetry::snapshot();
+        // every score bit-identical. The counts come from the session's
+        // own accounting, so tests running alongside cannot disturb them.
+        let mut lru = std::sync::Arc::new(classifier).owned_session(3);
         for round in 0..3 {
             for (i, img) in images.iter().enumerate() {
                 lru.scores_pixel_delta_into(img, location, pixel, &mut want);
                 assert_eq!(want, expected[i], "round {round} image {i}");
             }
         }
-        let after = telemetry::snapshot();
-        let delta =
-            |c: Counter| after.counters[c as usize].saturating_sub(before.counters[c as usize]);
-        if telemetry::enabled() {
-            assert_eq!(
-                delta(Counter::DeltaCacheCold),
-                3,
-                "one cold capture per base"
-            );
-            assert_eq!(delta(Counter::DeltaCacheRebase), 0, "no rebase thrash");
-            assert_eq!(delta(Counter::DeltaCacheHit), 6, "the other rounds all hit");
-        }
+        assert_eq!(
+            lru.cache_stats(),
+            SessionCacheStats {
+                hits: 6,
+                rebases: 0,
+                colds: 3,
+            },
+            "one cold capture per base, no rebase thrash, the other rounds all hit"
+        );
     }
 
     #[test]

@@ -56,6 +56,10 @@ use oppsla_tensor::Tensor;
 /// matrix stays a few MiB even for full-extent 64×64 recomputes.
 const MAX_GEMM_COLS: usize = 4096;
 
+/// Candidates per fully connected kernel call in the batched route: the
+/// length of the input-row tile built on the stack.
+const LINEAR_ROWS: usize = 8;
+
 /// Dirty state of one activation buffer during a delta pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Region {
@@ -103,7 +107,8 @@ enum Step {
         out: usize,
         ch_offset: usize,
     },
-    /// Full recompute of the (cheap) fully connected head.
+    /// Full recompute of a fully connected layer (one row tile per
+    /// group of candidates on the batched route).
     Linear { op: usize },
 }
 
@@ -173,18 +178,21 @@ impl DeltaWorkspace {
     }
 }
 
-/// Reusable scratch for the shared-GEMM convolution route of
-/// [`DeltaPlan::scores_pixel_delta_batch_into`]: the column matrix that
-/// concatenates every candidate's dirty columns, the GEMM output panel,
-/// the GEMM's B-panel packing buffer, and the per-step work list. One
-/// scratch serves any batch size; after it has grown to the largest
-/// group the batched path is allocation-free.
+/// Reusable scratch for the batched routes of
+/// [`DeltaPlan::scores_pixel_delta_batch_into`] and
+/// [`DeltaPlan::scores_pixel_delta_multi_into`]: for convolutions, the
+/// column matrix that concatenates every candidate's dirty columns, the
+/// GEMM output panel, the GEMM's B-panel packing buffer and the per-step
+/// work list; for fully connected layers, the output panel of one tile
+/// of candidates. One scratch serves any batch size; after it has grown
+/// to the largest group the batched path is allocation-free.
 #[derive(Debug, Default)]
 pub struct DeltaBatchScratch {
     cols: Vec<f32>,
     gemm_out: Vec<f32>,
     pack_buf: Vec<f32>,
     work: Vec<(usize, Rect, Region)>,
+    linear_out: Vec<f32>,
 }
 
 impl DeltaBatchScratch {
@@ -358,18 +366,25 @@ impl DeltaPlan {
     /// seeded from `base`), and the delta steps run **layer-major** —
     /// every workspace advances through step `i` before any touches step
     /// `i + 1` — so a layer's weights stay cache-resident across the whole
-    /// batch instead of being re-streamed per candidate. Convolution
-    /// steps additionally concatenate every candidate's dirty columns
-    /// into one shared im2col matrix and run a single blocked GEMM
-    /// against the layer's pre-packed kernel bank (see
-    /// [`run_conv_batch`](DeltaPlan::scores_pixel_delta_batch_into)),
-    /// which is where the batched path's throughput win comes from.
-    /// Both the direct region kernel and the GEMM accumulate taps in the
-    /// same `(ch, ky, kx)` order with the bias added last, so each
-    /// candidate's result stays bit-identical to its sequential run
-    /// (asserted exactly in `tests/batched_matches_sequential.rs`). The
-    /// per-conv direct-vs-GEMM group threshold is the tuned
-    /// `min_gemm_cols` from [`DeltaPlan::compile`].
+    /// batch instead of being re-streamed per candidate. The two
+    /// weight-heavy step kinds also share their arithmetic across
+    /// candidates, which is where the batched path's throughput win comes
+    /// from:
+    ///
+    /// * Convolution steps concatenate every candidate's dirty columns
+    ///   into one shared im2col matrix and run a single blocked GEMM
+    ///   against the layer's pre-packed kernel bank. Both the direct
+    ///   region kernel and the GEMM accumulate taps in the same
+    ///   `(ch, ky, kx)` order with the bias added last. The per-conv
+    ///   direct-vs-GEMM choice is the tuned decision from
+    ///   [`DeltaPlan::compile`].
+    /// * Fully connected steps pass up to 8 candidates' input rows to
+    ///   one [`gemm::linear_nt_rows_into`] call, whose register tiles load
+    ///   each weight once for several candidates. Every row keeps the
+    ///   one-row kernel's accumulation order, bias added last.
+    ///
+    /// So each candidate's result stays bit-identical to its sequential
+    /// run (asserted exactly in `tests/batched_matches_sequential.rs`).
     ///
     /// Appends `num_classes` softmax scores per candidate to `out`
     /// (cleared first), in candidate order.
@@ -421,11 +436,13 @@ impl DeltaPlan {
     /// This is the cross-session packing entry point of the attack
     /// server's batch scheduler: candidates from different tenants
     /// (different bases, same model) concatenate into the same shared
-    /// im2col + GEMM groups as the single-base batch. Candidate results
-    /// are bit-identical to their isolated sequential runs for any group
-    /// composition, because each candidate's dirty columns occupy their
-    /// own slice of the GEMM's column matrix and both kernel routes
-    /// accumulate taps in the same order (the same argument as
+    /// im2col + GEMM groups and fully connected row tiles as the
+    /// single-base batch. Candidate results are bit-identical to their
+    /// isolated sequential runs for any group composition, because each
+    /// candidate's dirty columns occupy their own slice of the GEMM's
+    /// column matrix, each candidate is its own row of the fully
+    /// connected kernel, and every kernel route accumulates in the same
+    /// order (the same argument as
     /// [`DeltaPlan::scores_pixel_delta_batch_into`], which this entry
     /// generalizes — that entry is exactly this one with all `bases[i]`
     /// equal).
@@ -475,8 +492,9 @@ impl DeltaPlan {
 
     /// The layer-major step loop shared by the batched entry points:
     /// every workspace advances through step `i` before any touches step
-    /// `i + 1`, convs route through [`run_conv_batch`](Self::scores_pixel_delta_batch_into),
-    /// and each candidate's softmax is appended to `out` in order.
+    /// `i + 1`, convs route through `run_conv_batch` and fully connected
+    /// layers through `run_linear_batch`, and each candidate's softmax is
+    /// appended to `out` in order.
     fn run_batch_steps(
         &self,
         plan: &InferencePlan,
@@ -485,23 +503,24 @@ impl DeltaPlan {
         out: &mut Vec<f32>,
     ) {
         for &step in &self.steps {
-            if let Step::Conv {
-                op,
-                direct_small,
-                direct_large,
-                span_cut,
-            } = step
-            {
-                self.run_conv_batch(
+            match step {
+                Step::Conv {
+                    op,
+                    direct_small,
+                    direct_large,
+                    span_cut,
+                } => self.run_conv_batch(
                     plan,
                     workspaces,
                     op,
                     (direct_small, direct_large, span_cut),
                     scratch,
-                );
-            } else {
-                for ws in workspaces.iter_mut() {
-                    self.run_step(plan, ws, step);
+                ),
+                Step::Linear { op } => self.run_linear_batch(plan, workspaces, op, scratch),
+                _ => {
+                    for ws in workspaces.iter_mut() {
+                        self.run_step(plan, ws, step);
+                    }
                 }
             }
         }
@@ -555,6 +574,7 @@ impl DeltaPlan {
             gemm_out,
             pack_buf,
             work,
+            ..
         } = scratch;
 
         work.clear();
@@ -638,6 +658,65 @@ impl DeltaPlan {
 
         for &(i, _, region) in work.iter() {
             self.mark(&mut workspaces[i], out, region);
+        }
+    }
+
+    /// Runs one fully connected step for every candidate whose input is
+    /// dirty: [`LINEAR_ROWS`] candidates' input rows at a time, gathered
+    /// into a tile on the stack, go through one
+    /// [`gemm::linear_nt_rows_into`] call into the scratch panel, which
+    /// is then scattered back (plus bias) into each workspace. Each row
+    /// is exactly the sequential route's [`gemm::linear_nt_into`] call,
+    /// so the tile a candidate lands in never changes an output bit.
+    fn run_linear_batch(
+        &self,
+        plan: &InferencePlan,
+        workspaces: &mut [DeltaWorkspace],
+        op: usize,
+        scratch: &mut DeltaBatchScratch,
+    ) {
+        let InferOp::Linear {
+            x,
+            out,
+            ref weight_t,
+            ref bias,
+            in_f,
+            out_f,
+        } = plan.ops[op]
+        else {
+            unreachable!("Step::Linear points at a non-linear op");
+        };
+        let _op_timing = oppsla_obs::op_timer(oppsla_obs::OpKind::Linear);
+        let panel = &mut scratch.linear_out;
+        if panel.len() < LINEAR_ROWS * out_f {
+            panel.resize(LINEAR_ROWS * out_f, 0.0);
+        }
+        let mut next = 0;
+        loop {
+            let mut tile = [0usize; LINEAR_ROWS];
+            let mut rows: [&[f32]; LINEAR_ROWS] = [&[]; LINEAR_ROWS];
+            let mut m = 0;
+            while m < LINEAR_ROWS && next < workspaces.len() {
+                let ws = &workspaces[next];
+                if !ws.dirty[x].is_clean() {
+                    tile[m] = next;
+                    rows[m] = &ws.bufs[x];
+                    m += 1;
+                }
+                next += 1;
+            }
+            if m == 0 {
+                break;
+            }
+            let panel = &mut panel[..m * out_f];
+            gemm::linear_nt_rows_into(&rows[..m], weight_t, in_f, out_f, panel);
+            for (&i, logits) in tile[..m].iter().zip(panel.chunks_exact(out_f)) {
+                let ws = &mut workspaces[i];
+                for ((o, &v), &bv) in ws.bufs[out].iter_mut().zip(logits).zip(bias) {
+                    *o = v + bv;
+                }
+                self.mark(ws, out, Region::Full);
+            }
         }
     }
 
@@ -1070,11 +1149,18 @@ mod tests {
         // different base images share one grouped call, and every
         // candidate must stay bit-identical to a single-base batched
         // call against its own base — for a conv family (exercises the
-        // shared-GEMM route) with interleaved bases (exercises the
+        // shared-GEMM route) and the MLP (fully connected row tiles are
+        // the whole plan), with interleaved bases (exercises the
         // per-candidate base restore).
+        for arch in [Arch::VggSmall, Arch::Mlp] {
+            check_multi_base(arch);
+        }
+    }
+
+    fn check_multi_base(arch: Arch) {
         let spec = InputSpec::RGB32;
         let mut rng = ChaCha8Rng::seed_from_u64(23);
-        let net = ConvNet::build(Arch::VggSmall, spec, 6, &mut rng);
+        let net = ConvNet::build(arch, spec, 6, &mut rng);
         let plan = InferencePlan::compile(&net);
         let delta = DeltaPlan::compile(&plan);
         let mut ws = plan.workspace();
@@ -1128,7 +1214,7 @@ mod tests {
                 assert_eq!(
                     &got[i * classes..(i + 1) * classes],
                     &want[j * classes..(j + 1) * classes],
-                    "candidate {i} diverged from its single-base batch"
+                    "{arch} candidate {i} diverged from its single-base batch"
                 );
             }
         }
@@ -1159,7 +1245,7 @@ mod tests {
             assert_eq!(
                 &got2[i * classes..(i + 1) * classes],
                 &want[..],
-                "steady-state candidate {i} diverged from a full forward"
+                "{arch} steady-state candidate {i} diverged from a full forward"
             );
         }
     }

@@ -87,11 +87,13 @@ pub(crate) enum InferOp {
         cols_len: usize,
         direct: bool,
     },
-    /// `x · weightᵀ + bias` for a single row. The weight is stored
-    /// pre-transposed (`[in, out]`) so the hot path runs the
-    /// column-lane SIMD kernel [`gemm::linear_nt_into`], which is
-    /// bit-identical to `matmul_nt_into` against the `[out, in]`
-    /// original.
+    /// `x · weightᵀ + bias`. The weight is stored pre-transposed
+    /// (`[in, out]`) for the row-tiled SIMD kernel: full forwards and the
+    /// sequential delta route run one row through
+    /// [`gemm::linear_nt_into`], and the batched delta route runs a tile
+    /// of candidates' rows through [`gemm::linear_nt_rows_into`]. Both
+    /// are bit-identical to `matmul_nt_into` against the `[out, in]`
+    /// original, row by row.
     Linear {
         x: usize,
         out: usize,

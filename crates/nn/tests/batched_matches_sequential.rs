@@ -34,6 +34,8 @@ fn test_images(spec: InputSpec, n: usize) -> Vec<Tensor> {
         .collect()
 }
 
+/// Sweeps every batch size from one candidate to a full fully connected
+/// stack tile plus one, so every row-tile remainder is hit.
 fn check_delta(arch: Arch, spec: InputSpec) {
     let plan = build(arch, spec);
     let delta = oppsla_nn::delta::DeltaPlan::compile(&plan);
@@ -41,61 +43,64 @@ fn check_delta(arch: Arch, spec: InputSpec) {
     let image = test_images(spec, 1).pop().unwrap();
     let base = BaseActivations::capture(&plan, &mut ws, &image);
     let (h, w) = (spec.height, spec.width);
-    let candidates: Vec<(usize, usize, [f32; 3])> = (0..7)
-        .map(|i| {
-            (
-                (i * 13) % h,
-                (i * 29) % w,
-                [1.0, (i % 2) as f32, 0.1 * i as f32],
-            )
-        })
-        .collect();
+    let classes = plan.num_classes();
+    for batch in 1..=9 {
+        let candidates: Vec<(usize, usize, [f32; 3])> = (0..batch)
+            .map(|i| {
+                (
+                    (i * 13) % h,
+                    (i * 29) % w,
+                    [1.0, (i % 2) as f32, 0.1 * i as f32],
+                )
+            })
+            .collect();
 
-    let mut batch_ws: Vec<_> = (0..candidates.len())
-        .map(|_| delta.workspace(&base))
-        .collect();
-    let mut scratch = DeltaBatchScratch::new();
-    let mut got = Vec::new();
-    delta.scores_pixel_delta_batch_into(
-        &plan,
-        &base,
-        &mut batch_ws,
-        &candidates,
-        &mut scratch,
-        &mut got,
-    );
-
-    let mut dws = delta.workspace(&base);
-    let mut want = Vec::new();
-    for (i, &(row, col, rgb)) in candidates.iter().enumerate() {
-        delta.scores_pixel_delta_into(&plan, &base, &mut dws, row, col, rgb, &mut want);
-        let chunk = &got[i * plan.num_classes()..(i + 1) * plan.num_classes()];
-        assert_eq!(
-            chunk,
-            &want[..],
-            "{arch} candidate {i} diverged in the batch"
+        let mut batch_ws: Vec<_> = (0..batch).map(|_| delta.workspace(&base)).collect();
+        let mut scratch = DeltaBatchScratch::new();
+        let mut got = Vec::new();
+        delta.scores_pixel_delta_batch_into(
+            &plan,
+            &base,
+            &mut batch_ws,
+            &candidates,
+            &mut scratch,
+            &mut got,
         );
-    }
 
-    // Reusing the batch workspaces for a second batch (their pending
-    // regions restored lazily) must stay exact.
-    let rerun: Vec<(usize, usize, [f32; 3])> = candidates
-        .iter()
-        .rev()
-        .map(|&(r, c, _)| (r, c, [0.25, 0.5, 0.75]))
-        .collect();
-    delta.scores_pixel_delta_batch_into(
-        &plan,
-        &base,
-        &mut batch_ws,
-        &rerun,
-        &mut scratch,
-        &mut got,
-    );
-    for (i, &(row, col, rgb)) in rerun.iter().enumerate() {
-        delta.scores_pixel_delta_into(&plan, &base, &mut dws, row, col, rgb, &mut want);
-        let chunk = &got[i * plan.num_classes()..(i + 1) * plan.num_classes()];
-        assert_eq!(chunk, &want[..], "{arch} rerun candidate {i} diverged");
+        let mut dws = delta.workspace(&base);
+        let mut want = Vec::new();
+        for (i, &(row, col, rgb)) in candidates.iter().enumerate() {
+            delta.scores_pixel_delta_into(&plan, &base, &mut dws, row, col, rgb, &mut want);
+            assert_eq!(
+                &got[i * classes..(i + 1) * classes],
+                &want[..],
+                "{arch} batch {batch} candidate {i} diverged in the batch"
+            );
+        }
+
+        // Reusing the batch workspaces for a second batch (their pending
+        // regions restored lazily) must stay exact.
+        let rerun: Vec<(usize, usize, [f32; 3])> = candidates
+            .iter()
+            .rev()
+            .map(|&(r, c, _)| (r, c, [0.25, 0.5, 0.75]))
+            .collect();
+        delta.scores_pixel_delta_batch_into(
+            &plan,
+            &base,
+            &mut batch_ws,
+            &rerun,
+            &mut scratch,
+            &mut got,
+        );
+        for (i, &(row, col, rgb)) in rerun.iter().enumerate() {
+            delta.scores_pixel_delta_into(&plan, &base, &mut dws, row, col, rgb, &mut want);
+            assert_eq!(
+                &got[i * classes..(i + 1) * classes],
+                &want[..],
+                "{arch} batch {batch} rerun candidate {i} diverged"
+            );
+        }
     }
 }
 

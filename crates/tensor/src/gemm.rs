@@ -787,129 +787,353 @@ unsafe fn accumulate_neon(a_panel: &[f32], b_panel: &[f32], kc: usize, acc: &mut
     }
 }
 
-/// Vector–matrix product against a **pre-transposed** weight:
-/// `out[j] = Σ_k x[k] · wt[k·n + j]` for `wt: [k, n]`. With `wt` the
-/// transpose of a `[n, k]` row-major weight `w`, this computes exactly
-/// `ops::matmul_nt_into(x, w, 1, k, n, out)` — per output element the
-/// same ascending-`k` mul-then-add sequence over the same floats — so
-/// the two are bit-identical and a plan may pre-transpose its `Linear`
-/// weights once and route the hot path here. Vectorized across the `n`
-/// output lanes at [`active_level`] (each lane is an independent
-/// accumulator; no horizontal reduction, no FMA).
+/// Rows per fully connected register tile: each weight register loaded
+/// feeds the accumulators of up to this many rows.
+#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+const FC_MR: usize = 4;
+
+/// Fully connected product of one row against a **pre-transposed**
+/// weight: `out[j] = Σ_k x[k] · wt[k·n + j]` for `wt: [k, n]`. This is
+/// the one-row call of [`linear_nt_rows_into`], so it is bit-identical to
+/// `ops::matmul_nt_into(x, w, 1, k, n, out)` against the `[n, k]`
+/// original `w`.
 ///
 /// # Panics
 ///
 /// Panics if a slice length disagrees with `k`/`n`.
 pub fn linear_nt_into(x: &[f32], wt: &[f32], k: usize, n: usize, out: &mut [f32]) {
-    linear_nt_into_with(active_level(), x, wt, k, n, out);
+    linear_nt_rows_into(&[x], wt, k, n, out);
 }
 
-/// [`linear_nt_into`] with the micro-kernel level given explicitly
+/// Fully connected product of a batch of rows against one
+/// **pre-transposed** weight: `out[i·n + j] = Σ_k xs[i][k] · wt[k·n + j]`
+/// for `wt: [k, n]` and `out: [xs.len(), n]`. With `wt` the transpose of
+/// a `[n, k]` row-major weight `w`, row `i` equals
+/// `ops::matmul_nt_into(xs[i], w, 1, k, n, ..)` bit for bit: every output
+/// element accumulates from `0.0` in ascending `k`, a separate multiply
+/// then add per step (never FMA). A row's result therefore never depends
+/// on which other rows share the call, and a plan may pre-transpose its
+/// `Linear` weights once.
+///
+/// At [`active_level`] the kernel walks register tiles of up to four
+/// rows × three vector registers of output columns (a lone row takes up
+/// to eight registers), so each weight register loaded feeds up to
+/// twelve independent accumulator chains where a single row walking one
+/// register at a time runs one dependent add chain. A column tail
+/// narrower than one register runs as one masked tile (AVX-512F, AVX2)
+/// or as a scalar tile with one accumulator per (row, column) (SSE2,
+/// NEON).
+///
+/// # Panics
+///
+/// Panics if a slice length disagrees with `k`/`n`.
+pub fn linear_nt_rows_into(xs: &[&[f32]], wt: &[f32], k: usize, n: usize, out: &mut [f32]) {
+    linear_nt_rows_into_with(active_level(), xs, wt, k, n, out);
+}
+
+/// [`linear_nt_rows_into`] with the kernel level given explicitly
 /// (SIMD-vs-scalar equivalence tests). A level the host cannot execute
 /// runs the scalar kernel; every level is bit-identical.
 ///
 /// # Panics
 ///
 /// Panics if a slice length disagrees with `k`/`n`.
-pub fn linear_nt_into_with(
+pub fn linear_nt_rows_into_with(
     level: SimdLevel,
-    x: &[f32],
+    xs: &[&[f32]],
     wt: &[f32],
     k: usize,
     n: usize,
     out: &mut [f32],
 ) {
-    assert_eq!(x.len(), k, "linear_nt_into lhs length");
-    assert_eq!(wt.len(), k * n, "linear_nt_into weight length");
-    assert_eq!(out.len(), n, "linear_nt_into out length");
+    for x in xs {
+        assert_eq!(x.len(), k, "linear_nt_rows_into lhs row length");
+    }
+    assert_eq!(wt.len(), k * n, "linear_nt_rows_into weight length");
+    assert_eq!(out.len(), xs.len() * n, "linear_nt_rows_into out length");
+    if n == 0 {
+        return;
+    }
     match level {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is part of the x86_64 baseline.
-        SimdLevel::Sse2 => unsafe { vecmat_sse2(x, wt, k, n, out) },
+        // SAFETY: SSE2 is part of the x86_64 baseline; lengths asserted.
+        SimdLevel::Sse2 => unsafe { fc_rows_sse2(xs, wt, k, n, out) },
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 if std::arch::is_x86_feature_detected!("avx2") => {
-            // SAFETY: guarded by the runtime feature check.
-            unsafe { vecmat_avx2(x, wt, k, n, out) }
+            // SAFETY: guarded by the runtime feature check; lengths asserted.
+            unsafe { fc_rows_avx2(xs, wt, k, n, out) }
         }
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx512 if std::arch::is_x86_feature_detected!("avx512f") => {
-            // SAFETY: guarded by the runtime feature check.
-            unsafe { vecmat_avx512(x, wt, k, n, out) }
+            // SAFETY: guarded by the runtime feature check; lengths asserted.
+            unsafe { fc_rows_avx512(xs, wt, k, n, out) }
         }
         #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is part of the aarch64 baseline.
-        SimdLevel::Neon => unsafe { vecmat_neon(x, wt, k, n, out) },
-        _ => vecmat_scalar(x, wt, k, n, out),
+        // SAFETY: NEON is part of the aarch64 baseline; lengths asserted.
+        SimdLevel::Neon => unsafe { fc_rows_neon(xs, wt, k, n, out) },
+        _ => fc_rows_scalar(xs, wt, n, out),
     }
 }
 
-/// Reference vector–matrix kernel: `k`-outer / `j`-inner so `wt` streams
+/// Reference FC kernel: per row, `k`-outer / `j`-inner so `wt` streams
 /// once and the `out` row stays cache-hot. Per element this is the
 /// ascending-`k` mul-then-add recurrence of `matmul_nt_into`; the
 /// accumulator living in `out` instead of a register changes nothing —
 /// f32 arithmetic rounds identically either way.
-fn vecmat_scalar(x: &[f32], wt: &[f32], k: usize, n: usize, out: &mut [f32]) {
-    out.fill(0.0);
+fn fc_rows_scalar(xs: &[&[f32]], wt: &[f32], n: usize, out: &mut [f32]) {
+    for (x, o) in xs.iter().zip(out.chunks_exact_mut(n)) {
+        o.fill(0.0);
+        for (&a, row) in x.iter().zip(wt.chunks_exact(n)) {
+            for (o, &b) in o.iter_mut().zip(row) {
+                *o += a * b;
+            }
+        }
+    }
+}
+
+/// Column tail of the 4-lane levels (SSE2, NEON), which have no masked
+/// load: the `n - j` (1 to 3) leftover columns of an `R`-row tile as one
+/// scalar tile with an independent accumulator per (row, column).
+///
+/// # Safety
+///
+/// Every `xp[r]` must point to `k` readable floats, `wt` to the `k·n`
+/// weight and `out` to the tile's `R·n` output, and `j < n <= j + 3`.
+#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+#[inline]
+unsafe fn fc_tail_scalar<const R: usize>(
+    xp: &[*const f32; R],
+    wt: *const f32,
+    k: usize,
+    n: usize,
+    j: usize,
+    out: *mut f32,
+) {
+    /// The tail at a fixed width `T`, so the accumulators stay in
+    /// registers.
+    ///
+    /// # Safety
+    ///
+    /// As for [`fc_tail_scalar`], with `n == j + T`.
+    #[inline]
+    unsafe fn cols<const R: usize, const T: usize>(
+        xp: &[*const f32; R],
+        wt: *const f32,
+        k: usize,
+        n: usize,
+        j: usize,
+        out: *mut f32,
+    ) {
+        let mut acc = [[0.0f32; T]; R];
+        for kk in 0..k {
+            let wp = wt.add(kk * n + j);
+            for (row, &x) in acc.iter_mut().zip(xp) {
+                let a = *x.add(kk);
+                for (c, o) in row.iter_mut().enumerate() {
+                    *o += a * *wp.add(c);
+                }
+            }
+        }
+        for (r, row) in acc.iter().enumerate() {
+            std::ptr::copy_nonoverlapping(row.as_ptr(), out.add(r * n + j), T);
+        }
+    }
+    debug_assert!(j < n && n <= j + 3, "4-lane column tail");
+    match n - j {
+        1 => cols::<R, 1>(xp, wt, k, n, j, out),
+        2 => cols::<R, 2>(xp, wt, k, n, j, out),
+        _ => cols::<R, 3>(xp, wt, k, n, j, out),
+    }
+}
+
+/// AVX-512F column tail: the `n - j` (1 to 15) leftover columns of an
+/// `R`-row tile as one masked register per row. Masked-off lanes are
+/// neither read nor written.
+///
+/// # Safety
+///
+/// AVX-512F must be available. Every `xp[r]` must point to `k` readable
+/// floats, `wt` to the `k·n` weight and `out` to the tile's `R·n`
+/// output, and `j < n < j + 16`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+unsafe fn fc_tail_avx512<const R: usize>(
+    xp: &[*const f32; R],
+    wt: *const f32,
+    k: usize,
+    n: usize,
+    j: usize,
+    out: *mut f32,
+) {
+    use std::arch::x86_64::{_mm512_mask_storeu_ps, _mm512_maskz_loadu_ps};
+    debug_assert!(j < n && n < j + 16, "AVX-512F column tail");
+    let mask = ((1u32 << (n - j)) - 1) as u16;
+    let mut acc = [_mm512_setzero_ps(); R];
     for kk in 0..k {
-        let a = x[kk];
-        let row = &wt[kk * n..(kk + 1) * n];
-        for (o, &b) in out.iter_mut().zip(row) {
-            *o += a * b;
+        let w = _mm512_maskz_loadu_ps(mask, wt.add(kk * n + j));
+        for (v, &x) in acc.iter_mut().zip(xp) {
+            *v = _mm512_add_ps(*v, _mm512_mul_ps(_mm512_set1_ps(*x.add(kk)), w));
         }
+    }
+    for (r, &v) in acc.iter().enumerate() {
+        _mm512_mask_storeu_ps(out.add(r * n + j), mask, v);
     }
 }
 
-/// Scalar tail for the SIMD kernels: columns `[j0, n)` that do not fill a
-/// vector register, each accumulated in the same ascending-`k` order.
-fn vecmat_scalar_tail(x: &[f32], wt: &[f32], k: usize, n: usize, j0: usize, out: &mut [f32]) {
-    for (jj, o) in out.iter_mut().enumerate().skip(j0) {
-        let mut acc = 0.0f32;
-        for (kk, &a) in x.iter().enumerate().take(k) {
-            acc += a * wt[kk * n + jj];
+/// AVX2 column tail: the `n - j` (1 to 7) leftover columns of an `R`-row
+/// tile as one masked register per row (`vmaskmovps`, which neither
+/// reads nor writes masked-off lanes).
+///
+/// # Safety
+///
+/// AVX2 must be available. Every `xp[r]` must point to `k` readable
+/// floats, `wt` to the `k·n` weight and `out` to the tile's `R·n`
+/// output, and `j < n < j + 8`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn fc_tail_avx2<const R: usize>(
+    xp: &[*const f32; R],
+    wt: *const f32,
+    k: usize,
+    n: usize,
+    j: usize,
+    out: *mut f32,
+) {
+    use std::arch::x86_64::{_mm256_loadu_si256, _mm256_maskload_ps, _mm256_maskstore_ps};
+    /// Eight set lanes then eight clear ones: the window starting at
+    /// `8 - t` sets exactly the first `t` lanes.
+    static LANES: [i32; 16] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
+    debug_assert!(j < n && n < j + 8, "AVX2 column tail");
+    let mask = _mm256_loadu_si256(LANES.as_ptr().add(8 - (n - j)).cast());
+    let mut acc = [_mm256_setzero_ps(); R];
+    for kk in 0..k {
+        let w = _mm256_maskload_ps(wt.add(kk * n + j), mask);
+        for (v, &x) in acc.iter_mut().zip(xp) {
+            *v = _mm256_add_ps(*v, _mm256_mul_ps(_mm256_set1_ps(*x.add(kk)), w));
         }
-        *o = acc;
+    }
+    for (r, &v) in acc.iter().enumerate() {
+        _mm256_maskstore_ps(out.add(r * n + j), mask, v);
     }
 }
 
-/// Generates one `vecmat_*` SIMD kernel: blocks of `4·LANES` columns held
-/// in four accumulator registers with `k` innermost (weights stream once,
-/// accumulators stay in registers), then single-register blocks, then the
-/// scalar tail. Explicit mul-then-add per step keeps every lane
-/// bit-identical to [`vecmat_scalar`].
-macro_rules! vecmat_kernel {
-    ($name:ident, $arch:literal, $feature:literal, $lanes:expr, $set1:ident, $load:ident, $store:ident, $zero:expr, $mul:ident, $add:ident) => {
+/// Generates one `fc_rows_*` SIMD kernel. Rows go in tiles of up to
+/// [`FC_MR`]; each tile covers its full column registers in blocks sized
+/// to the tile's row count (four registers at four rows split 2 + 2),
+/// then hands the sub-register column tail to `$tail`. Within a block
+/// every step loads each weight register once and multiplies it into
+/// every row's accumulator with an explicit mul-then-add, so each lane
+/// is bit-identical to [`fc_rows_scalar`].
+macro_rules! fc_kernel {
+    ($name:ident, $arch:literal, $feature:literal, $lanes:expr, $tail:ident, $set1:ident, $load:ident, $store:ident, $zero:expr, $mul:ident, $add:ident) => {
+        /// # Safety
+        ///
+        /// The level's target feature must be available, every row of
+        /// `xs` must hold `k` floats, `wt` `k·n` and `out` `xs.len()·n`.
         #[cfg(target_arch = $arch)]
         #[target_feature(enable = $feature)]
-        unsafe fn $name(x: &[f32], wt: &[f32], k: usize, n: usize, out: &mut [f32]) {
+        unsafe fn $name(xs: &[&[f32]], wt: &[f32], k: usize, n: usize, out: &mut [f32]) {
             const L: usize = $lanes;
-            let mut j = 0;
-            while j + 4 * L <= n {
-                let (mut c0, mut c1, mut c2, mut c3) = ($zero, $zero, $zero, $zero);
+
+            /// One `R`-row × `C`-register block at columns `[j, j + C·L)`.
+            ///
+            /// # Safety
+            ///
+            /// As for the kernel, with `j + C·L <= n` and `out` the
+            /// tile's `R·n` output.
+            #[target_feature(enable = $feature)]
+            #[inline]
+            unsafe fn block<const R: usize, const C: usize>(
+                xp: &[*const f32; R],
+                wt: *const f32,
+                k: usize,
+                n: usize,
+                j: usize,
+                out: *mut f32,
+            ) {
+                let mut acc = [[$zero; C]; R];
                 for kk in 0..k {
-                    let a = $set1(*x.get_unchecked(kk));
-                    let p = wt.as_ptr().add(kk * n + j);
-                    c0 = $add(c0, $mul(a, $load(p)));
-                    c1 = $add(c1, $mul(a, $load(p.add(L))));
-                    c2 = $add(c2, $mul(a, $load(p.add(2 * L))));
-                    c3 = $add(c3, $mul(a, $load(p.add(3 * L))));
+                    let wp = wt.add(kk * n + j);
+                    let mut w = [$zero; C];
+                    for (c, v) in w.iter_mut().enumerate() {
+                        *v = $load(wp.add(c * L));
+                    }
+                    for (row, &x) in acc.iter_mut().zip(xp) {
+                        let a = $set1(*x.add(kk));
+                        for (v, &b) in row.iter_mut().zip(&w) {
+                            *v = $add(*v, $mul(a, b));
+                        }
+                    }
                 }
-                let o = out.as_mut_ptr().add(j);
-                $store(o, c0);
-                $store(o.add(L), c1);
-                $store(o.add(2 * L), c2);
-                $store(o.add(3 * L), c3);
-                j += 4 * L;
-            }
-            while j + L <= n {
-                let mut c = $zero;
-                for kk in 0..k {
-                    let a = $set1(*x.get_unchecked(kk));
-                    c = $add(c, $mul(a, $load(wt.as_ptr().add(kk * n + j))));
+                for (r, row) in acc.iter().enumerate() {
+                    for (c, &v) in row.iter().enumerate() {
+                        $store(out.add(r * n + j + c * L), v);
+                    }
                 }
-                $store(out.as_mut_ptr().add(j), c);
-                j += L;
             }
-            vecmat_scalar_tail(x, wt, k, n, j, out);
+
+            /// One `R`-row tile across all `n` columns.
+            ///
+            /// # Safety
+            ///
+            /// As for the kernel, with `xs.len() == R` and `out` the
+            /// tile's `R·n` output.
+            #[target_feature(enable = $feature)]
+            #[inline]
+            unsafe fn tile<const R: usize>(
+                xs: &[&[f32]],
+                wt: *const f32,
+                k: usize,
+                n: usize,
+                out: *mut f32,
+            ) {
+                let mut xp = [std::ptr::null::<f32>(); R];
+                for (p, x) in xp.iter_mut().zip(xs) {
+                    *p = x.as_ptr();
+                }
+                // Registers per block: as many as sixteen vector registers
+                // hold beside the rows' accumulators — eight for one row,
+                // whose weight registers are used once and freed, four for
+                // two rows, three beyond — split evenly into the fewest
+                // blocks.
+                let cap = match R {
+                    1 => 8,
+                    2 => 4,
+                    _ => 3,
+                };
+                let mut j = 0;
+                while n - j >= L {
+                    let full = (n - j) / L;
+                    let regs = full.div_ceil(full.div_ceil(cap));
+                    match regs {
+                        1 => block::<R, 1>(&xp, wt, k, n, j, out),
+                        2 => block::<R, 2>(&xp, wt, k, n, j, out),
+                        3 => block::<R, 3>(&xp, wt, k, n, j, out),
+                        4 => block::<R, 4>(&xp, wt, k, n, j, out),
+                        5 => block::<R, 5>(&xp, wt, k, n, j, out),
+                        6 => block::<R, 6>(&xp, wt, k, n, j, out),
+                        7 => block::<R, 7>(&xp, wt, k, n, j, out),
+                        _ => block::<R, 8>(&xp, wt, k, n, j, out),
+                    }
+                    j += regs * L;
+                }
+                if j < n {
+                    $tail::<R>(&xp, wt, k, n, j, out);
+                }
+            }
+
+            let (wt, out) = (wt.as_ptr(), out.as_mut_ptr());
+            for (t, rows) in xs.chunks(FC_MR).enumerate() {
+                let o = out.add(t * FC_MR * n);
+                match rows.len() {
+                    4 => tile::<4>(rows, wt, k, n, o),
+                    3 => tile::<3>(rows, wt, k, n, o),
+                    2 => tile::<2>(rows, wt, k, n, o),
+                    _ => tile::<1>(rows, wt, k, n, o),
+                }
+            }
         }
     };
 }
@@ -924,11 +1148,12 @@ use std::arch::x86_64::{
     _mm_setzero_ps, _mm_storeu_ps,
 };
 
-vecmat_kernel!(
-    vecmat_sse2,
+fc_kernel!(
+    fc_rows_sse2,
     "x86_64",
     "sse2",
     4,
+    fc_tail_scalar,
     _mm_set1_ps,
     _mm_loadu_ps,
     _mm_storeu_ps,
@@ -936,11 +1161,12 @@ vecmat_kernel!(
     _mm_mul_ps,
     _mm_add_ps
 );
-vecmat_kernel!(
-    vecmat_avx2,
+fc_kernel!(
+    fc_rows_avx2,
     "x86_64",
     "avx2",
     8,
+    fc_tail_avx2,
     _mm256_set1_ps,
     _mm256_loadu_ps,
     _mm256_storeu_ps,
@@ -948,11 +1174,12 @@ vecmat_kernel!(
     _mm256_mul_ps,
     _mm256_add_ps
 );
-vecmat_kernel!(
-    vecmat_avx512,
+fc_kernel!(
+    fc_rows_avx512,
     "x86_64",
     "avx512f",
     16,
+    fc_tail_avx512,
     _mm512_set1_ps,
     _mm512_loadu_ps,
     _mm512_storeu_ps,
@@ -960,11 +1187,12 @@ vecmat_kernel!(
     _mm512_mul_ps,
     _mm512_add_ps
 );
-vecmat_kernel!(
-    vecmat_neon,
+fc_kernel!(
+    fc_rows_neon,
     "aarch64",
     "neon",
     4,
+    fc_tail_scalar,
     vdupq_n_f32,
     vld1q_f32,
     vst1q_f32,

@@ -5,8 +5,8 @@
 //! panels, and per-worker column partitions are all exercised.
 
 use oppsla_tensor::gemm::{
-    available_levels, linear_nt_into_with, matmul_packed_into_with, pack_a, SimdLevel, KC, MC, NC,
-    NR,
+    available_levels, linear_nt_rows_into_with, matmul_packed_into_with, pack_a, SimdLevel, KC, MC,
+    NC, NR,
 };
 use oppsla_tensor::ops::{matmul_into, matmul_nt_into};
 use proptest::prelude::*;
@@ -69,17 +69,18 @@ proptest! {
         }
     }
 
-    /// The vector-matrix Linear kernel matches the naive `m = 1`
-    /// row-major-weights kernel bit-for-bit at every detected ISA level,
-    /// across ragged widths (4-register blocks, single-register blocks,
-    /// and the scalar lane tail).
+    /// The row-tiled Linear kernel matches the naive row-major-weights
+    /// kernel bit-for-bit at every detected ISA level, for every row count
+    /// up to two full row tiles plus a remainder and across ragged widths
+    /// (three-, two- and one-register blocks and the column tail).
     #[test]
     fn linear_kernel_matches_naive(
+        m in 0usize..=9,
         k in 1usize..96,
         n in 1usize..130,
         seed in any::<u32>(),
     ) {
-        let x = lcg_data(k, seed);
+        let x = lcg_data(m * k, seed); // [m, k] row-major
         let w = lcg_data(n * k, seed.wrapping_add(71)); // [n, k] row-major
         let mut wt = vec![0.0f32; k * n]; // [k, n]: the plan-compiled layout
         for j in 0..n {
@@ -87,16 +88,17 @@ proptest! {
                 wt[kk * n + j] = w[j * k + kk];
             }
         }
-        let mut naive = vec![f32::NAN; n];
-        matmul_nt_into(&x, &w, 1, k, n, &mut naive);
+        let rows: Vec<&[f32]> = x.chunks_exact(k).collect();
+        let mut naive = vec![f32::NAN; m * n];
+        matmul_nt_into(&x, &w, m, k, n, &mut naive);
         for level in available_levels() {
-            let mut out = vec![f32::NAN; n];
-            linear_nt_into_with(level, &x, &wt, k, n, &mut out);
+            let mut out = vec![f32::NAN; m * n];
+            linear_nt_rows_into_with(level, &rows, &wt, k, n, &mut out);
             prop_assert_eq!(
                 bits(&out),
                 bits(&naive),
-                "Linear kernel diverged from naive at level={} k={} n={}",
-                level.as_str(), k, n
+                "Linear kernel diverged from naive at level={} m={} k={} n={}",
+                level.as_str(), m, k, n
             );
         }
     }
