@@ -42,8 +42,8 @@ use std::hint::black_box;
 use std::time::Instant;
 
 /// One architecture's measurements, all in nanoseconds per query or
-/// queries per second, plus the tuner's route decisions so regressions
-/// are attributable to dispatch vs kernel.
+/// queries per second, plus the tuner's full-forward route decisions so
+/// regressions are attributable to dispatch vs kernel.
 struct Row {
     arch: &'static str,
     input: String,
@@ -55,14 +55,12 @@ struct Row {
     parallel_qps: f64,
     /// Full-forward conv routes, e.g. `direct:2,gemm:6` (`none` = no convs).
     fwd_routes: String,
-    /// Batched-delta group thresholds, e.g. `g8:5,g32:3`.
-    delta_routes: String,
 }
 
 /// Compacts per-conv route labels into `label:count` pairs in first-seen
 /// order (`none` for conv-free plans like the MLP).
-fn route_summary(labels: impl Iterator<Item = String>) -> String {
-    let mut counts: Vec<(String, usize)> = Vec::new();
+fn route_summary(labels: impl Iterator<Item = &'static str>) -> String {
+    let mut counts: Vec<(&str, usize)> = Vec::new();
     for l in labels {
         match counts.iter_mut().find(|(k, _)| *k == l) {
             Some((_, c)) => *c += 1,
@@ -290,8 +288,7 @@ fn main() {
             batched_delta_ns,
             sequential_qps,
             parallel_qps,
-            fwd_routes: route_summary(plan.tuner_report().iter().map(|d| d.route().to_owned())),
-            delta_routes: route_summary(delta.tuner_report().iter().map(|d| d.route())),
+            fwd_routes: route_summary(plan.tuner_report().iter().map(|d| d.route())),
         };
         eprintln!(
             "[{arch} {}] tape {:.0} ns/q, engine {:.0} ns/q ({:.2}x), incr {:.0} ns/q ({:.2}x), batched-delta {:.0} ns/q ({:.2}x), {:.0} q/s seq, {:.0} q/s x{threads}",
@@ -460,7 +457,7 @@ fn main() {
                 "\"sequential_delta_ns_per_candidate\": {:.1}, ",
                 "\"batched_delta_ns_per_candidate\": {:.1}, ",
                 "\"batched_candidates_per_sec\": {:.1}, ",
-                "\"batched_speedup\": {:.3}, \"tuned_route\": \"{}\"}}{}\n"
+                "\"batched_speedup\": {:.3}}}{}\n"
             ),
             row.arch,
             row.input,
@@ -468,7 +465,6 @@ fn main() {
             row.batched_delta_ns,
             1e9 / row.batched_delta_ns,
             row.batched_speedup(),
-            row.delta_routes,
             if i + 1 < rows.len() { "," } else { "" },
         ));
     }

@@ -120,8 +120,9 @@ pub fn threads_from(args: &cli::Args) -> usize {
 /// Resolves the shared `--tune` knob (`measure`, the default, or `off`)
 /// into the global [`oppsla_nn::tune`] policy and returns the mode name
 /// for reports. Kernel routes are bit-identical either way, so stdout
-/// stays byte-identical across modes — `off` only pins the static
-/// thresholds so plan construction does no timing.
+/// stays byte-identical across modes — `off` only pins the full
+/// forward's static conv-route threshold so plan construction does no
+/// timing.
 ///
 /// # Panics
 ///

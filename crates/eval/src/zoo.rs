@@ -328,7 +328,7 @@ struct SessionState {
     grouped_dws: Vec<DeltaWorkspace>,
     /// The cache generation each pooled workspace currently tracks.
     grouped_tags: Vec<u64>,
-    /// Shared im2col/GEMM scratch for grouped delta calls.
+    /// Shared batched-route scratch for grouped delta calls.
     grouped_scratch: DeltaBatchScratch,
 }
 
@@ -355,7 +355,7 @@ struct SessionDeltaCache {
     dws: DeltaWorkspace,
     /// One workspace per in-flight batched candidate, grown on demand.
     batch_dws: Vec<DeltaWorkspace>,
-    /// Shared im2col/GEMM scratch for the batched delta route.
+    /// Shared scratch for the batched delta route.
     batch_scratch: DeltaBatchScratch,
 }
 
@@ -494,7 +494,7 @@ impl SessionState {
     /// Scores several groups of one-pixel candidates — each group against
     /// its own base image — in **one** multi-base batched call, so
     /// candidates from different groups (different tenants, in the attack
-    /// server) share im2col + GEMM work. Appends `num_classes` softmax
+    /// server) share conv pixel tiles and fully connected row tiles. Appends `num_classes` softmax
     /// scores per candidate to `out` (cleared first), group by group in
     /// order; each candidate's scores are bit-identical to a sequential
     /// [`Classifier::scores_pixel_delta_into`] against its own base.

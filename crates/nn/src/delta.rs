@@ -46,15 +46,9 @@
 //! `tests/delta_matches_full.rs`).
 
 use crate::infer::{ForwardWorkspace, InferOp, InferencePlan};
-use crate::tune::{self, BatchRouteDecision, TunePolicy};
 use oppsla_tensor::gemm;
 use oppsla_tensor::ops::{self, Rect};
 use oppsla_tensor::Tensor;
-
-/// Column-count ceiling for one shared-GEMM group in the batched conv
-/// route: groups larger than this are split so the concatenated column
-/// matrix stays a few MiB even for full-extent 64×64 recomputes.
-const MAX_GEMM_COLS: usize = 4096;
 
 /// Candidates per fully connected kernel call in the batched route: the
 /// length of the input-row tile built on the stack.
@@ -84,14 +78,7 @@ impl Region {
 #[derive(Debug, Clone, Copy)]
 enum Step {
     /// Region-restricted convolution (op index into the plan).
-    /// The booleans and span cut are this conv's tuned batched-route
-    /// regime winners ([`BatchRouteDecision::use_direct`]).
-    Conv {
-        op: usize,
-        direct_small: bool,
-        direct_large: bool,
-        span_cut: usize,
-    },
+    Conv { op: usize },
     /// Elementwise ReLU over the dirty region.
     Relu { x: usize, out: usize },
     /// Region-restricted max pool (op index into the plan).
@@ -180,18 +167,13 @@ impl DeltaWorkspace {
 
 /// Reusable scratch for the batched routes of
 /// [`DeltaPlan::scores_pixel_delta_batch_into`] and
-/// [`DeltaPlan::scores_pixel_delta_multi_into`]: for convolutions, the
-/// column matrix that concatenates every candidate's dirty columns, the
-/// GEMM output panel, the GEMM's B-panel packing buffer and the per-step
-/// work list; for fully connected layers, the output panel of one tile
-/// of candidates. One scratch serves any batch size; after it has grown
-/// to the largest group the batched path is allocation-free.
+/// [`DeltaPlan::scores_pixel_delta_multi_into`]: the output panel of one
+/// tile of candidates for fully connected layers. Convolutions need
+/// none: their kernel keeps its tiles on the stack and writes straight
+/// into each workspace. One scratch serves any batch size; after its
+/// first fully connected step the batched path is allocation-free.
 #[derive(Debug, Default)]
 pub struct DeltaBatchScratch {
-    cols: Vec<f32>,
-    gemm_out: Vec<f32>,
-    pack_buf: Vec<f32>,
-    work: Vec<(usize, Rect, Region)>,
     linear_out: Vec<f32>,
 }
 
@@ -215,13 +197,10 @@ pub struct DeltaPlan {
     num_bufs: usize,
     num_ops: usize,
     output_buf: usize,
-    /// Per-conv batched-route decisions (step order), from the tuner.
-    tuned: Vec<BatchRouteDecision>,
 }
 
 impl DeltaPlan {
-    /// Compiles the delta steps for `plan`, tuning each conv's batched
-    /// route threshold (per unique shape) unless tuning is off.
+    /// Compiles the delta steps for `plan`.
     pub fn compile(plan: &InferencePlan) -> Self {
         let buf_chw: Vec<Option<[usize; 3]>> = plan
             .buf_dims
@@ -232,50 +211,9 @@ impl DeltaPlan {
             })
             .collect();
         let mut steps = Vec::with_capacity(plan.ops.len());
-        let mut tuned = Vec::new();
-        let mut cache: Vec<((ops::Conv2dGeometry, usize), BatchRouteDecision)> = Vec::new();
         for (i, op) in plan.ops.iter().enumerate() {
             steps.push(match *op {
-                InferOp::Conv2d {
-                    ref weight,
-                    ref packed,
-                    ref bias,
-                    ref geom,
-                    out_c,
-                    ..
-                } => {
-                    let decision = match cache.iter().find(|((g, oc), _)| g == geom && *oc == out_c)
-                    {
-                        Some((_, d)) => d.clone(),
-                        None => {
-                            let k = geom.in_channels * geom.kernel_h * geom.kernel_w;
-                            let d = match tune::policy() {
-                                TunePolicy::Off => BatchRouteDecision::unmeasured(
-                                    out_c,
-                                    k,
-                                    geom.out_h() * geom.out_w(),
-                                ),
-                                TunePolicy::Measure => {
-                                    tune::tune_batch_route(weight, bias, packed, geom, out_c)
-                                }
-                            };
-                            cache.push(((*geom, out_c), d.clone()));
-                            d
-                        }
-                    };
-                    let (direct_small, direct_large, span_cut) = (
-                        decision.direct_small,
-                        decision.direct_large,
-                        decision.span_cut,
-                    );
-                    tuned.push(decision);
-                    Step::Conv {
-                        op: i,
-                        direct_small,
-                        direct_large,
-                        span_cut,
-                    }
-                }
+                InferOp::Conv2d { .. } => Step::Conv { op: i },
                 InferOp::Linear { .. } => Step::Linear { op: i },
                 InferOp::Relu { x, out } => Step::Relu { x, out },
                 InferOp::MaxPool { .. } => Step::Pool { op: i },
@@ -298,14 +236,7 @@ impl DeltaPlan {
             num_bufs: plan.buf_lens.len(),
             num_ops: plan.ops.len(),
             output_buf: plan.output_buf,
-            tuned,
         }
-    }
-
-    /// The tuner's per-conv batched-route decisions, in step order — one
-    /// entry per convolution. Empty for conv-free plans (the MLP).
-    pub fn tuner_report(&self) -> &[BatchRouteDecision] {
-        &self.tuned
     }
 
     /// Allocates a delta workspace seeded with `base`'s activations.
@@ -371,13 +302,12 @@ impl DeltaPlan {
     /// candidates, which is where the batched path's throughput win comes
     /// from:
     ///
-    /// * Convolution steps concatenate every candidate's dirty columns
-    ///   into one shared im2col matrix and run a single blocked GEMM
-    ///   against the layer's pre-packed kernel bank. Both the direct
-    ///   region kernel and the GEMM accumulate taps in the same
-    ///   `(ch, ky, kx)` order with the bias added last. The per-conv
-    ///   direct-vs-GEMM choice is the tuned decision from
-    ///   [`DeltaPlan::compile`].
+    /// * Convolution steps pass every dirty candidate's output rectangle
+    ///   to one [`gemm::conv2d_region_batch_into`] call. Its register
+    ///   lanes are output channels and its tiles of pixels span
+    ///   candidates, so each weight load feeds several candidates' pixels.
+    ///   Every pixel accumulates its in-bounds taps in the sequential
+    ///   region kernel's `(ch, ky, kx)` order, bias added last.
     /// * Fully connected steps pass up to 8 candidates' input rows to
     ///   one [`gemm::linear_nt_rows_into`] call, whose register tiles load
     ///   each weight once for several candidates. Every row keeps the
@@ -435,14 +365,13 @@ impl DeltaPlan {
     ///
     /// This is the cross-session packing entry point of the attack
     /// server's batch scheduler: candidates from different tenants
-    /// (different bases, same model) concatenate into the same shared
-    /// im2col + GEMM groups and fully connected row tiles as the
-    /// single-base batch. Candidate results are bit-identical to their
-    /// isolated sequential runs for any group composition, because each
-    /// candidate's dirty columns occupy their own slice of the GEMM's
-    /// column matrix, each candidate is its own row of the fully
-    /// connected kernel, and every kernel route accumulates in the same
-    /// order (the same argument as
+    /// (different bases, same model) share the same convolution pixel
+    /// tiles and fully connected row tiles as the single-base batch.
+    /// Candidate results are bit-identical to their isolated sequential
+    /// runs for any group composition, because each pixel of a conv
+    /// tile and each row of the fully connected kernel is computed on
+    /// its own, reading only its own candidate's input, in the same
+    /// order as the sequential route (the same argument as
     /// [`DeltaPlan::scores_pixel_delta_batch_into`], which this entry
     /// generalizes — that entry is exactly this one with all `bases[i]`
     /// equal).
@@ -504,18 +433,7 @@ impl DeltaPlan {
     ) {
         for &step in &self.steps {
             match step {
-                Step::Conv {
-                    op,
-                    direct_small,
-                    direct_large,
-                    span_cut,
-                } => self.run_conv_batch(
-                    plan,
-                    workspaces,
-                    op,
-                    (direct_small, direct_large, span_cut),
-                    scratch,
-                ),
+                Step::Conv { op } => self.run_conv_batch(plan, workspaces, op),
                 Step::Linear { op } => self.run_linear_batch(plan, workspaces, op, scratch),
                 _ => {
                     for ws in workspaces.iter_mut() {
@@ -530,135 +448,39 @@ impl DeltaPlan {
         }
     }
 
-    /// Runs one convolution step for every candidate in the batch through
-    /// a shared im2col + blocked-GEMM pipeline: each candidate's dirty
-    /// output columns are packed side by side into one `[k, n_total]`
-    /// matrix (candidates' rectangles are independent, so their columns
-    /// simply concatenate), multiplied against the op's pre-packed kernel
-    /// bank in a single [`gemm::matmul_packed_into`] call, and scattered
-    /// back (plus bias) into each workspace's output rectangle. Groups
-    /// are capped at [`MAX_GEMM_COLS`] columns to bound scratch memory,
-    /// and each group consults the conv's tuned regime winners
-    /// ([`BatchRouteDecision::use_direct`], keyed by the group's mean
-    /// per-candidate rect width) to run the per-candidate direct kernel
-    /// instead where it measured faster. Either kernel accumulates taps
-    /// in `(ch, ky, kx)` order with bias last, so the route chosen never
-    /// changes a single output bit.
-    fn run_conv_batch(
-        &self,
-        plan: &InferencePlan,
-        workspaces: &mut [DeltaWorkspace],
-        op: usize,
-        (direct_small, direct_large, span_cut): (bool, bool, usize),
-        scratch: &mut DeltaBatchScratch,
-    ) {
+    /// Runs one convolution step for every candidate in the batch
+    /// through one [`gemm::conv2d_region_batch_into`] call: each
+    /// candidate whose input is dirty contributes its dirty output
+    /// rectangle, the kernel's register tiles share every weight load
+    /// across pixels of any candidate, and results land straight in each
+    /// workspace. Every output cell is the sequential route's
+    /// [`ops::conv2d_region_into`] result bit for bit, so which
+    /// candidates share a call never changes an output bit.
+    fn run_conv_batch(&self, plan: &InferencePlan, workspaces: &mut [DeltaWorkspace], op: usize) {
         let InferOp::Conv2d {
             x,
             out,
-            ref weight,
-            ref packed,
-            ref bias,
+            ref lanes,
             ref geom,
-            out_c,
             ..
         } = plan.ops[op]
         else {
             unreachable!("Step::Conv points at a non-conv op");
         };
         let _op_timing = oppsla_obs::op_timer(oppsla_obs::OpKind::Conv);
-        let (oh, ow) = (geom.out_h(), geom.out_w());
-        let k = geom.in_channels * geom.kernel_h * geom.kernel_w;
-        let area = |r: &Rect| (r.y1 - r.y0) * (r.x1 - r.x0);
-        let DeltaBatchScratch {
-            cols,
-            gemm_out,
-            pack_buf,
-            work,
-            ..
-        } = scratch;
-
-        work.clear();
-        for (i, ws) in workspaces.iter().enumerate() {
+        let full = Rect::full(geom.out_h(), geom.out_w());
+        let jobs = workspaces.iter_mut().filter_map(|ws| {
             let region = conv_out_region(ws.dirty[x], geom);
             let rect = match region {
-                Region::Clean => continue,
-                Region::Full => Rect::full(oh, ow),
+                Region::Clean => return None,
+                Region::Full => full,
                 Region::Dirty(r) => r,
             };
-            work.push((i, rect, region));
-        }
-
-        let mut g0 = 0;
-        while g0 < work.len() {
-            let mut g1 = g0 + 1;
-            let mut total = area(&work[g0].1);
-            while g1 < work.len() && total + area(&work[g1].1) <= MAX_GEMM_COLS {
-                total += area(&work[g1].1);
-                g1 += 1;
-            }
-            let mean_span = work[g0..g1]
-                .iter()
-                .map(|(_, r, _)| r.x1 - r.x0)
-                .sum::<usize>()
-                / (g1 - g0);
-            let use_direct = if mean_span <= span_cut {
-                direct_small
-            } else {
-                direct_large
-            };
-            if use_direct {
-                for &(i, rect, _) in &work[g0..g1] {
-                    let (xb, ob) = buf_pair(&mut workspaces[i].bufs, x, out);
-                    ops::conv2d_region_into(xb, weight, bias, geom, out_c, rect, ob);
-                }
-            } else {
-                // Grow-only scratch: the gather overwrites every cell of
-                // its `[k, total]` window and the GEMM every output cell,
-                // so shrinking between differently-sized convs (and
-                // re-zero-filling on the next growth, a memset per conv
-                // per sweep) would buy nothing.
-                if cols.len() < k * total {
-                    cols.resize(k * total, 0.0);
-                }
-                if gemm_out.len() < out_c * total {
-                    gemm_out.resize(out_c * total, 0.0);
-                }
-                let (cols, gemm_out) = (&mut cols[..k * total], &mut gemm_out[..out_c * total]);
-                let mut col0 = 0;
-                for &(i, rect, _) in &work[g0..g1] {
-                    ops::im2col_region_into(&workspaces[i].bufs[x], geom, rect, col0, total, cols);
-                    col0 += area(&rect);
-                }
-                gemm::matmul_packed_into(packed, cols, total, pack_buf, gemm_out);
-                let mut col0 = 0;
-                for &(i, rect, _) in &work[g0..g1] {
-                    let ob = &mut workspaces[i].bufs[out];
-                    let rw = rect.x1 - rect.x0;
-                    let ra = area(&rect);
-                    for oc in 0..out_c {
-                        let g = &gemm_out[oc * total + col0..oc * total + col0 + ra];
-                        let b = bias[oc];
-                        let mut src = 0;
-                        for oy in rect.y0..rect.y1 {
-                            let obase = (oc * oh + oy) * ow;
-                            for (o, &v) in ob[obase + rect.x0..obase + rect.x1]
-                                .iter_mut()
-                                .zip(&g[src..src + rw])
-                            {
-                                *o = v + b;
-                            }
-                            src += rw;
-                        }
-                    }
-                    col0 += ra;
-                }
-            }
-            g0 = g1;
-        }
-
-        for &(i, _, region) in work.iter() {
-            self.mark(&mut workspaces[i], out, region);
-        }
+            self.mark(ws, out, region);
+            let (xb, ob) = buf_pair(&mut ws.bufs, x, out);
+            Some((xb, rect, ob))
+        });
+        gemm::conv2d_region_batch_into(lanes, geom, jobs);
     }
 
     /// Runs one fully connected step for every candidate whose input is
@@ -979,8 +801,6 @@ impl DeltaPlan {
     }
 }
 
-/// Appends the max-shift softmax of `logits` to `out`, mirroring
-/// `autograd::softmax_rows` (and [`InferencePlan::scores_into`]) exactly.
 /// Propagates a convolution input region to its output region: the
 /// dirty-region algebra's kernel-radius dilation step, with full-extent
 /// rectangles promoted to [`Region::Full`] (counted as a promotion).
@@ -1007,6 +827,8 @@ fn conv_out_region(dirty: Region, geom: &ops::Conv2dGeometry) -> Region {
     }
 }
 
+/// Appends the max-shift softmax of `logits` to `out`, mirroring
+/// `autograd::softmax_rows` (and [`InferencePlan::scores_into`]) exactly.
 fn softmax_append(logits: &[f32], out: &mut Vec<f32>) {
     let start = out.len();
     let m = logits.iter().copied().fold(f32::NEG_INFINITY, f32::max);
@@ -1148,10 +970,10 @@ mod tests {
         // The cross-session packing entry: candidates against two
         // different base images share one grouped call, and every
         // candidate must stay bit-identical to a single-base batched
-        // call against its own base — for a conv family (exercises the
-        // shared-GEMM route) and the MLP (fully connected row tiles are
-        // the whole plan), with interleaved bases (exercises the
-        // per-candidate base restore).
+        // call against its own base — for a conv family (conv pixel
+        // tiles span candidates of both bases) and the MLP (fully
+        // connected row tiles are the whole plan), with interleaved
+        // bases (exercises the per-candidate base restore).
         for arch in [Arch::VggSmall, Arch::Mlp] {
             check_multi_base(arch);
         }

@@ -41,7 +41,7 @@
 use crate::layers::Layer;
 use crate::models::{ConvNet, InputSpec};
 use crate::tune::{self, ConvRouteDecision, TunePolicy};
-use oppsla_tensor::gemm::{self, PackedA};
+use oppsla_tensor::gemm::{self, ConvLanes, PackedA};
 use oppsla_tensor::ops::{self, Conv2dGeometry, Rect};
 use oppsla_tensor::Tensor;
 use std::sync::Mutex;
@@ -71,8 +71,9 @@ pub(crate) enum InferOp {
     /// [`oppsla_tensor::ops::conv2d_region_into`] (`direct == true`,
     /// large feature maps, where the im2col scratch spills cache). The
     /// two are bit-identical — same per-element accumulation order, bias
-    /// last — so the choice never changes the scores, and the incremental
-    /// engine can always patch with the region kernel.
+    /// last — so the choice never changes the scores. The incremental
+    /// engine patches with the same arithmetic: the region kernel on its
+    /// sequential route, the channel-lane kernel on its batched one.
     Conv2d {
         x: usize,
         out: usize,
@@ -81,6 +82,10 @@ pub(crate) enum InferOp {
         /// [`PackedA`] row panels for the blocked GEMM (GEMM-path convs
         /// only; the direct kernel reads the row-major `weight`).
         packed: PackedA,
+        /// The kernel bank and bias transposed once at plan-compile time
+        /// to output-channel lanes for the batched delta route's
+        /// [`gemm::conv2d_region_batch_into`].
+        lanes: ConvLanes,
         bias: Vec<f32>,
         geom: Conv2dGeometry,
         out_c: usize,
@@ -280,6 +285,7 @@ impl InferencePlanner {
             x: self.buf(x),
             out: self.buf(out),
             packed,
+            lanes: ConvLanes::new(weight.data(), bias.data(), out_c, k),
             weight: weight.data().to_vec(),
             bias: bias.data().to_vec(),
             geom,
@@ -597,6 +603,7 @@ impl InferencePlan {
                     out_c,
                     cols_len,
                     direct,
+                    ..
                 } => {
                     let (xb, ob) = buf_pair(bufs, *x, *out);
                     if *direct {

@@ -1,15 +1,16 @@
 //! Arch-adaptive kernel-route tuning for compiled plans.
 //!
 //! The inference planner has two bit-identical routes for every
-//! convolution — the fused direct kernel
+//! convolution of a full forward — the fused direct kernel
 //! ([`oppsla_tensor::ops::conv2d_region_into`]) and the im2col + packed
-//! GEMM pipeline — and the batched delta engine additionally chooses per
-//! group between a per-candidate direct kernel and one shared GEMM. Which
-//! route is faster depends on the layer shape, the cache hierarchy, and
-//! the SIMD level the GEMM dispatches to, so a hand-coded threshold tuned
-//! on one machine (the old `DIRECT_CONV_MIN_PIXELS` / `MIN_GEMM_COLS`
-//! constants) silently mis-routes on another — the committed
-//! densenet-small `engine_speedup` 0.968 regression was exactly that.
+//! GEMM pipeline. Which route is faster depends on the layer shape, the
+//! cache hierarchy, and the SIMD level the GEMM dispatches to, so a
+//! hand-coded threshold tuned on one machine (the old
+//! `DIRECT_CONV_MIN_PIXELS` constant) silently mis-routes on another —
+//! the committed densenet-small `engine_speedup` 0.968 regression was
+//! exactly that. The delta engine needs no tuning: its sequential route
+//! always runs the region kernel and its batched route always runs the
+//! channel-lane kernel ([`oppsla_tensor::gemm::conv2d_region_batch_into`]).
 //!
 //! This module measures instead: at plan-compile time each unique
 //! `(geometry, out_c)` conv shape runs both routes on a deterministic
@@ -18,12 +19,12 @@
 //! a score — only wall-clock time — so attack stdout stays byte-identical
 //! whatever the tuner decides. `OPPSLA_TUNE=off` (or
 //! [`set_policy`]`(TunePolicy::Off)`, the `--tune off` CLI flag) pins the
-//! static thresholds instead, making plan construction itself
+//! static threshold instead, making plan construction itself
 //! deterministic for A/B timing comparisons.
 //!
-//! Decisions are recorded in the plan ([`crate::infer::InferencePlan::
-//! tuner_report`], [`crate::delta::DeltaPlan::tuner_report`]) so bench
-//! reports can attribute regressions to dispatch vs kernel.
+//! Decisions are recorded in the plan
+//! ([`crate::infer::InferencePlan::tuner_report`]) so bench reports can
+//! attribute regressions to dispatch vs kernel.
 
 use oppsla_tensor::gemm::{self, PackedA};
 use oppsla_tensor::ops::{self, Conv2dGeometry, Rect};
@@ -36,7 +37,7 @@ pub enum TunePolicy {
     /// Measure both routes per unique conv shape and take the faster
     /// (the default).
     Measure,
-    /// Pin the static hand-tuned thresholds; no timing at compile.
+    /// Pin the static hand-tuned threshold; no timing at compile.
     Off,
 }
 
@@ -44,7 +45,7 @@ pub enum TunePolicy {
 static POLICY: AtomicU8 = AtomicU8::new(0);
 
 /// Resolves `OPPSLA_TUNE`: `off` or `0` (case-insensitive) pin the
-/// static thresholds; unset, empty, `on`, `1` and `measure` keep the
+/// static threshold; unset, empty, `on`, `1` and `measure` keep the
 /// measuring default. Any other value also keeps the default but returns
 /// a warning — in a daemon a typo like `OPPSLA_TUNE=of` should be
 /// visible once on stderr, not silently interpreted as "measure". Split
@@ -149,107 +150,6 @@ impl ConvRouteDecision {
     }
 }
 
-/// The tuner's verdict for one convolution on the batched delta path.
-///
-/// The two routes cross over in *both* directions depending on the
-/// kernel shape: tiny dirty rects have sub-register spans (the direct
-/// kernel degrades to its latency-bound scalar core, so the GEMM's
-/// fixed costs can still win), while wide interior rects let the direct
-/// kernel run full-width SIMD with no im2col gather at all (so it beats
-/// the GEMM that wins small rects). A single "GEMM above N columns"
-/// threshold cannot express the second regime, so the decision stores
-/// the measured winner at each probe size and [`Self::use_direct`]
-/// consults whichever probe is nearer the group's rect size.
-#[derive(Debug, Clone)]
-pub struct BatchRouteDecision {
-    /// Output channels of the conv.
-    pub out_c: usize,
-    /// Reduction depth `in_c · kh · kw`.
-    pub k: usize,
-    /// Output pixels of the full conv (upper bound on a group's columns).
-    pub out_pixels: usize,
-    /// Direct won the ~[`SMALL_PROBE_COLS`]-column probe.
-    pub direct_small: bool,
-    /// Direct won the ~[`LARGE_PROBE_COLS`]-column probe.
-    pub direct_large: bool,
-    /// Rect-width watershed between the regimes: groups whose mean rect
-    /// width is at most this consult the small-probe winner. The
-    /// geometric mean of the two probe rects' widths, so each group
-    /// follows the probe nearer (ratio-wise) its own span — span is the
-    /// regime key because it sets the vector width the direct kernel
-    /// can run at, which dominates its per-column cost.
-    pub span_cut: usize,
-    /// Whether the probes were timed (`false` under [`TunePolicy::Off`]).
-    pub measured: bool,
-    /// Direct-route nanoseconds at the ~[`SMALL_PROBE_COLS`]-column probe.
-    pub small_direct_ns: u64,
-    /// GEMM-route nanoseconds at the small probe.
-    pub small_gemm_ns: u64,
-    /// Direct-route nanoseconds at the ~[`LARGE_PROBE_COLS`]-column probe.
-    pub large_direct_ns: u64,
-    /// GEMM-route nanoseconds at the large probe.
-    pub large_gemm_ns: u64,
-}
-
-impl BatchRouteDecision {
-    /// A static (unmeasured) decision under [`TunePolicy::Off`]: the old
-    /// hand-tuned behavior — direct below the static size threshold,
-    /// GEMM above it.
-    pub(crate) fn unmeasured(out_c: usize, k: usize, out_pixels: usize) -> Self {
-        BatchRouteDecision {
-            out_c,
-            k,
-            out_pixels,
-            direct_small: true,
-            direct_large: false,
-            span_cut: 5,
-            measured: false,
-            small_direct_ns: 0,
-            small_gemm_ns: 0,
-            large_direct_ns: 0,
-            large_gemm_ns: 0,
-        }
-    }
-
-    /// Whether a group whose mean per-candidate rectangle is
-    /// `mean_span` cells wide should run the per-candidate direct
-    /// kernel (`true`) or the shared im2col + GEMM (`false`): the
-    /// winner measured at the probe with the nearer span extrapolates,
-    /// because per-column cost tracks span (the direct kernel's vector
-    /// width), not area.
-    pub fn use_direct(&self, mean_span: usize) -> bool {
-        if mean_span <= self.span_cut {
-            self.direct_small
-        } else {
-            self.direct_large
-        }
-    }
-
-    /// Short route label for bench reports: `direct` / `gemm` when one
-    /// route owns both regimes, `d-small` / `d-large` when they split.
-    pub fn route(&self) -> String {
-        match (self.direct_small, self.direct_large) {
-            (true, true) => "direct",
-            (false, false) => "gemm",
-            (true, false) => "d-small",
-            (false, true) => "d-large",
-        }
-        .to_owned()
-    }
-}
-
-/// Per-candidate column count of the small delta probe (a near-minimal
-/// dirty rect).
-const SMALL_PROBE_COLS: usize = 8;
-/// Per-candidate column count of the large delta probe (a deep-layer
-/// dirty rect).
-const LARGE_PROBE_COLS: usize = 256;
-/// Candidates per probe group — the batched path concatenates a group's
-/// columns into one GEMM, which amortizes its fixed and packing costs
-/// across candidates (the direct route gets no such amortization), so a
-/// single-candidate probe would systematically overstate the GEMM's
-/// per-column cost. Matches the typical attack batch width.
-const PROBE_GROUP: usize = 8;
 /// Timed repetitions per route; the minimum is taken. A warmup run
 /// precedes timing so neither route pays first-touch page faults.
 const TRIALS: usize = 2;
@@ -324,120 +224,6 @@ pub(crate) fn tune_conv_route(
     }
 }
 
-/// A probe rectangle of roughly `cols` output cells, clamped to the
-/// conv's output extent and centered in it. Centering matters: a pixel
-/// delta's dirty rectangle grows around an interior pixel, so the
-/// typical rect is interior-dominated — an origin-anchored probe would
-/// charge the direct route for edge clamping it rarely pays in practice.
-fn probe_rect(oh: usize, ow: usize, cols: usize) -> Rect {
-    let side = (cols as f64).sqrt().round() as usize;
-    let sh = side.clamp(1, oh);
-    let sw = side.clamp(1, ow);
-    let y0 = (oh - sh) / 2;
-    let x0 = (ow - sw) / 2;
-    Rect {
-        y0,
-        y1: y0 + sh,
-        x0,
-        x1: x0 + sw,
-    }
-}
-
-/// Probes the batched delta conv's two routes (per-candidate direct
-/// kernel vs shared im2col + GEMM + scatter) at a small and a large dirty
-/// rectangle and records the winner of each, so
-/// [`BatchRouteDecision::use_direct`] can route every group by the probe
-/// nearer its own rect size.
-pub(crate) fn tune_batch_route(
-    weight: &[f32],
-    bias: &[f32],
-    packed: &PackedA,
-    geom: &Conv2dGeometry,
-    out_c: usize,
-) -> BatchRouteDecision {
-    let (oh, ow) = (geom.out_h(), geom.out_w());
-    let k = geom.in_channels * geom.kernel_h * geom.kernel_w;
-    // One input buffer per group member: the real batched path reads a
-    // distinct workspace per candidate, so a single shared (and thus
-    // cache-resident) buffer would flatter whichever route re-reads its
-    // input more — the direct kernel touches every cell `kh·kw` times.
-    let inputs: Vec<Vec<f32>> = (0..PROBE_GROUP)
-        .map(|i| probe_input(geom.in_channels * geom.in_h * geom.in_w, 0x50b3 + i as u32))
-        .collect();
-    let mut out = vec![0.0f32; out_c * oh * ow];
-    let mut cols = Vec::new();
-    let mut gemm_out = Vec::new();
-    let mut pack_buf = Vec::new();
-
-    // Both routes run a whole [`PROBE_GROUP`]-candidate group per trial:
-    // the direct kernel once per candidate, the GEMM once over the
-    // group's concatenated columns — exactly the shapes
-    // `run_conv_batch` hands each route.
-    let mut probe = |target: usize| -> (u64, u64) {
-        let rect = probe_rect(oh, ow, target);
-        let n = (rect.y1 - rect.y0) * (rect.x1 - rect.x0);
-        let total = n * PROBE_GROUP;
-        let direct_ns = best_ns(|| {
-            for input in &inputs {
-                ops::conv2d_region_into(input, weight, bias, geom, out_c, rect, &mut out);
-            }
-        });
-        cols.resize(k * total, 0.0);
-        gemm_out.resize(out_c * total, 0.0);
-        let rw = rect.x1 - rect.x0;
-        let gemm_ns = best_ns(|| {
-            for (cand, input) in inputs.iter().enumerate() {
-                ops::im2col_region_into(input, geom, rect, cand * n, total, &mut cols);
-            }
-            gemm::matmul_packed_into(packed, &cols, total, &mut pack_buf, &mut gemm_out);
-            // Scatter + bias, mirroring the batched path's write-back.
-            for cand in 0..PROBE_GROUP {
-                for oc in 0..out_c {
-                    let g = &gemm_out[oc * total + cand * n..oc * total + (cand + 1) * n];
-                    let b = bias[oc];
-                    let mut src = 0;
-                    for oy in rect.y0..rect.y1 {
-                        let obase = (oc * oh + oy) * ow;
-                        for (o, &v) in out[obase + rect.x0..obase + rect.x1]
-                            .iter_mut()
-                            .zip(&g[src..src + rw])
-                        {
-                            *o = v + b;
-                        }
-                        src += rw;
-                    }
-                }
-            }
-        });
-        (direct_ns, gemm_ns)
-    };
-
-    let (small_direct_ns, small_gemm_ns) = probe(SMALL_PROBE_COLS);
-    let (large_direct_ns, large_gemm_ns) = probe(LARGE_PROBE_COLS);
-    let small_span = {
-        let r = probe_rect(oh, ow, SMALL_PROBE_COLS);
-        r.x1 - r.x0
-    };
-    let large_span = {
-        let r = probe_rect(oh, ow, LARGE_PROBE_COLS);
-        r.x1 - r.x0
-    };
-
-    BatchRouteDecision {
-        out_c,
-        k,
-        out_pixels: oh * ow,
-        direct_small: small_direct_ns < small_gemm_ns,
-        direct_large: large_direct_ns < large_gemm_ns,
-        span_cut: ((small_span * large_span) as f64).sqrt().round() as usize,
-        measured: true,
-        small_direct_ns,
-        small_gemm_ns,
-        large_direct_ns,
-        large_gemm_ns,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -465,21 +251,5 @@ mod tests {
             assert!(!off, "{value:?} keeps the default");
             assert!(warning.is_some(), "{value:?} must warn");
         }
-    }
-
-    #[test]
-    fn probe_rects_clamp_to_the_output() {
-        let r = probe_rect(2, 3, 256);
-        assert_eq!((r.y0, r.y1, r.x0, r.x1), (0, 2, 0, 3));
-        let r = probe_rect(32, 32, 8);
-        assert!((r.y1 - r.y0) * (r.x1 - r.x0) >= 4);
-    }
-
-    #[test]
-    fn probe_rects_are_centered() {
-        // 16x16 probe in a 30x30 output sits 7 cells from every edge —
-        // interior-dominated, like a real deep-layer dirty rect.
-        let r = probe_rect(30, 30, 256);
-        assert_eq!((r.y0, r.y1, r.x0, r.x1), (7, 23, 7, 23));
     }
 }

@@ -1,7 +1,7 @@
 //! The batched pixel-delta pass's determinism contract: it produces
 //! **bit-identical** scores to the sequential delta path, per candidate,
-//! across every architecture family (exercising the GEMM conv path, the
-//! direct conv path at 64x64, residual adds, concats, and the MLP's flat
+//! across every architecture family (exercising the channel-lane conv
+//! kernel at 32x32 and 64x64, residual adds, concats, and the MLP's flat
 //! fallback).
 
 use oppsla_nn::delta::{BaseActivations, DeltaBatchScratch};

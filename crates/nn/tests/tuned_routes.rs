@@ -1,7 +1,8 @@
 //! The arch-adaptive dispatcher's correctness contract: whatever routes
-//! the tuner picks, scores are bit-identical to the statically routed
-//! plan — tuning moves wall-clock time, never a single output bit — and
-//! every compiled plan carries an attributable route report.
+//! the tuner picks for full forwards, full, incremental and batched
+//! scores are bit-identical to the statically routed plan — tuning moves
+//! wall-clock time, never a single output bit — and every compiled plan
+//! carries an attributable route report.
 
 use oppsla_nn::delta::{BaseActivations, DeltaBatchScratch, DeltaPlan};
 use oppsla_nn::infer::InferencePlan;
@@ -120,38 +121,19 @@ fn tuned_and_static_routes_are_bit_identical() {
 fn tuner_reports_cover_every_conv() {
     let mut rng = ChaCha8Rng::seed_from_u64(7);
     let net = ConvNet::build(Arch::GoogLeNetSmall, InputSpec::RGB32, 5, &mut rng);
-    let (plan, delta) = {
+    let plan = {
         let _guard = POLICY_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         set_policy(TunePolicy::Measure);
-        let plan = InferencePlan::compile(&net);
-        let delta = DeltaPlan::compile(&plan);
-        (plan, delta)
+        InferencePlan::compile(&net)
     };
 
     let convs = plan.tuner_report().len();
     assert!(convs > 0, "GoogLeNet plan should contain convolutions");
-    assert_eq!(delta.tuner_report().len(), convs);
     for d in plan.tuner_report() {
         assert!(d.measured, "Measure policy must time every conv route");
         assert!(d.direct_ns > 0 && d.gemm_ns > 0);
         assert_eq!(d.direct, d.direct_ns <= d.gemm_ns);
         assert!(matches!(d.route(), "direct" | "gemm"));
-    }
-    for d in delta.tuner_report() {
-        assert!(d.measured);
-        assert!(d.small_direct_ns > 0 && d.small_gemm_ns > 0);
-        assert!(d.large_direct_ns > 0 && d.large_gemm_ns > 0);
-        assert_eq!(d.direct_small, d.small_direct_ns < d.small_gemm_ns);
-        assert_eq!(d.direct_large, d.large_direct_ns < d.large_gemm_ns);
-        assert!(
-            ["direct", "gemm", "d-small", "d-large"].contains(&d.route().as_str()),
-            "unexpected route label {}",
-            d.route()
-        );
-        // The selector consults the small-probe winner below the regime
-        // cut and the large-probe winner above it.
-        assert_eq!(d.use_direct(1), d.direct_small);
-        assert_eq!(d.use_direct(4096), d.direct_large);
     }
 }
 
@@ -159,26 +141,18 @@ fn tuner_reports_cover_every_conv() {
 fn off_policy_pins_the_static_thresholds() {
     let mut rng = ChaCha8Rng::seed_from_u64(9);
     let net = ConvNet::build(Arch::VggSmall, InputSpec::RGB32, 4, &mut rng);
-    let (plan, delta) = {
+    let plan = {
         let _guard = POLICY_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         set_policy(TunePolicy::Off);
         let plan = InferencePlan::compile(&net);
-        let delta = DeltaPlan::compile(&plan);
         set_policy(TunePolicy::Measure);
-        (plan, delta)
+        plan
     };
     for d in plan.tuner_report() {
         assert!(!d.measured);
         assert_eq!((d.direct_ns, d.gemm_ns), (0, 0));
         // The static heuristic: direct only at >= 4096 output pixels.
         assert_eq!(d.direct, d.out_pixels >= 4096);
-    }
-    for d in delta.tuner_report() {
-        assert!(!d.measured);
-        // The static fallback mirrors the old hand-tuned threshold:
-        // direct for small groups, GEMM for large ones.
-        assert!(d.direct_small && !d.direct_large);
-        assert_eq!(d.route(), "d-small");
     }
     set_policy(TunePolicy::Measure);
 }

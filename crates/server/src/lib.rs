@@ -5,7 +5,7 @@
 //! * [`zoo`] — lazily trained, concurrently shared model shards.
 //! * [`scheduler`] — the cross-session batch scheduler: all tenants'
 //!   candidate queries flow through one shared queue and are packed into
-//!   multi-base grouped GEMM calls, bit-identical per tenant to an
+//!   multi-base grouped delta calls, bit-identical per tenant to an
 //!   isolated sequential session.
 //! * [`metrics`] — the live metrics plane: lock-light registry handles
 //!   the hot paths bump, the slow-request log, and the snapshot the

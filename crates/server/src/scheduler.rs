@@ -5,8 +5,8 @@
 //! submissions against the same model shard, and dispatch them as one
 //! multi-base grouped call
 //! ([`OwnedZooSession::scores_pixel_delta_grouped_into`]): candidates
-//! from different tenants — even attacking different images — share one
-//! im2col + GEMM pass. The grouped entry point is bit-identical per
+//! from different tenants — even attacking different images — share the
+//! batched route's conv and fully connected kernel tiles. The grouped entry point is bit-identical per
 //! candidate to an isolated sequential query by construction, so packing
 //! changes *throughput only*: per-tenant scores, query counts, and query
 //! logs are exactly those of a private session (the scheduler

@@ -60,6 +60,7 @@
 //! which only large GEMMs amortize, so small products always run serially
 //! on the caller's thread.
 
+use crate::ops::{Conv2dGeometry, Rect};
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 
 /// Micro-kernel row count: each micro-tile covers `MR` rows of `A`.
@@ -1522,6 +1523,494 @@ conv_core_kernel!(
 );
 conv_core_kernel!(
     conv_core_neon,
+    "aarch64",
+    "neon",
+    4,
+    vdupq_n_f32,
+    vld1q_f32,
+    vst1q_f32,
+    vdupq_n_f32(0.0),
+    vmulq_f32,
+    vaddq_f32
+);
+
+/// Output-channel lanes the region-conv weights are padded to: the
+/// widest register of any level (AVX-512F), so every level reads one
+/// layout and no register load runs past a tap's row.
+const CONV_LANES: usize = 16;
+
+/// Most pixels in one region-conv register tile: each weight register
+/// loaded per tap feeds up to this many pixels' accumulators.
+const REGION_PX: usize = 8;
+
+/// A convolution's kernel bank and bias transposed to output-channel
+/// lanes for [`conv2d_region_batch_into`]: the weights tap-major as
+/// `[k][width]`, so one tap's weights for every output channel form one
+/// contiguous row, and the bias as one `[width]` row. `width` is `out_c`
+/// rounded up to a multiple of 16, the widest register of any level, so
+/// every level reads one layout; padding lanes are zero.
+/// Build it once per plan, like [`PackedA`].
+#[derive(Debug, Clone)]
+pub struct ConvLanes {
+    out_c: usize,
+    k: usize,
+    width: usize,
+    weight: Vec<f32>,
+    bias: Vec<f32>,
+}
+
+impl ConvLanes {
+    /// Transposes the row-major `[out_c, k]` kernel bank `weight` (each
+    /// row in `(ch, ky, kx)` tap order) and its `[out_c]` bias.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a slice length disagrees with `out_c`/`k`.
+    pub fn new(weight: &[f32], bias: &[f32], out_c: usize, k: usize) -> Self {
+        assert_eq!(weight.len(), out_c * k, "ConvLanes weight length");
+        assert_eq!(bias.len(), out_c, "ConvLanes bias length");
+        let width = out_c.div_ceil(CONV_LANES) * CONV_LANES;
+        let mut lanes = vec![0.0f32; k * width];
+        for (oc, row) in weight.chunks_exact(k.max(1)).enumerate() {
+            for (tap, &v) in row.iter().enumerate() {
+                lanes[tap * width + oc] = v;
+            }
+        }
+        let mut padded = vec![0.0f32; width];
+        padded[..out_c].copy_from_slice(bias);
+        ConvLanes {
+            out_c,
+            k,
+            width,
+            weight: lanes,
+            bias: padded,
+        }
+    }
+}
+
+/// The constants of one [`conv2d_region_batch_into`] call that every
+/// tile shares. The pointers borrow the call's [`ConvLanes`].
+struct RegionCtx {
+    c: usize,
+    h: usize,
+    w: usize,
+    kh: usize,
+    kw: usize,
+    /// `oh·ow`: the distance between two output channels of one pixel.
+    plane: usize,
+    out_c: usize,
+    width: usize,
+    /// Vector registers per channel block (SIMD levels only).
+    regs: usize,
+    weight: *const f32,
+    bias: *const f32,
+}
+
+/// Up to [`REGION_PX`] output pixels that share one tap window
+/// `win = [ky0, ky1, kx0, kx1]`: the taps whose input cell is in bounds
+/// for every one of them. `src[i]` points at pixel `i`'s input cell for
+/// tap `(0, ky0, kx0)`, `dst[i]` at its output cell in channel 0.
+struct RegionTile {
+    n: usize,
+    win: [usize; 4],
+    src: [*const f32; REGION_PX],
+    dst: [*mut f32; REGION_PX],
+}
+
+/// One level's region-conv tile kernel.
+type TileFn = unsafe fn(&RegionTile, &RegionCtx);
+
+impl RegionTile {
+    /// Adds a pixel of this tile's window, and runs the tile once it
+    /// holds `cap` pixels.
+    ///
+    /// # Safety
+    ///
+    /// `run` must be executable on this host, and the tile's pointers,
+    /// `src` and `dst` included, valid for `cx` as for
+    /// [`region_tile_scalar`].
+    #[inline]
+    unsafe fn push(
+        &mut self,
+        src: *const f32,
+        dst: *mut f32,
+        cap: usize,
+        run: TileFn,
+        cx: &RegionCtx,
+    ) {
+        self.src[self.n] = src;
+        self.dst[self.n] = dst;
+        self.n += 1;
+        if self.n == cap {
+            run(self, cx);
+            self.n = 0;
+        }
+    }
+}
+
+/// The taps `t < k` whose input coordinate `o·s + t − p` lies in
+/// `[0, n)`: output coordinate `o`'s in-bounds tap range along one axis.
+/// These are exactly the taps [`crate::ops::conv2d_region_into`] does
+/// not skip.
+fn tap_window(o: usize, s: usize, p: usize, k: usize, n: usize) -> (usize, usize) {
+    let lo = p.saturating_sub(o * s).min(k);
+    let hi = (n + p).saturating_sub(o * s).min(k);
+    (lo, hi.max(lo))
+}
+
+/// Batched region convolution: for every job `(image, rect, out)`,
+/// recomputes `out[oc, oy, ox]` for each `(oy, ox)` in `rect` from the
+/// `[c, h, w]` `image` and leaves every other output cell untouched —
+/// bit for bit what [`crate::ops::conv2d_region_into`] writes with the
+/// `[out_c, k]` weights and bias `lanes` was built from. The delta
+/// engine passes one job per dirty candidate.
+///
+/// The lanes of each register are output channels. Pixels go in tiles
+/// of up to eight, sized to the register file, that carry over from one
+/// job to the next, so a tile spans candidates where a rectangle runs
+/// short; per tap the tile loads its weight registers once for all its
+/// pixels. Each pixel's accumulators start from `0.0`, take every
+/// in-bounds tap in `(ch, ky, kx)` order as a separate multiply then add
+/// (never FMA), then the bias, so each lane is the scalar recurrence and
+/// the tile a pixel lands in never changes a bit. Pixels whose window is
+/// clipped by the padding skip the out-of-bounds taps, as the scalar
+/// kernel does; they share a tile only with pixels of the same window.
+/// Padding lanes are never stored.
+///
+/// # Panics
+///
+/// Panics if `lanes` disagrees with `geom`, a job's slice length
+/// disagrees with `geom`, or a rectangle exceeds the output extents.
+pub fn conv2d_region_batch_into<'a>(
+    lanes: &ConvLanes,
+    geom: &Conv2dGeometry,
+    jobs: impl IntoIterator<Item = (&'a [f32], Rect, &'a mut [f32])>,
+) {
+    conv2d_region_batch_into_with(active_level(), lanes, geom, jobs);
+}
+
+/// [`conv2d_region_batch_into`] with the kernel level given explicitly
+/// (SIMD-vs-scalar equivalence tests). A level the host cannot execute
+/// runs the scalar kernel; every level is bit-identical.
+///
+/// # Panics
+///
+/// As for [`conv2d_region_batch_into`].
+pub fn conv2d_region_batch_into_with<'a>(
+    level: SimdLevel,
+    lanes: &ConvLanes,
+    geom: &Conv2dGeometry,
+    jobs: impl IntoIterator<Item = (&'a [f32], Rect, &'a mut [f32])>,
+) {
+    let (c, h, w) = (geom.in_channels, geom.in_h, geom.in_w);
+    let (kh, kw, s, p) = (geom.kernel_h, geom.kernel_w, geom.stride, geom.padding);
+    assert_eq!(
+        lanes.k,
+        c * kh * kw,
+        "conv2d_region_batch_into weights disagree with the geometry"
+    );
+    // An empty kernel would make every window look unclipped.
+    assert!(kh > 0 && kw > 0, "conv2d_region_batch_into empty kernel");
+    let (oh, ow) = (geom.out_h(), geom.out_w());
+    // The level's tile kernel, its f32 lanes per register and the vector
+    // registers it has for a tile's accumulators.
+    let (tile_fn, lane_w, vregs): (TileFn, usize, usize) = match level {
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Sse2 => (region_tile_sse2, 4, 16),
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2 if std::arch::is_x86_feature_detected!("avx2") => (region_tile_avx2, 8, 16),
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx512 if std::arch::is_x86_feature_detected!("avx512f") => {
+            (region_tile_avx512, 16, 32)
+        }
+        #[cfg(target_arch = "aarch64")]
+        SimdLevel::Neon => (region_tile_neon, 4, 32),
+        _ => (region_tile_scalar, 1, 0),
+    };
+    // Channel registers go in the fewest even blocks of at most three
+    // (sixteen-register files) or four; a block's pixel count is what the
+    // register file holds beside its weights, a broadcast and a product.
+    let total = lanes.out_c.div_ceil(lane_w).max(1);
+    let regs = total.div_ceil(total.div_ceil(if vregs >= 32 { 4 } else { 3 }));
+    let cap = if vregs == 0 {
+        REGION_PX
+    } else {
+        ((vregs - 2 - regs) / regs).min(REGION_PX)
+    };
+    let cx = RegionCtx {
+        c,
+        h,
+        w,
+        kh,
+        kw,
+        plane: oh * ow,
+        out_c: lanes.out_c,
+        width: lanes.width,
+        regs,
+        weight: lanes.weight.as_ptr(),
+        bias: lanes.bias.as_ptr(),
+    };
+    let full = [0, kh, 0, kw];
+    let empty = || RegionTile {
+        n: 0,
+        win: full,
+        src: [std::ptr::null(); REGION_PX],
+        dst: [std::ptr::null_mut(); REGION_PX],
+    };
+    // Unclipped pixels from any row or job share one tile; clipped ones
+    // collect in a second tile until the window changes.
+    let (mut inner, mut edge) = (empty(), empty());
+    // The columns whose taps are all in bounds (`ox·s ≥ p` and
+    // `ox·s + kw ≤ w + p`), the same for every row and job.
+    let x_lo = p.div_ceil(s);
+    let x_hi = (w + p).checked_sub(kw).map_or(0, |span| span / s + 1);
+    for (image, rect, out) in jobs {
+        assert_eq!(
+            image.len(),
+            c * h * w,
+            "conv2d_region_batch_into image length"
+        );
+        assert_eq!(
+            out.len(),
+            lanes.out_c * oh * ow,
+            "conv2d_region_batch_into out length"
+        );
+        assert!(
+            rect.y1 <= oh && rect.x1 <= ow,
+            "rect {rect:?} exceeds output extents {oh}x{ow}"
+        );
+        let (src, dst) = (image.as_ptr(), out.as_mut_ptr());
+        for oy in rect.y0..rect.y1 {
+            let (ky0, ky1) = tap_window(oy, s, p, kh, h);
+            // This row's unclipped columns, empty when the row's taps are
+            // clipped; every other column is an edge pixel.
+            let (lo, hi) = if (ky0, ky1) == (0, kh) {
+                let lo = x_lo.clamp(rect.x0, rect.x1);
+                (lo, x_hi.clamp(lo, rect.x1))
+            } else {
+                (rect.x1, rect.x1)
+            };
+            for ox in (rect.x0..lo).chain(hi..rect.x1) {
+                let (kx0, kx1) = tap_window(ox, s, p, kw, w);
+                let win = [ky0, ky1, kx0, kx1];
+                if edge.n > 0 && edge.win != win {
+                    // SAFETY: every pointer in a tile addresses a job
+                    // whose borrows last for `'a`, and the cells its
+                    // window reads or its channels write are in bounds
+                    // (lengths asserted above).
+                    unsafe { tile_fn(&edge, &cx) };
+                    edge.n = 0;
+                }
+                edge.win = win;
+                // An empty window reads nothing, so any address will do.
+                let first = if ky0 < ky1 && kx0 < kx1 {
+                    (oy * s + ky0 - p) * w + ox * s + kx0 - p
+                } else {
+                    0
+                };
+                // SAFETY: `first` is the in-bounds cell of tap
+                // `(0, ky0, kx0)`, `oy·ow + ox < oh·ow`, and the tile's
+                // pointers are valid as for the flush above.
+                unsafe { edge.push(src.add(first), dst.add(oy * ow + ox), cap, tile_fn, &cx) };
+            }
+            if lo < hi {
+                let row = (oy * s - p) * w;
+                for ox in lo..hi {
+                    // SAFETY: as for the edge pixels, with the first tap
+                    // `(0, 0, 0)` in bounds.
+                    unsafe {
+                        inner.push(
+                            src.add(row + ox * s - p),
+                            dst.add(oy * ow + ox),
+                            cap,
+                            tile_fn,
+                            &cx,
+                        )
+                    };
+                }
+            }
+        }
+    }
+    for tile in [&inner, &edge] {
+        if tile.n > 0 {
+            // SAFETY: as for the edge flush above.
+            unsafe { tile_fn(tile, &cx) };
+        }
+    }
+}
+
+/// Reference region-conv tile: per pixel and output channel, one
+/// accumulator from `0.0` over the window's taps in `(ch, ky, kx)` order,
+/// then the bias — the recurrence of `ops::conv2d_region_into`.
+///
+/// # Safety
+///
+/// `t`'s pointers must be valid for `cx`: each `src` for every tap of
+/// the window in each of `cx.c` channels, each `dst` for `cx.out_c`
+/// channels `cx.plane` apart.
+unsafe fn region_tile_scalar(t: &RegionTile, cx: &RegionCtx) {
+    let [ky0, ky1, kx0, kx1] = t.win;
+    for (&src, &dst) in t.src[..t.n].iter().zip(&t.dst[..t.n]) {
+        for oc in 0..cx.out_c {
+            let mut acc = 0.0f32;
+            for ch in 0..cx.c {
+                for ky in ky0..ky1 {
+                    let row = src.add((ch * cx.h + ky - ky0) * cx.w);
+                    let taps = cx.weight.add((ch * cx.kh + ky) * cx.kw * cx.width + oc);
+                    for kx in kx0..kx1 {
+                        acc += *taps.add(kx * cx.width) * *row.add(kx - kx0);
+                    }
+                }
+            }
+            *dst.add(oc * cx.plane) = acc + *cx.bias.add(oc);
+        }
+    }
+}
+
+/// Generates one `region_tile_*` SIMD kernel. The tile's channel
+/// registers run in blocks of `RegionCtx::regs`; within a block every
+/// tap of the window loads its weight registers once and multiplies each
+/// into every pixel's accumulator with an explicit mul-then-add, from
+/// `0.0` in `(ch, ky, kx)` order, so each lane is bit-identical to
+/// [`region_tile_scalar`]. The bias is added last, and each pixel's
+/// registers go through a stack row from which only the real channels
+/// are stored.
+macro_rules! region_kernel {
+    ($name:ident, $arch:literal, $feature:literal, $lanes:expr, $set1:ident, $load:ident, $store:ident, $zero:expr, $mul:ident, $add:ident) => {
+        /// # Safety
+        ///
+        /// The level's target feature must be available, and `t`'s
+        /// pointers valid for `cx` as for [`region_tile_scalar`].
+        #[cfg(target_arch = $arch)]
+        #[target_feature(enable = $feature)]
+        unsafe fn $name(t: &RegionTile, cx: &RegionCtx) {
+            const L: usize = $lanes;
+
+            /// The tile's `N` pixels × `C` channel registers from
+            /// register `r0` on.
+            ///
+            /// # Safety
+            ///
+            /// As for the kernel, with `t.n == N` and `r0 + C` registers
+            /// within the padded width.
+            #[target_feature(enable = $feature)]
+            #[inline]
+            unsafe fn block<const N: usize, const C: usize>(
+                t: &RegionTile,
+                cx: &RegionCtx,
+                r0: usize,
+            ) {
+                let [ky0, ky1, kx0, kx1] = t.win;
+                let mut acc = [[$zero; C]; N];
+                for ch in 0..cx.c {
+                    for ky in ky0..ky1 {
+                        let row = (ch * cx.h + ky - ky0) * cx.w;
+                        let mut wp = cx
+                            .weight
+                            .add(((ch * cx.kh + ky) * cx.kw + kx0) * cx.width + r0 * L);
+                        for dx in 0..kx1 - kx0 {
+                            let mut wv = [$zero; C];
+                            for (c, v) in wv.iter_mut().enumerate() {
+                                *v = $load(wp.add(c * L));
+                            }
+                            for (a, &src) in acc.iter_mut().zip(&t.src) {
+                                let x = $set1(*src.add(row + dx));
+                                for (v, &b) in a.iter_mut().zip(&wv) {
+                                    *v = $add(*v, $mul(x, b));
+                                }
+                            }
+                            wp = wp.add(cx.width);
+                        }
+                    }
+                }
+                let live = (cx.out_c - r0 * L).min(C * L);
+                let mut cells = [0.0f32; 4 * CONV_LANES];
+                for (a, &dst) in acc.iter().zip(&t.dst) {
+                    for (c, &v) in a.iter().enumerate() {
+                        let b = $load(cx.bias.add((r0 + c) * L));
+                        $store(cells.as_mut_ptr().add(c * L), $add(v, b));
+                    }
+                    let dst = dst.add(r0 * L * cx.plane);
+                    for (j, &v) in cells[..live].iter().enumerate() {
+                        *dst.add(j * cx.plane) = v;
+                    }
+                }
+            }
+
+            /// [`block`] at `C` registers for the tile's pixel count.
+            ///
+            /// # Safety
+            ///
+            /// As for [`block`].
+            #[target_feature(enable = $feature)]
+            #[inline]
+            unsafe fn pixels<const C: usize>(t: &RegionTile, cx: &RegionCtx, r0: usize) {
+                match t.n {
+                    1 => block::<1, C>(t, cx, r0),
+                    2 => block::<2, C>(t, cx, r0),
+                    3 => block::<3, C>(t, cx, r0),
+                    4 => block::<4, C>(t, cx, r0),
+                    5 => block::<5, C>(t, cx, r0),
+                    6 => block::<6, C>(t, cx, r0),
+                    7 => block::<7, C>(t, cx, r0),
+                    _ => block::<8, C>(t, cx, r0),
+                }
+            }
+
+            let total = cx.out_c.div_ceil(L);
+            let mut r0 = 0;
+            while r0 < total {
+                let regs = cx.regs.min(total - r0);
+                match regs {
+                    1 => pixels::<1>(t, cx, r0),
+                    2 => pixels::<2>(t, cx, r0),
+                    3 => pixels::<3>(t, cx, r0),
+                    _ => pixels::<4>(t, cx, r0),
+                }
+                r0 += regs;
+            }
+        }
+    };
+}
+
+region_kernel!(
+    region_tile_sse2,
+    "x86_64",
+    "sse2",
+    4,
+    _mm_set1_ps,
+    _mm_loadu_ps,
+    _mm_storeu_ps,
+    _mm_setzero_ps(),
+    _mm_mul_ps,
+    _mm_add_ps
+);
+region_kernel!(
+    region_tile_avx2,
+    "x86_64",
+    "avx2",
+    8,
+    _mm256_set1_ps,
+    _mm256_loadu_ps,
+    _mm256_storeu_ps,
+    _mm256_setzero_ps(),
+    _mm256_mul_ps,
+    _mm256_add_ps
+);
+region_kernel!(
+    region_tile_avx512,
+    "x86_64",
+    "avx512f",
+    16,
+    _mm512_set1_ps,
+    _mm512_loadu_ps,
+    _mm512_storeu_ps,
+    _mm512_setzero_ps(),
+    _mm512_mul_ps,
+    _mm512_add_ps
+);
+region_kernel!(
+    region_tile_neon,
     "aarch64",
     "neon",
     4,

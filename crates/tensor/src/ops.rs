@@ -473,176 +473,6 @@ pub fn im2col_into(image: &[f32], geom: &Conv2dGeometry, out: &mut [f32]) {
     }
 }
 
-/// Unfolds only the output cells inside `rect` into columns of a shared
-/// `[c·kh·kw, n]` column matrix, starting at column `col0`. Columns are
-/// laid out row-major over the rectangle (`(oy, ox)` ascending), each in
-/// the `(ch, ky, kx)`-major tap order of [`im2col_into`]; padding taps
-/// are written as zero. Only the `rect.area()` columns starting at `col0`
-/// are touched, so several callers can pack disjoint column ranges of the
-/// same matrix — the batched delta path packs one range per candidate and
-/// multiplies them with a single blocked GEMM.
-///
-/// # Panics
-///
-/// Panics if a slice length disagrees with `geom`, the rectangle exceeds
-/// the output extents, or the column range `[col0, col0 + rect.area())`
-/// does not fit in `n`.
-pub fn im2col_region_into(
-    image: &[f32],
-    geom: &Conv2dGeometry,
-    rect: Rect,
-    col0: usize,
-    n: usize,
-    out: &mut [f32],
-) {
-    let (c, h, w) = (geom.in_channels, geom.in_h, geom.in_w);
-    assert_eq!(image.len(), c * h * w, "im2col_region_into image length");
-    let (kh, kw) = (geom.kernel_h, geom.kernel_w);
-    let rows = c * kh * kw;
-    assert_eq!(out.len(), rows * n, "im2col_region_into out length");
-    let (oh, ow) = (geom.out_h(), geom.out_w());
-    assert!(
-        rect.y1 <= oh && rect.x1 <= ow,
-        "rect {rect:?} exceeds output extents {oh}x{ow}"
-    );
-    if rect.is_empty() {
-        return;
-    }
-    let area = (rect.y1 - rect.y0) * (rect.x1 - rect.x0);
-    assert!(
-        col0 + area <= n,
-        "columns [{col0}, {}) exceed matrix width {n}",
-        col0 + area
-    );
-    let (s, p) = (geom.stride, geom.padding);
-    let rw = rect.x1 - rect.x0;
-    if s == 1 {
-        // Stride 1: `ix = ox + kx - p` walks in lockstep with `ox`, so a
-        // (ky, kx) tap has one channel-independent in-bounds x-span and
-        // one valid oy-span. The delta path calls this with tiny rects,
-        // so hoisting the clamp arithmetic out of the channel loop and
-        // emitting each row as zero-flank / copy / zero-flank (with
-        // loop-based tiny fills, see `fill_zero`/`copy_row`) is where
-        // the time goes — not in the copies themselves.
-        for ky in 0..kh {
-            let oy_lo =
-                (p as isize - ky as isize).clamp(rect.y0 as isize, rect.y1 as isize) as usize;
-            let oy_hi = (h as isize + p as isize - ky as isize)
-                .clamp(rect.y0 as isize, rect.y1 as isize) as usize;
-            for kx in 0..kw {
-                let lo =
-                    (p as isize - kx as isize).clamp(rect.x0 as isize, rect.x1 as isize) as usize;
-                let hi = (w as isize + p as isize - kx as isize)
-                    .clamp(rect.x0 as isize, rect.x1 as isize) as usize;
-                let (zl, mid) = (lo - rect.x0, hi - lo);
-                let src_x = if mid > 0 { lo + kx - p } else { 0 };
-                for ch in 0..c {
-                    let row = (ch * kh + ky) * kw + kx;
-                    let orow = &mut out[row * n + col0..row * n + col0 + area];
-                    let mut j = (oy_lo - rect.y0) * rw;
-                    fill_zero(&mut orow[..j]);
-                    for oy in oy_lo..oy_hi {
-                        let isrc = (ch * h + (oy + ky - p)) * w + src_x;
-                        fill_zero(&mut orow[j..j + zl]);
-                        j += zl;
-                        copy_row(&mut orow[j..j + mid], &image[isrc..isrc + mid]);
-                        j += mid;
-                        fill_zero(&mut orow[j..j + rw - zl - mid]);
-                        j += rw - zl - mid;
-                    }
-                    fill_zero(&mut orow[j..]);
-                }
-            }
-        }
-        return;
-    }
-    for ch in 0..c {
-        for ky in 0..kh {
-            for kx in 0..kw {
-                let row = (ch * kh + ky) * kw + kx;
-                let orow = &mut out[row * n..(row + 1) * n];
-                let mut j = col0;
-                for oy in rect.y0..rect.y1 {
-                    let iy = (oy * s + ky) as isize - p as isize;
-                    if iy < 0 || iy as usize >= h {
-                        orow[j..j + rw].fill(0.0);
-                        j += rw;
-                        continue;
-                    }
-                    let irow = &image[(ch * h + iy as usize) * w..(ch * h + iy as usize + 1) * w];
-                    for ox in rect.x0..rect.x1 {
-                        let ix = (ox * s + kx) as isize - p as isize;
-                        orow[j] = if ix < 0 || ix as usize >= w {
-                            0.0
-                        } else {
-                            irow[ix as usize]
-                        };
-                        j += 1;
-                    }
-                }
-            }
-        }
-    }
-}
-
-const ZEROS_16: [f32; 16] = [0.0; 16];
-
-/// Zero-fill tuned for the few-element flank spans the region ops
-/// produce: short spans become two overlapping fixed-width stores (the
-/// overlap rewrites the same zeros, so it is harmless) instead of a
-/// libc `memset` call that costs more than the span itself. Long spans
-/// fall back to `fill`.
-#[inline(always)]
-fn fill_zero(dst: &mut [f32]) {
-    let len = dst.len();
-    if len >= 32 {
-        dst.fill(0.0);
-    } else if len >= 16 {
-        dst[..16].copy_from_slice(&ZEROS_16);
-        dst[len - 16..].copy_from_slice(&ZEROS_16);
-    } else if len >= 8 {
-        dst[..8].copy_from_slice(&ZEROS_16[..8]);
-        let t = len - 8;
-        dst[t..].copy_from_slice(&ZEROS_16[..8]);
-    } else if len >= 4 {
-        dst[..4].copy_from_slice(&ZEROS_16[..4]);
-        let t = len - 4;
-        dst[t..].copy_from_slice(&ZEROS_16[..4]);
-    } else {
-        for o in dst {
-            *o = 0.0;
-        }
-    }
-}
-
-/// Copy tuned like [`fill_zero`]: two overlapping fixed-width moves for
-/// short spans (`src` and `dst` shift together, so the overlapped bytes
-/// carry identical values), `copy_from_slice` for long ones. `dst` and
-/// `src` must have equal lengths.
-#[inline(always)]
-fn copy_row(dst: &mut [f32], src: &[f32]) {
-    let len = dst.len();
-    if len >= 32 {
-        dst.copy_from_slice(src);
-    } else if len >= 16 {
-        dst[..16].copy_from_slice(&src[..16]);
-        let t = len - 16;
-        dst[t..].copy_from_slice(&src[t..len]);
-    } else if len >= 8 {
-        dst[..8].copy_from_slice(&src[..8]);
-        let t = len - 8;
-        dst[t..].copy_from_slice(&src[t..len]);
-    } else if len >= 4 {
-        dst[..4].copy_from_slice(&src[..4]);
-        let t = len - 4;
-        dst[t..].copy_from_slice(&src[t..len]);
-    } else {
-        for (o, &v) in dst.iter_mut().zip(src) {
-            *o = v;
-        }
-    }
-}
-
 /// Unfolds one NCHW image `[c, h, w]` into a `[c·kh·kw, oh·ow]` column
 /// matrix so convolution lowers to a matrix product.
 ///
