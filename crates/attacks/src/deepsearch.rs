@@ -134,8 +134,8 @@ impl DeepSearch {
 
     /// Probes `location` swapped to `corner`, deduplicating against
     /// `probed` so no candidate is ever submitted twice (region centres
-    /// recur as their own quadrant's centre). Counted queries are traced
-    /// and attributed to `phase`; memo-served repeats are not.
+    /// recur as their own quadrant's centre). Each query is traced and
+    /// attributed to `phase`.
     #[allow(clippy::too_many_arguments)]
     fn probe(
         &self,
@@ -153,19 +153,16 @@ impl DeepSearch {
         if let Some(&m) = probed.get(&key) {
             return Ok(Probe::Margin(m));
         }
-        let before = oracle.queries();
         oracle.query_pixel_delta_into(image, location, corner.as_pixel(), scores)?;
-        if oracle.queries() > before {
-            telemetry::count(phase.1);
-            record_oracle_query(
-                phase.0,
-                oracle.queries() - start,
-                Some((location, corner.as_pixel())),
-                scores,
-                true_class,
-                self.goal,
-            );
-        }
+        telemetry::count(phase.1);
+        record_oracle_query(
+            phase.0,
+            oracle.queries() - start,
+            Some((location, corner.as_pixel())),
+            scores,
+            true_class,
+            self.goal,
+        );
         if self.goal.is_adversarial(scores, true_class) {
             return Ok(Probe::Adversarial);
         }
@@ -212,7 +209,6 @@ impl Attack for DeepSearch {
         let start = oracle.queries();
         let spent = |oracle: &Oracle<'_>| oracle.queries() - start;
 
-        let before_baseline = oracle.queries();
         let clean = match oracle.query(image) {
             Ok(s) => s,
             Err(_) => {
@@ -221,17 +217,15 @@ impl Attack for DeepSearch {
                 }
             }
         };
-        if oracle.queries() > before_baseline {
-            telemetry::count(Counter::QueryBaseline);
-            record_oracle_query(
-                "baseline",
-                spent(oracle),
-                None,
-                &clean,
-                true_class,
-                self.goal,
-            );
-        }
+        telemetry::count(Counter::QueryBaseline);
+        record_oracle_query(
+            "baseline",
+            spent(oracle),
+            None,
+            &clean,
+            true_class,
+            self.goal,
+        );
         self.goal.validate(oracle.num_classes(), true_class);
         if argmax(&clean) != true_class {
             return AttackOutcome::AlreadyMisclassified {

@@ -13,8 +13,6 @@
 //!   the style of DeepSearch (Zhang et al., 2019), probing image regions
 //!   before pixels.
 //! * [`RandomPairs`] — exhaustive enumeration in uniformly random order.
-//! * [`SparseRsMulti`] — the general few-pixel (`k > 1`) form of
-//!   Sparse-RS, an extension beyond the paper's one-pixel evaluation.
 //!
 //! All of them implement the [`Attack`] trait and spend queries through an
 //! [`oppsla_core::oracle::Oracle`], so experiment harnesses can compare
@@ -23,7 +21,6 @@
 #![warn(missing_docs)]
 
 mod deepsearch;
-mod multi;
 mod random_pairs;
 mod sketch_attack;
 mod sparse_rs;
@@ -31,7 +28,6 @@ mod suopa;
 mod traits;
 
 pub use deepsearch::DeepSearch;
-pub use multi::{MultiAttackOutcome, SparseRsMulti, SparseRsMultiConfig};
 pub use random_pairs::RandomPairs;
 pub use sketch_attack::SketchProgramAttack;
 pub use sparse_rs::{SparseRs, SparseRsConfig};

@@ -41,7 +41,6 @@ impl Attack for RandomPairs {
         let start = oracle.queries();
         let spent = |oracle: &Oracle<'_>| oracle.queries() - start;
 
-        let before_baseline = oracle.queries();
         let clean = match oracle.query(image) {
             Ok(s) => s,
             Err(_) => {
@@ -50,19 +49,15 @@ impl Attack for RandomPairs {
                 }
             }
         };
-        // A memo-served baseline is not a counted query: no phase
-        // attribution, no trace record.
-        if oracle.queries() > before_baseline {
-            telemetry::count(Counter::QueryBaseline);
-            record_oracle_query(
-                "baseline",
-                spent(oracle),
-                None,
-                &clean,
-                true_class,
-                self.goal,
-            );
-        }
+        telemetry::count(Counter::QueryBaseline);
+        record_oracle_query(
+            "baseline",
+            spent(oracle),
+            None,
+            &clean,
+            true_class,
+            self.goal,
+        );
         self.goal.validate(oracle.num_classes(), true_class);
         if argmax(&clean) != true_class {
             return AttackOutcome::AlreadyMisclassified {
@@ -105,7 +100,6 @@ impl Attack for RandomPairs {
                 );
                 oracle.prefetch_pixel_batch(image, &upcoming);
             }
-            let before = oracle.queries();
             match oracle.query_pixel_delta_into(
                 image,
                 pair.location,
@@ -113,17 +107,15 @@ impl Attack for RandomPairs {
                 &mut scores,
             ) {
                 Ok(()) => {
-                    if oracle.queries() > before {
-                        telemetry::count(Counter::QueryInitScan);
-                        record_oracle_query(
-                            "init_scan",
-                            spent(oracle),
-                            Some((pair.location, pair.corner.as_pixel())),
-                            &scores,
-                            true_class,
-                            self.goal,
-                        );
-                    }
+                    telemetry::count(Counter::QueryInitScan);
+                    record_oracle_query(
+                        "init_scan",
+                        spent(oracle),
+                        Some((pair.location, pair.corner.as_pixel())),
+                        &scores,
+                        true_class,
+                        self.goal,
+                    );
                     if self.goal.is_adversarial(&scores, true_class) {
                         return AttackOutcome::Success {
                             location: pair.location,

@@ -100,10 +100,7 @@ impl Attack for SparseRs {
         let (h, w) = (image.height(), image.width());
 
         // Baseline query: verifies the clean classification (and costs one
-        // query, as in our other attacks — unless a memo-attached oracle
-        // serves it for free, in which case it is neither attributed nor
-        // traced: the trace is a per-counted-query stream).
-        let before_baseline = oracle.queries();
+        // query, as in our other attacks).
         let clean = match oracle.query(image) {
             Ok(s) => s,
             Err(_) => {
@@ -112,17 +109,15 @@ impl Attack for SparseRs {
                 }
             }
         };
-        if oracle.queries() > before_baseline {
-            telemetry::count(Counter::QueryBaseline);
-            record_oracle_query(
-                "baseline",
-                spent(oracle),
-                None,
-                &clean,
-                true_class,
-                self.goal,
-            );
-        }
+        telemetry::count(Counter::QueryBaseline);
+        record_oracle_query(
+            "baseline",
+            spent(oracle),
+            None,
+            &clean,
+            true_class,
+            self.goal,
+        );
         self.goal.validate(oracle.num_classes(), true_class);
         if oppsla_core::oracle::argmax(&clean) != true_class {
             return AttackOutcome::AlreadyMisclassified {
@@ -203,7 +198,6 @@ impl Attack for SparseRs {
                 Draw::Corner(c) => (current_loc, c, Counter::QueryRefine, "refine"),
             };
             oracle.begin_candidate_scope();
-            let before = oracle.queries();
             if oracle
                 .query_pixel_delta_into(image, loc, corner.as_pixel(), &mut scores)
                 .is_err()
@@ -212,19 +206,15 @@ impl Attack for SparseRs {
                     queries: spent(oracle),
                 };
             }
-            // Memo hits (re-proposed candidates) are not counted queries:
-            // no phase attribution, no trace record.
-            if oracle.queries() > before {
-                telemetry::count(phase);
-                record_oracle_query(
-                    trace_phase,
-                    spent(oracle),
-                    Some((loc, corner.as_pixel())),
-                    &scores,
-                    true_class,
-                    self.goal,
-                );
-            }
+            telemetry::count(phase);
+            record_oracle_query(
+                trace_phase,
+                spent(oracle),
+                Some((loc, corner.as_pixel())),
+                &scores,
+                true_class,
+                self.goal,
+            );
             let m = self.goal.margin(&scores, true_class);
             if m < 0.0 {
                 return AttackOutcome::Success {

@@ -118,7 +118,6 @@ impl Attack for SuOpa {
         let spent = |oracle: &Oracle<'_>| oracle.queries() - start;
         let (h, w) = (image.height(), image.width());
 
-        let before_baseline = oracle.queries();
         let clean = match oracle.query(image) {
             Ok(s) => s,
             Err(_) => {
@@ -127,19 +126,15 @@ impl Attack for SuOpa {
                 }
             }
         };
-        // A memo-served baseline is not a counted query: no phase
-        // attribution, no trace record.
-        if oracle.queries() > before_baseline {
-            telemetry::count(Counter::QueryBaseline);
-            record_oracle_query(
-                "baseline",
-                spent(oracle),
-                None,
-                &clean,
-                true_class,
-                self.goal,
-            );
-        }
+        telemetry::count(Counter::QueryBaseline);
+        record_oracle_query(
+            "baseline",
+            spent(oracle),
+            None,
+            &clean,
+            true_class,
+            self.goal,
+        );
         self.goal.validate(oracle.num_classes(), true_class);
         if oppsla_core::oracle::argmax(&clean) != true_class {
             return AttackOutcome::AlreadyMisclassified {
@@ -164,27 +159,22 @@ impl Attack for SuOpa {
         let mut scores: Vec<f32> = Vec::with_capacity(clean.len());
         let mut eval = |oracle: &mut Oracle<'_>, gene: Gene, phase: Counter| -> Eval {
             oracle.begin_candidate_scope();
-            let before = oracle.queries();
             match oracle.query_pixel_delta_into(image, gene.location(), gene.pixel(), &mut scores) {
                 Ok(()) => {
-                    // Memo hits (re-proposed genes) are not counted
-                    // queries: no phase attribution, no trace record.
-                    if oracle.queries() > before {
-                        telemetry::count(phase);
-                        let trace_phase = if matches!(phase, Counter::QueryInitScan) {
-                            "init_scan"
-                        } else {
-                            "refine"
-                        };
-                        record_oracle_query(
-                            trace_phase,
-                            spent(oracle),
-                            Some((gene.location(), gene.pixel())),
-                            &scores,
-                            true_class,
-                            self.goal,
-                        );
-                    }
+                    telemetry::count(phase);
+                    let trace_phase = if matches!(phase, Counter::QueryInitScan) {
+                        "init_scan"
+                    } else {
+                        "refine"
+                    };
+                    record_oracle_query(
+                        trace_phase,
+                        spent(oracle),
+                        Some((gene.location(), gene.pixel())),
+                        &scores,
+                        true_class,
+                        self.goal,
+                    );
                     if self.goal.is_adversarial(&scores, true_class) {
                         Eval::Success(gene)
                     } else {

@@ -1,11 +1,13 @@
 //! A/B equivalence for the speculative batch route: every attack must
-//! produce the *same outcome with the same query count* whether the
+//! produce the *same outcome, query count and query log* whether the
 //! classifier serves prefetched batches through the default sequential
 //! fallback or through a genuine [`Classifier::scores_pixel_delta_batch_into`]
 //! override — and the override must actually be exercised, proving the
 //! attacks arm the batch path at all.
 
-use oppsla_attacks::{Attack, RandomPairs, SparseRs, SparseRsConfig, SuOpa, SuOpaConfig};
+use oppsla_attacks::{
+    Attack, DeepSearch, RandomPairs, SparseRs, SparseRsConfig, SuOpa, SuOpaConfig,
+};
 use oppsla_core::image::Image;
 use oppsla_core::oracle::{Classifier, FnClassifier, Oracle};
 use oppsla_core::pair::{Location, Pixel};
@@ -98,9 +100,10 @@ fn weak() -> FnClassifier<impl Fn(&Image) -> Vec<f32>> {
     })
 }
 
-/// Runs `attack` on both classifiers, checks that outcome and query count
-/// agree and that the batch path was armed, and returns the share of the
-/// batched run's counted pixel-delta queries served from batches.
+/// Runs `attack` on both classifiers, checks that outcome, query count and
+/// query log agree, that every counted query is logged, and that the batch
+/// path was armed. Returns the share of the batched run's counted
+/// pixel-delta queries served from batches.
 fn check_attack(attack: &dyn Attack, seed: u64, dims: (usize, usize)) -> f64 {
     use rand::SeedableRng;
     let img = Image::filled(dims.0, dims.1, Pixel([0.5, 0.5, 0.5]));
@@ -108,19 +111,35 @@ fn check_attack(attack: &dyn Attack, seed: u64, dims: (usize, usize)) -> f64 {
     let plain = weak();
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
     let mut oracle = Oracle::new(&plain);
+    oracle.enable_query_log();
     let sequential = attack.attack(&mut oracle, &img, 0, &mut rng);
     let sequential_queries = oracle.queries();
+    let sequential_log = oracle.take_query_log();
 
     let batching = BatchingClassifier::new(weak());
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
     let mut oracle = Oracle::new(&batching);
+    oracle.enable_query_log();
     let batched = attack.attack(&mut oracle, &img, 0, &mut rng);
+    let batched_log = oracle.take_query_log();
 
     assert_eq!(batched, sequential, "{} outcome diverged", attack.name());
     assert_eq!(
         oracle.queries(),
         sequential_queries,
         "{} query accounting diverged",
+        attack.name()
+    );
+    assert_eq!(
+        batched_log.len() as u64,
+        oracle.queries(),
+        "{} left a counted query unlogged",
+        attack.name()
+    );
+    assert_eq!(
+        batched_log,
+        sequential_log,
+        "{} query log diverged",
         attack.name()
     );
     assert!(
@@ -166,6 +185,15 @@ fn suopa_batched_matches_sequential() {
     });
     for seed in [1, 5] {
         check_attack(&attack, seed, (6, 6));
+    }
+}
+
+#[test]
+fn deepsearch_batched_matches_sequential() {
+    // DeepSearch ignores the rng; two image sizes give different region
+    // trees below the four prefetched root quadrants.
+    for dims in [(6, 6), (8, 8)] {
+        check_attack(&DeepSearch::default(), 0, dims);
     }
 }
 

@@ -14,8 +14,6 @@
 //!     [--seed S]                     (default 0)
 //!     [--fresh]                      (ignore cached program suites)
 //!     [--threads N]                  (worker threads; 0 = auto, default 0)
-//!     [--memo]                       (share a per-classifier query memo across
-//!                                     the attack roster)
 //!     [--prior PATH]                 (mined saliency prior JSON reordering the
 //!                                     OPPSLA initial queue; see oppsla_eval::prior)
 //!     [--telemetry PATH]             (append per-phase telemetry events as JSONL)
@@ -27,7 +25,7 @@
 //! changes wall-clock time. `--telemetry` writes only to `PATH` and
 //! stderr, never stdout — table and chart output stays byte-identical
 //! with or without it (build with `--features telemetry` for non-zero
-//! counters). Without `--memo` the memo machinery is never touched.
+//! counters).
 //!
 //! Defaults are scaled down to finish in minutes on a laptop; the paper's
 //! full setting is `--test-per-class 100 --budget 10000 --synth-train 50
@@ -40,12 +38,10 @@ use oppsla_bench::{
     suites_dir, telemetry_sink, threads_from,
 };
 use oppsla_core::dsl::GrammarConfig;
-use oppsla_core::oracle::{Classifier, MemoBank, DEFAULT_MEMO_CAPACITY};
+use oppsla_core::oracle::Classifier;
 use oppsla_core::synth::SynthConfig;
 use oppsla_core::telemetry::{trace, FieldValue};
-use oppsla_eval::curves::{
-    evaluate_attack_parallel_with_memo, evaluate_attack_parallel_with_sink, AttackEval,
-};
+use oppsla_eval::curves::evaluate_attack_parallel_with_sink;
 use oppsla_eval::obs::with_phase;
 use oppsla_eval::plot::{render_chart, ChartConfig, Series};
 use oppsla_eval::report::{fmt_rate, fmt_stat, Table};
@@ -81,7 +77,6 @@ fn main() {
     };
     let synth_train_per_class = args.get_usize("synth-train", 3);
     let seed = args.get_u64("seed", 0);
-    let use_memo = args.has("memo");
     let prior = args.get_opt_str("prior").map(|path| {
         let prior = oppsla_eval::prior::load_prior(std::path::Path::new(path))
             .unwrap_or_else(|e| panic!("--prior: {e}"));
@@ -190,10 +185,6 @@ fn main() {
                 Box::new(SuOpa::new(SuOpaConfig::default())),
                 Box::new(DeepSearch::default()),
             ];
-            // One bank per classifier, shared across the whole roster:
-            // memo keys carry no classifier identity, so the bank must
-            // never outlive this arch.
-            let memo_bank = use_memo.then(|| MemoBank::new(test.len(), DEFAULT_MEMO_CAPACITY));
             for attack in &attacks {
                 let t2 = Instant::now();
                 trace::begin_section(trace::SectionMeta {
@@ -207,35 +198,15 @@ fn main() {
                     attack: attack.name().to_owned(),
                     attack_seed: seed,
                 });
-                let eval: AttackEval = match &memo_bank {
-                    Some(bank) => {
-                        let labels = [
-                            ("attack", FieldValue::Str(attack.name().to_owned())),
-                            ("budget", FieldValue::U64(budget)),
-                            ("images", FieldValue::U64(test.len() as u64)),
-                        ];
-                        with_phase(&mut *sink, "attack_eval", &labels, || {
-                            evaluate_attack_parallel_with_memo(
-                                attack.as_ref(),
-                                &classifier,
-                                &test,
-                                budget,
-                                seed,
-                                threads,
-                                bank,
-                            )
-                        })
-                    }
-                    None => evaluate_attack_parallel_with_sink(
-                        attack.as_ref(),
-                        &classifier,
-                        &test,
-                        budget,
-                        seed,
-                        threads,
-                        &mut *sink,
-                    ),
-                };
+                let eval = evaluate_attack_parallel_with_sink(
+                    attack.as_ref(),
+                    &classifier,
+                    &test,
+                    budget,
+                    seed,
+                    threads,
+                    &mut *sink,
+                );
                 eprintln!(
                     "[{scale}/{arch}] {}: {} valid, success {} in {:.1?}",
                     attack.name(),

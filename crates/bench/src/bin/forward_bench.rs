@@ -10,7 +10,7 @@
 //!
 //! ```text
 //! cargo run --release -p oppsla-bench --bin forward_bench -- \
-//!     [--iters N]     (timed queries per measurement, default 200)
+//!     [--iters N]     (timed queries per window, default 200)
 //!     [--batch N]     (images per throughput measurement, default 64)
 //!     [--batch-k N]   (candidates per batched sweep, default 8)
 //!     [--threads N]   (worker threads; 0 = auto, default 0)
@@ -28,6 +28,11 @@
 //! by the dirty-region pixel-delta cost on the same base image, measured
 //! over a sweep of candidate pixels that mirrors the attack's query
 //! pattern (one cached base, many single-pixel candidates).
+//!
+//! Every figure is the median of `WINDOWS` (five) timed windows. The
+//! windows are interleaved path by path, so drift on the host (frequency,
+//! steal, a neighbour's burst) lands on every path of a row alike instead
+//! of on whichever path happened to run during it.
 
 use oppsla_bench::cli::Args;
 use oppsla_bench::{threads_from, tune_from};
@@ -40,6 +45,30 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::hint::black_box;
 use std::time::Instant;
+
+/// Timed windows per path; each reported figure is their median.
+const WINDOWS: usize = 5;
+
+/// The median of an odd number of window timings.
+fn median(mut windows: Vec<f64>) -> f64 {
+    windows.sort_by(f64::total_cmp);
+    windows[windows.len() / 2]
+}
+
+/// Times one window of `calls` calls of `call` and returns nanoseconds per
+/// call. The same calls run once untimed first, refilling the caches the
+/// path timed before evicted, so the window measures the steady state and
+/// not the switch between paths.
+fn window(calls: usize, mut call: impl FnMut(usize)) -> f64 {
+    for i in 0..calls {
+        call(i);
+    }
+    let t = Instant::now();
+    for i in 0..calls {
+        call(i);
+    }
+    t.elapsed().as_nanos() as f64 / calls as f64
+}
 
 /// One architecture's measurements, all in nanoseconds per query or
 /// queries per second, plus the tuner's full-forward route decisions so
@@ -145,23 +174,8 @@ fn main() {
             "[{arch}] engine disagrees with the tape"
         );
 
-        // Seed path: autograd tape, allocating per query.
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            black_box(net.scores(black_box(&image)));
-        }
-        let tape_ns = t0.elapsed().as_nanos() as f64 / iters as f64;
-
-        // Compiled path: reused workspace + score buffer, zero
-        // steady-state allocations.
         let mut ws = plan.workspace();
         let mut buf = Vec::with_capacity(plan.num_classes());
-        let t1 = Instant::now();
-        for _ in 0..iters {
-            plan.scores_into(&mut ws, black_box(&image), &mut buf);
-            black_box(&buf);
-        }
-        let engine_ns = t1.elapsed().as_nanos() as f64 / iters as f64;
 
         // Incremental path: one cached base, many single-pixel candidates
         // — the attack's actual query pattern. The candidate sweep walks
@@ -194,21 +208,6 @@ fn main() {
                 "[{arch}] incremental disagrees with full forward"
             );
         }
-        let t2 = Instant::now();
-        for i in 0..iters {
-            let (row, col) = ((i * 13) % h, (i * 29) % w);
-            delta.scores_pixel_delta_into(
-                plan,
-                &acts,
-                &mut dws,
-                black_box(row),
-                black_box(col),
-                corners[i % corners.len()],
-                &mut buf,
-            );
-            black_box(&buf);
-        }
-        let incremental_ns = t2.elapsed().as_nanos() as f64 / iters as f64;
 
         // Batched candidate path: the same pixel-candidate sweep, `batch_k`
         // candidates per layer-major sweep over shared base activations.
@@ -224,29 +223,6 @@ fn main() {
                 cands.push(((q * 13) % h, (q * 29) % w, corners[q % corners.len()]));
             }
         };
-        fill_cands(&mut cands, 0); // warm-up sweep
-        delta.scores_pixel_delta_batch_into(
-            plan,
-            &acts,
-            &mut batch_dws,
-            &cands,
-            &mut scratch,
-            &mut batch_buf,
-        );
-        let t3 = Instant::now();
-        for sweep in 0..sweeps {
-            fill_cands(&mut cands, sweep);
-            delta.scores_pixel_delta_batch_into(
-                plan,
-                &acts,
-                &mut batch_dws,
-                black_box(&cands),
-                &mut scratch,
-                &mut batch_buf,
-            );
-            black_box(&batch_buf);
-        }
-        let batched_delta_ns = t3.elapsed().as_nanos() as f64 / (sweeps * batch_k) as f64;
 
         // Throughput over a batch of distinct images, sequential vs. the
         // scoped-thread parallel map used by synthesis and evaluation.
@@ -276,18 +252,59 @@ fn main() {
             images.len() as f64 / t.elapsed().as_secs_f64()
         };
         run_batch(threads); // warm-up (thread spawn, page faults)
-        let sequential_qps = run_batch(1);
-        let parallel_qps = run_batch(threads);
+
+        let (mut tape, mut full, mut incremental, mut batched, mut seq_qps, mut par_qps) =
+            (vec![], vec![], vec![], vec![], vec![], vec![]);
+        for _ in 0..WINDOWS {
+            // Seed path: autograd tape, allocating per query.
+            tape.push(window(iters, |_| {
+                black_box(net.scores(black_box(&image)));
+            }));
+            // Compiled path: reused workspace + score buffer, zero
+            // steady-state allocations.
+            full.push(window(iters, |_| {
+                plan.scores_into(&mut ws, black_box(&image), &mut buf);
+                black_box(&buf);
+            }));
+            incremental.push(window(iters, |i| {
+                let (row, col) = ((i * 13) % h, (i * 29) % w);
+                delta.scores_pixel_delta_into(
+                    plan,
+                    &acts,
+                    &mut dws,
+                    black_box(row),
+                    black_box(col),
+                    corners[i % corners.len()],
+                    &mut buf,
+                );
+                black_box(&buf);
+            }));
+            let per_sweep = window(sweeps, |sweep| {
+                fill_cands(&mut cands, sweep);
+                delta.scores_pixel_delta_batch_into(
+                    plan,
+                    &acts,
+                    &mut batch_dws,
+                    black_box(&cands),
+                    &mut scratch,
+                    &mut batch_buf,
+                );
+                black_box(&batch_buf);
+            });
+            batched.push(per_sweep / batch_k as f64);
+            seq_qps.push(run_batch(1));
+            par_qps.push(run_batch(threads));
+        }
 
         let row = Row {
             arch: arch.id(),
             input: format!("{}x{}x{}", input.channels, input.height, input.width),
-            tape_ns,
-            engine_ns,
-            incremental_ns,
-            batched_delta_ns,
-            sequential_qps,
-            parallel_qps,
+            tape_ns: median(tape),
+            engine_ns: median(full),
+            incremental_ns: median(incremental),
+            batched_delta_ns: median(batched),
+            sequential_qps: median(seq_qps),
+            parallel_qps: median(par_qps),
             fwd_routes: route_summary(plan.tuner_report().iter().map(|d| d.route())),
         };
         eprintln!(

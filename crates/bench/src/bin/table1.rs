@@ -12,8 +12,6 @@
 //!     [--seed S]             (default 0)
 //!     [--fresh]
 //!     [--threads N]          (worker threads; 0 = auto, default 0)
-//!     [--memo]               (share one query memo per *target* classifier
-//!                             across all source suites)
 //!     [--telemetry PATH]     (append per-phase telemetry events as JSONL)
 //!     [--trace PATH]         (record per-query trace records as JSONL;
 //!                             build with --features trace)
@@ -21,7 +19,6 @@
 //!
 //! Results are bit-identical for any `--threads` value and with or
 //! without `--telemetry` (which writes only to `PATH` and stderr).
-//! Without `--memo` the memo machinery is never touched.
 
 use oppsla_bench::cli::Args;
 use oppsla_bench::{
@@ -29,14 +26,12 @@ use oppsla_bench::{
     telemetry_sink, threads_from,
 };
 use oppsla_core::dsl::GrammarConfig;
-use oppsla_core::oracle::{BatchClassifier, Classifier, MemoBank, DEFAULT_MEMO_CAPACITY};
+use oppsla_core::oracle::{BatchClassifier, Classifier};
 use oppsla_core::synth::SynthConfig;
 use oppsla_core::telemetry::{trace, FieldValue};
 use oppsla_eval::obs::with_phase;
 use oppsla_eval::suite::{synthesize_suite_cached_parallel, ProgramSuite};
-use oppsla_eval::transfer::{
-    run_transfer_parallel_traced, run_transfer_parallel_with_memo, transfer_table,
-};
+use oppsla_eval::transfer::{run_transfer_parallel_traced, transfer_table};
 use oppsla_eval::zoo::{attack_test_set, train_or_load, Scale, ZooClassifier, ZooConfig};
 use std::time::Instant;
 
@@ -58,7 +53,6 @@ fn main() {
     };
     let synth_train_per_class = args.get_usize("synth-train", 3);
     let seed = args.get_u64("seed", 0);
-    let use_memo = args.has("memo");
     let mut sink = telemetry_sink(&args);
     let tracing = start_trace(&args);
 
@@ -149,41 +143,18 @@ fn main() {
         attack: String::new(), // stamped per (source, target) cell
         attack_seed: seed,
     };
-    // Memo keys carry no classifier identity, so banks are strictly
-    // per *target*: each bank only ever sees one classifier's scores.
-    let memo_banks = use_memo.then(|| {
-        (0..classifier_refs.len())
-            .map(|_| MemoBank::new(test.len(), DEFAULT_MEMO_CAPACITY))
-            .collect::<Vec<_>>()
+    let result = with_phase(&mut *sink, "transfer", &transfer_labels, || {
+        run_transfer_parallel_traced(
+            &labels,
+            &classifier_refs,
+            &suites,
+            &test,
+            budget,
+            seed,
+            threads,
+            &transfer_meta,
+        )
     });
-    let result = with_phase(
-        &mut *sink,
-        "transfer",
-        &transfer_labels,
-        || match &memo_banks {
-            Some(banks) => run_transfer_parallel_with_memo(
-                &labels,
-                &classifier_refs,
-                &suites,
-                &test,
-                budget,
-                seed,
-                threads,
-                &transfer_meta,
-                banks,
-            ),
-            None => run_transfer_parallel_traced(
-                &labels,
-                &classifier_refs,
-                &suites,
-                &test,
-                budget,
-                seed,
-                threads,
-                &transfer_meta,
-            ),
-        },
-    );
     eprintln!("transfer matrix computed in {:.1?}", t2.elapsed());
 
     let table = transfer_table(&result);

@@ -7,10 +7,9 @@
 
 use crate::image::Image;
 use crate::pair::{Location, Pixel};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::BuildHasherDefault;
-use std::sync::Mutex;
 
 /// A black-box image classifier: maps an image to one score per class.
 ///
@@ -272,37 +271,10 @@ fn hash_scores(scores: &[f32]) -> u64 {
     h
 }
 
-/// Stable 64-bit content identity of an image: FNV-1a over the
-/// dimensions and the exact bit patterns of every channel value. Two
-/// images share an id iff they are bit-identical, so the id is safe to
-/// use as a cross-restart memo key — unlike an address, which a later
-/// run (or a temporary) can legitimately reuse for different content.
-pub fn image_content_id(image: &Image) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    };
-    mix(&(image.height() as u64).to_le_bytes());
-    mix(&(image.width() as u64).to_le_bytes());
-    for v in image.data() {
-        mix(&v.to_bits().to_le_bytes());
-    }
-    h
-}
-
-/// A memo key: the base image's content id plus the candidate — `None`
-/// for a full-image query, or the one-pixel perturbation as exact bit
-/// patterns (the same shape [`QueryLogEntry::pixel`] uses). Full-tuple
-/// equality, not just a hash, so distinct candidates can never collide.
-type MemoKey = (u64, Option<CandidateKey>);
-
-/// FNV-1a 64 as a `HashMap` hasher for [`MemoKey`]s, speculation pool
-/// keys and the synthesizer's score tables: deterministic across
-/// processes (no per-process seed), cheap on short keys. Keys are
-/// candidates the program itself generates, never outside input.
+/// FNV-1a 64 as a `HashMap` hasher for speculation pool keys and the
+/// synthesizer's score tables: deterministic across processes (no
+/// per-process seed), cheap on short keys. Keys are candidates the
+/// program itself generates, never outside input.
 #[derive(Default)]
 pub(crate) struct FnvHasher(u64);
 
@@ -322,158 +294,6 @@ impl std::hash::Hasher for FnvHasher {
             h = h.wrapping_mul(0x100_0000_01b3);
         }
         self.0 = h;
-    }
-}
-
-/// Default memo capacity in entries: with ~100 bytes per CIFAR-scale
-/// entry this bounds a memo at a few tens of MB.
-pub const DEFAULT_MEMO_CAPACITY: usize = 1 << 18;
-
-struct MemoInner {
-    map: HashMap<MemoKey, Vec<f32>, BuildHasherDefault<FnvHasher>>,
-    /// Keys in insertion order; eviction pops the oldest first, so the
-    /// cache contents are a deterministic function of the insert stream —
-    /// never of timing.
-    order: VecDeque<MemoKey>,
-    cap: usize,
-}
-
-/// A cross-restart memoization cache for oracle queries, shared by
-/// reference across the [`Oracle`]s of many attack runs (restarts,
-/// repeated server jobs against one shard).
-///
-/// Scores are a pure function of (image, candidate), so serving a
-/// repeat from the memo returns bit-identical scores to re-querying the
-/// classifier — the cache can change *when* the classifier runs and how
-/// many queries are counted, never a score. Hits are **not** counted as
-/// oracle queries (see [`Oracle::memo_hits`]): the whole point is that
-/// no candidate is ever paid for twice.
-///
-/// Attaching one ([`Oracle::with_memo`]) is the only switch: an oracle
-/// without a memo takes the unmemoized path on every query.
-pub struct QueryMemo {
-    inner: Mutex<MemoInner>,
-}
-
-impl QueryMemo {
-    /// Creates a memo with [`DEFAULT_MEMO_CAPACITY`] entries.
-    pub fn new() -> Self {
-        Self::with_capacity(DEFAULT_MEMO_CAPACITY)
-    }
-
-    /// Creates a memo holding at most `cap` entries; inserting beyond
-    /// the cap evicts the oldest entry (deterministic insertion order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cap` is zero.
-    pub fn with_capacity(cap: usize) -> Self {
-        assert!(cap > 0, "memo capacity must be at least 1");
-        QueryMemo {
-            inner: Mutex::new(MemoInner {
-                map: HashMap::default(),
-                order: VecDeque::new(),
-                cap,
-            }),
-        }
-    }
-
-    /// The number of memoized entries.
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("memo poisoned").map.len()
-    }
-
-    /// True when nothing is memoized.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Writes the memoized scores for `key` into `out` (cleared first)
-    /// and returns true; leaves `out` untouched on a miss.
-    fn lookup_into(&self, key: &MemoKey, out: &mut Vec<f32>) -> bool {
-        let inner = self.inner.lock().expect("memo poisoned");
-        match inner.map.get(key) {
-            Some(scores) => {
-                out.clear();
-                out.extend_from_slice(scores);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Memoizes `scores` for `key`. First write wins: scores are a pure
-    /// function of the key, so a duplicate insert carries an identical
-    /// value and is dropped without touching the eviction order.
-    fn insert(&self, key: MemoKey, scores: &[f32]) {
-        let mut inner = self.inner.lock().expect("memo poisoned");
-        if inner.map.contains_key(&key) {
-            return;
-        }
-        while inner.map.len() >= inner.cap {
-            let oldest = inner.order.pop_front().expect("order tracks map");
-            inner.map.remove(&oldest);
-            crate::telemetry::count(crate::telemetry::Counter::MemoEvict);
-        }
-        inner.map.insert(key, scores.to_vec());
-        inner.order.push_back(key);
-        crate::telemetry::count(crate::telemetry::Counter::MemoInsert);
-    }
-}
-
-impl Default for QueryMemo {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl fmt::Debug for QueryMemo {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("QueryMemo")
-            .field("len", &self.len())
-            .finish()
-    }
-}
-
-/// A bank of per-image [`QueryMemo`]s for evaluation sweeps: image `i`
-/// of a test set gets memo `i`, so a parallel sweep sharing the bank
-/// stays deterministic for any thread count — each image's memo sees
-/// exactly the query stream of that image's (sequentially ordered)
-/// attack runs, never interleaved traffic from its neighbours.
-#[derive(Debug)]
-pub struct MemoBank {
-    memos: Vec<QueryMemo>,
-}
-
-impl MemoBank {
-    /// One memo per image, each holding at most `cap` entries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cap` is zero.
-    pub fn new(images: usize, cap: usize) -> Self {
-        MemoBank {
-            memos: (0..images).map(|_| QueryMemo::with_capacity(cap)).collect(),
-        }
-    }
-
-    /// The memo for image `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub fn memo(&self, index: usize) -> &QueryMemo {
-        &self.memos[index]
-    }
-
-    /// The number of per-image memos.
-    pub fn len(&self) -> usize {
-        self.memos.len()
-    }
-
-    /// True when the bank holds no memos.
-    pub fn is_empty(&self) -> bool {
-        self.memos.is_empty()
     }
 }
 
@@ -593,11 +413,6 @@ pub struct Oracle<'a> {
     /// Per-query log, recorded at the counted consume sites when enabled
     /// (see [`Oracle::enable_query_log`]). `None` = disabled (free).
     log: Option<Vec<QueryLogEntry>>,
-    /// Cross-restart memo serving repeat candidates without counting a
-    /// query (see [`Oracle::with_memo`]). `None` = every query pays.
-    memo: Option<&'a QueryMemo>,
-    /// Queries served from the memo (never counted in `queries`).
-    memo_hits: u64,
     /// Candidates scored since the last [`Oracle::begin_candidate_scope`]:
     /// the debug-build guard against accidental double queries that would
     /// silently inflate reported query counts. Filled only inside
@@ -615,8 +430,6 @@ impl<'a> Oracle<'a> {
             pool: SpecPool::default(),
             speculate: true,
             log: None,
-            memo: None,
-            memo_hits: 0,
             scope: HashSet::new(),
         }
     }
@@ -630,29 +443,8 @@ impl<'a> Oracle<'a> {
             pool: SpecPool::default(),
             speculate: true,
             log: None,
-            memo: None,
-            memo_hits: 0,
             scope: HashSet::new(),
         }
-    }
-
-    /// Attaches a shared cross-restart memo: queries whose (image,
-    /// candidate) pair is already memoized are served from the cache —
-    /// bit-identical scores, **no** query counted, no budget consumed, no
-    /// classifier invocation, no query-log entry. Fresh results are
-    /// memoized after they are computed (and counted) normally.
-    ///
-    /// A memo hit succeeds even with the budget exhausted: the candidate
-    /// was already paid for. Hits are reported via [`Oracle::memo_hits`]
-    /// and the `memo_hit` telemetry counter, keeping the accounting
-    /// honest — [`Oracle::queries`] remains the number of times the
-    /// classifier was actually consulted at a counted site.
-    ///
-    /// This is the memo's only switch: an oracle built without it never
-    /// touches the memo machinery.
-    pub fn with_memo(mut self, memo: &'a QueryMemo) -> Self {
-        self.memo = Some(memo);
-        self
     }
 
     /// Starts recording every counted query into an in-memory log,
@@ -745,21 +537,6 @@ impl<'a> Oracle<'a> {
     /// failed attempt is *not* counted, the classifier is not invoked, and
     /// `out` is left untouched.
     pub fn query_into(&mut self, image: &Image, out: &mut Vec<f32>) -> Result<(), BudgetExhausted> {
-        // Memo lookup comes before the budget check: a hit is not a
-        // query — it consumes no budget and succeeds even when the
-        // budget is spent.
-        let memo_key = match self.memo {
-            Some(memo) => {
-                let key = (image_content_id(image), None);
-                if memo.lookup_into(&key, out) {
-                    self.memo_hits += 1;
-                    crate::telemetry::count(crate::telemetry::Counter::MemoHit);
-                    return Ok(());
-                }
-                Some(key)
-            }
-            None => None,
-        };
         if let Some(budget) = self.budget {
             if self.queries >= budget {
                 return Err(BudgetExhausted { budget });
@@ -770,9 +547,6 @@ impl<'a> Oracle<'a> {
         crate::telemetry::trace::tag_route(crate::telemetry::trace::RouteTag::Full);
         self.classifier.scores_into(image, out);
         self.log_query(self.queries, None, out);
-        if let (Some(memo), Some(key)) = (self.memo, memo_key) {
-            memo.insert(key, out);
-        }
         Ok(())
     }
 
@@ -819,22 +593,6 @@ impl<'a> Oracle<'a> {
         pixel: Pixel,
         out: &mut Vec<f32>,
     ) -> Result<(), BudgetExhausted> {
-        // Memo lookup comes before the budget check and the duplicate
-        // guard: a hit is not a query (no budget, no count, no
-        // classifier), and re-requesting an already-paid-for candidate
-        // is exactly what the memo exists to make free.
-        let memo_key = match self.memo {
-            Some(memo) => {
-                let key = (image_content_id(base), Some(candidate_key(location, pixel)));
-                if memo.lookup_into(&key, out) {
-                    self.memo_hits += 1;
-                    crate::telemetry::count(crate::telemetry::Counter::MemoHit);
-                    return Ok(());
-                }
-                Some(key)
-            }
-            None => None,
-        };
         if let Some(budget) = self.budget {
             if self.queries >= budget {
                 return Err(BudgetExhausted { budget });
@@ -870,11 +628,6 @@ impl<'a> Oracle<'a> {
                 crate::telemetry::count(crate::telemetry::Counter::BatchHit);
                 crate::telemetry::trace::tag_route(crate::telemetry::trace::RouteTag::BatchHit);
                 self.log_query(self.queries, Some((location, pixel)), out);
-                // Pool-served scores were computed (and just counted), so
-                // they are memoized like sequential ones.
-                if let (Some(memo), Some(key)) = (self.memo, memo_key) {
-                    memo.insert(key, out);
-                }
                 return Ok(());
             }
             if self.pool.base_addr == base_addr {
@@ -887,9 +640,6 @@ impl<'a> Oracle<'a> {
         self.classifier
             .scores_pixel_delta_into(base, location, pixel, out);
         self.log_query(self.queries, Some((location, pixel)), out);
-        if let (Some(memo), Some(key)) = (self.memo, memo_key) {
-            memo.insert(key, out);
-        }
         Ok(())
     }
 
@@ -903,7 +653,7 @@ impl<'a> Oracle<'a> {
     /// calls against the same base are served from the pool whenever the
     /// candidate is pending (in any order — consumption is free to diverge
     /// from prefetch order), each with the full sequential accounting
-    /// (budget check, duplicate guard, query count, query log, memo) at
+    /// (budget check, duplicate guard, query count, query log) at
     /// consume time. A query for a candidate *not* pending runs
     /// sequentially and leaves the pool intact. Callers whose speculation
     /// went stale (e.g. a stochastic attack accepting a proposal, changing
@@ -1042,27 +792,6 @@ impl<'a> Oracle<'a> {
         candidates: &[(Location, Pixel)],
         out: &mut Vec<f32>,
     ) -> Result<usize, BudgetExhausted> {
-        // With a memo attached the batch degenerates to the sequential
-        // loop so each candidate gets the memo lookup/insert (scores are
-        // bit-identical either way). Memo hits consume no budget, so the
-        // upfront clamp below would be wrong here: the loop itself stops
-        // exactly where the budget actually runs out.
-        if self.memo.is_some() {
-            out.clear();
-            let mut buf = Vec::new();
-            let mut served = 0;
-            for &(location, pixel) in candidates {
-                match self.query_pixel_delta_into(base, location, pixel, &mut buf) {
-                    Ok(()) => {
-                        out.extend_from_slice(&buf);
-                        served += 1;
-                    }
-                    Err(err) if served == 0 => return Err(err),
-                    Err(_) => break,
-                }
-            }
-            return Ok(served);
-        }
         let remaining = self
             .budget
             .map_or(u64::MAX, |b| b.saturating_sub(self.queries));
@@ -1099,18 +828,9 @@ impl<'a> Oracle<'a> {
         Ok(n)
     }
 
-    /// The number of queries issued so far. Memo hits are never
-    /// included: this is the number of times the classifier was
-    /// consulted at a counted site.
+    /// The number of queries issued so far.
     pub fn queries(&self) -> u64 {
         self.queries
-    }
-
-    /// The number of queries served from the attached memo (0 without
-    /// one). Counted separately from [`Oracle::queries`] on purpose: a
-    /// hit is not an oracle query.
-    pub fn memo_hits(&self) -> u64 {
-        self.memo_hits
     }
 
     /// The remaining budget, if one is set.
@@ -1736,251 +1456,6 @@ mod tests {
         let mut oracle = Oracle::new(&clf);
         oracle.query(&base).unwrap();
         assert!(oracle.take_query_log().is_empty());
-    }
-
-    mod memo {
-        use super::*;
-
-        #[test]
-        fn repeat_candidates_are_served_free_and_uncounted() {
-            let calls = std::cell::Cell::new(0);
-            let clf = counting_mean_classifier(&calls);
-            let base = Image::filled(3, 3, Pixel([0.2; 3]));
-            let candidates = some_candidates(4);
-            let memo = QueryMemo::new();
-
-            // First restart pays for everything.
-            let mut first = Oracle::new(&clf).with_memo(&memo);
-            let mut want = Vec::new();
-            let mut buf = Vec::new();
-            for &(loc, px) in &candidates {
-                first
-                    .query_pixel_delta_into(&base, loc, px, &mut buf)
-                    .unwrap();
-                want.push(buf.clone());
-            }
-            assert_eq!(first.queries(), 4);
-            assert_eq!(first.memo_hits(), 0);
-            let paid = calls.get();
-
-            // Second restart over the same candidates pays for nothing
-            // and sees bit-identical scores.
-            let mut second = Oracle::new(&clf).with_memo(&memo);
-            for (i, &(loc, px)) in candidates.iter().enumerate() {
-                second
-                    .query_pixel_delta_into(&base, loc, px, &mut buf)
-                    .unwrap();
-                assert_eq!(buf, want[i], "memoized scores diverged");
-            }
-            assert_eq!(second.queries(), 0, "hits are not oracle queries");
-            assert_eq!(second.memo_hits(), 4);
-            assert_eq!(calls.get(), paid, "hits never touch the classifier");
-        }
-
-        #[test]
-        fn full_image_queries_are_memoized_too() {
-            let calls = std::cell::Cell::new(0);
-            let clf = counting_mean_classifier(&calls);
-            let base = Image::filled(3, 3, Pixel([0.6; 3]));
-            let memo = QueryMemo::new();
-            let mut a = Oracle::new(&clf).with_memo(&memo);
-            let want = a.query(&base).unwrap();
-            let mut b = Oracle::new(&clf).with_memo(&memo);
-            assert_eq!(b.query(&base).unwrap(), want);
-            assert_eq!(b.queries(), 0);
-            assert_eq!(b.memo_hits(), 1);
-            assert_eq!(calls.get(), 1);
-        }
-
-        #[test]
-        fn memo_hits_bypass_an_exhausted_budget() {
-            let calls = std::cell::Cell::new(0);
-            let clf = counting_mean_classifier(&calls);
-            let base = Image::filled(3, 3, Pixel([0.2; 3]));
-            let (loc, px) = some_candidates(1)[0];
-            let memo = QueryMemo::new();
-            let mut warm = Oracle::new(&clf).with_memo(&memo);
-            warm.query_pixel_delta(&base, loc, px).unwrap();
-
-            let mut broke = Oracle::with_budget(&clf, 0).with_memo(&memo);
-            let mut buf = Vec::new();
-            broke
-                .query_pixel_delta_into(&base, loc, px, &mut buf)
-                .expect("already paid for: served despite the spent budget");
-            assert_eq!(broke.queries(), 0);
-            assert_eq!(broke.memo_hits(), 1);
-            // A fresh candidate still hits the budget wall.
-            let (loc2, px2) = some_candidates(2)[1];
-            assert!(broke
-                .query_pixel_delta_into(&base, loc2, px2, &mut buf)
-                .is_err());
-        }
-
-        #[test]
-        fn memo_distinguishes_images_pixels_and_perturbations() {
-            let clf = FnClassifier::new(2, |img: &Image| {
-                let mean: f32 = img.data().iter().sum::<f32>() / img.data().len() as f32;
-                vec![mean, 1.0 - mean]
-            });
-            let base_a = Image::filled(3, 3, Pixel([0.2; 3]));
-            let base_b = Image::filled(3, 3, Pixel([0.3; 3]));
-            let memo = QueryMemo::new();
-            let mut oracle = Oracle::new(&clf).with_memo(&memo);
-            let loc = Location::new(1, 1);
-            let px = Pixel([0.9, 0.1, 0.4]);
-            // Like the stochastic attacks, open a fresh guard scope per
-            // proposal: re-requesting a candidate across scopes is legal.
-            oracle.begin_candidate_scope();
-            oracle.query_pixel_delta(&base_a, loc, px).unwrap();
-            // Different base image, different location, different colour:
-            // all misses (each costs a counted query).
-            oracle.begin_candidate_scope();
-            oracle.query_pixel_delta(&base_b, loc, px).unwrap();
-            oracle.begin_candidate_scope();
-            oracle
-                .query_pixel_delta(&base_a, Location::new(0, 1), px)
-                .unwrap();
-            oracle.begin_candidate_scope();
-            oracle
-                .query_pixel_delta(&base_a, loc, Pixel([0.9, 0.1, 0.5]))
-                .unwrap();
-            assert_eq!(oracle.queries(), 4);
-            assert_eq!(oracle.memo_hits(), 0);
-            assert_eq!(memo.len(), 4);
-        }
-
-        #[test]
-        fn eviction_is_deterministic_and_capped() {
-            let calls = std::cell::Cell::new(0);
-            let clf = counting_mean_classifier(&calls);
-            let base = Image::filled(3, 3, Pixel([0.2; 3]));
-            let candidates = some_candidates(5);
-            let memo = QueryMemo::with_capacity(2);
-            let mut oracle = Oracle::new(&clf).with_memo(&memo);
-            let mut buf = Vec::new();
-            for &(loc, px) in &candidates[..3] {
-                oracle.begin_candidate_scope();
-                oracle
-                    .query_pixel_delta_into(&base, loc, px, &mut buf)
-                    .unwrap();
-            }
-            assert_eq!(memo.len(), 2, "cap holds");
-            // Candidate 0 (the oldest) was evicted: it costs a query
-            // again. Candidate 2 is still cached.
-            let before = oracle.queries();
-            oracle.begin_candidate_scope();
-            oracle
-                .query_pixel_delta_into(&base, candidates[2].0, candidates[2].1, &mut buf)
-                .unwrap();
-            assert_eq!(oracle.queries(), before, "newest entry still cached");
-            oracle
-                .query_pixel_delta_into(&base, candidates[0].0, candidates[0].1, &mut buf)
-                .unwrap();
-            assert_eq!(oracle.queries(), before + 1, "oldest entry was evicted");
-        }
-
-        #[test]
-        fn batch_served_scores_are_memoized() {
-            let calls = std::cell::Cell::new(0);
-            let clf = counting_mean_classifier(&calls);
-            let base = Image::filled(3, 3, Pixel([0.4; 3]));
-            let candidates = some_candidates(3);
-            let memo = QueryMemo::new();
-            let mut warm = Oracle::new(&clf).with_memo(&memo);
-            warm.prefetch_pixel_batch(&base, &candidates);
-            let mut buf = Vec::new();
-            for &(loc, px) in &candidates {
-                warm.query_pixel_delta_into(&base, loc, px, &mut buf)
-                    .unwrap();
-            }
-            assert_eq!(memo.len(), candidates.len());
-            let mut cold = Oracle::new(&clf).with_memo(&memo);
-            for &(loc, px) in &candidates {
-                cold.query_pixel_delta_into(&base, loc, px, &mut buf)
-                    .unwrap();
-            }
-            assert_eq!(cold.queries(), 0);
-            assert_eq!(cold.memo_hits(), candidates.len() as u64);
-        }
-
-        #[test]
-        fn query_batch_serves_memo_hits_without_counting() {
-            let calls = std::cell::Cell::new(0);
-            let clf = counting_mean_classifier(&calls);
-            let base = Image::filled(3, 3, Pixel([0.25; 3]));
-            let candidates = some_candidates(4);
-            let memo = QueryMemo::new();
-            let mut warm = Oracle::new(&clf).with_memo(&memo);
-            let mut want = Vec::new();
-            warm.query_batch(&base, &candidates, &mut want).unwrap();
-            assert_eq!(warm.queries(), 4);
-
-            let mut cold = Oracle::new(&clf).with_memo(&memo);
-            let mut got = Vec::new();
-            let n = cold.query_batch(&base, &candidates, &mut got).unwrap();
-            assert_eq!(n, 4, "every candidate served");
-            assert_eq!(got, want, "memoized batch scores diverged");
-            assert_eq!(cold.queries(), 0);
-            assert_eq!(cold.memo_hits(), 4);
-        }
-
-        #[test]
-        fn memo_on_scores_equal_memo_off_and_counts_never_exceed() {
-            // The equivalence A/B contract: an attached memo can lower
-            // counted queries, never change a score.
-            let calls = std::cell::Cell::new(0);
-            let clf = counting_mean_classifier(&calls);
-            let base = Image::filled(4, 4, Pixel([0.3; 3]));
-            let candidates: Vec<_> = some_candidates(6)
-                .into_iter()
-                .cycle()
-                .take(18) // each candidate requested three times
-                .collect();
-            let memo = QueryMemo::new();
-            let mut off = Oracle::new(&clf);
-            let mut on = Oracle::new(&clf).with_memo(&memo);
-            let (mut a, mut b) = (Vec::new(), Vec::new());
-            for &(loc, px) in &candidates {
-                off.begin_candidate_scope();
-                on.begin_candidate_scope();
-                off.query_pixel_delta_into(&base, loc, px, &mut a).unwrap();
-                on.query_pixel_delta_into(&base, loc, px, &mut b).unwrap();
-                assert_eq!(a, b, "memo changed a score");
-            }
-            assert_eq!(off.queries(), 18);
-            assert_eq!(on.queries(), 6, "only first sightings are paid");
-            assert_eq!(on.memo_hits(), 12);
-            assert!(on.queries() <= off.queries());
-        }
-
-        #[test]
-        fn image_content_id_is_content_not_address() {
-            let a = Image::filled(3, 3, Pixel([0.2; 3]));
-            let b = Image::filled(3, 3, Pixel([0.2; 3]));
-            let c = Image::filled(3, 3, Pixel([0.3; 3]));
-            assert_eq!(image_content_id(&a), image_content_id(&b));
-            assert_ne!(image_content_id(&a), image_content_id(&c));
-            // Same data, different geometry.
-            let wide = Image::filled(1, 9, Pixel([0.2; 3]));
-            assert_ne!(image_content_id(&a), image_content_id(&wide));
-        }
-
-        #[test]
-        fn memo_hits_are_not_logged() {
-            let clf = constant_classifier();
-            let base = Image::filled(2, 2, Pixel([0.1; 3]));
-            let (loc, px) = (Location::new(0, 1), Pixel([0.9, 0.2, 0.3]));
-            let memo = QueryMemo::new();
-            let mut warm = Oracle::new(&clf).with_memo(&memo);
-            warm.enable_query_log();
-            warm.query_pixel_delta(&base, loc, px).unwrap();
-            assert_eq!(warm.take_query_log().len(), 1);
-            warm.query_pixel_delta(&base, loc, px).unwrap();
-            assert!(
-                warm.take_query_log().is_empty(),
-                "a memo hit is not a counted query, so it must not be logged"
-            );
-        }
     }
 
     #[test]

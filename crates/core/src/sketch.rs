@@ -148,10 +148,7 @@ pub fn run_sketch_with_goal_prior(
     let start = oracle.queries();
     let spent = |oracle: &Oracle<'_>| oracle.queries() - start;
 
-    // Baseline query: N(x), needed by the score_diff conditions. A
-    // memo-attached oracle may serve it without counting; phase
-    // attribution and the trace record belong to counted queries only.
-    let before_baseline = oracle.queries();
+    // Baseline query: N(x), needed by the score_diff conditions.
     let orig_scores = match oracle.query(image) {
         Ok(s) => s,
         Err(_) => {
@@ -160,17 +157,15 @@ pub fn run_sketch_with_goal_prior(
             }
         }
     };
-    if oracle.queries() > before_baseline {
-        telemetry::count(Counter::QueryBaseline);
-        record_oracle_query(
-            "baseline",
-            spent(oracle),
-            None,
-            &orig_scores,
-            true_class,
-            goal,
-        );
-    }
+    telemetry::count(Counter::QueryBaseline);
+    record_oracle_query(
+        "baseline",
+        spent(oracle),
+        None,
+        &orig_scores,
+        true_class,
+        goal,
+    );
     if argmax(&orig_scores) != true_class {
         return SketchOutcome::AlreadyMisclassified {
             queries: spent(oracle),
@@ -203,24 +198,18 @@ pub fn run_sketch_with_goal_prior(
                     pair: Pair,
                     phase: Counter,
                     trace_phase: &'static str| {
-        let before = oracle.queries();
         oracle
             .query_pixel_delta_into(image, pair.location, pair.corner.as_pixel(), buf)
             .map_err(|_| ())?;
-        // A memo hit is not a counted query: no phase attribution, no
-        // trace record — the trace stays a faithful per-counted-query
-        // stream that replay can re-verify.
-        if oracle.queries() > before {
-            telemetry::count(phase);
-            record_oracle_query(
-                trace_phase,
-                spent(oracle),
-                Some((pair.location, pair.corner.as_pixel())),
-                buf,
-                true_class,
-                goal,
-            );
-        }
+        telemetry::count(phase);
+        record_oracle_query(
+            trace_phase,
+            spent(oracle),
+            Some((pair.location, pair.corner.as_pixel())),
+            buf,
+            true_class,
+            goal,
+        );
         Ok::<bool, ()>(goal.is_adversarial(buf, true_class))
     };
 
@@ -708,29 +697,6 @@ mod tests {
             hot.queries(),
             cold.queries()
         );
-    }
-
-    #[test]
-    fn a_restart_with_a_shared_memo_repays_nothing() {
-        use crate::oracle::QueryMemo;
-        // No attack exists, so a run visits every candidate. A second
-        // run (restart) over the same image with a shared memo must see
-        // the identical outcome while paying zero fresh queries.
-        let clf = FnClassifier::new(2, |_: &Image| vec![0.9, 0.1]);
-        let img = grey(3, 3);
-        let memo = QueryMemo::new();
-        let mut first = Oracle::new(&clf).with_memo(&memo);
-        let a = run_sketch(&Program::constant(false), &mut first, &img, 0);
-        assert_eq!(a, SketchOutcome::Exhausted { queries: 73 });
-
-        let mut second = Oracle::new(&clf).with_memo(&memo);
-        let b = run_sketch(&Program::constant(false), &mut second, &img, 0);
-        assert_eq!(
-            b,
-            SketchOutcome::Exhausted { queries: 0 },
-            "every candidate served from the memo"
-        );
-        assert_eq!(second.memo_hits(), 73);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use oppsla_attacks::{Attack, AttackOutcome};
 use oppsla_core::image::Image;
-use oppsla_core::oracle::{BatchClassifier, Classifier, MemoBank, Oracle};
+use oppsla_core::oracle::{BatchClassifier, Classifier, Oracle};
 use oppsla_core::parallel::parallel_map_with;
 use oppsla_core::telemetry::{trace, FieldValue, MetricsSink};
 use rand::SeedableRng;
@@ -130,50 +130,6 @@ pub fn evaluate_attack(
     }
 }
 
-/// [`evaluate_attack`] with a cross-restart memo: each per-image oracle
-/// shares the [`MemoBank`] entry for its test-set index, so a candidate
-/// already paid for by an earlier evaluation through the same bank is
-/// served for free. Scores and outcomes are bit-identical to the
-/// memo-less call; only query counts can drop.
-///
-/// `memo.len()` must cover the test set (one entry per image index).
-pub fn evaluate_attack_with_memo(
-    attack: &dyn Attack,
-    classifier: &dyn Classifier,
-    test: &[(Image, usize)],
-    budget: u64,
-    seed: u64,
-    memo: &MemoBank,
-) -> AttackEval {
-    assert!(
-        memo.len() >= test.len(),
-        "memo bank has {} entries for {} test images",
-        memo.len(),
-        test.len()
-    );
-    trace::begin_sweep("attack_eval", test.len(), attack.name());
-    let outcomes = test
-        .iter()
-        .enumerate()
-        .map(|(i, (image, true_class))| {
-            let mut oracle = Oracle::with_budget(classifier, budget).with_memo(memo.memo(i));
-            let mut rng = ChaCha8Rng::seed_from_u64(seed.wrapping_add(i as u64));
-            trace::set_image(i);
-            let outcome = attack.attack(&mut oracle, image, *true_class, &mut rng);
-            trace::record_run(
-                outcome.queries(),
-                matches!(outcome, AttackOutcome::Success { .. }),
-            );
-            oppsla_core::telemetry::observe_image_queries(outcome.queries());
-            outcome
-        })
-        .collect();
-    AttackEval {
-        attack_name: attack.name().to_owned(),
-        outcomes,
-    }
-}
-
 /// [`evaluate_attack`] fanned out over `threads` workers, each querying
 /// through its own [`BatchClassifier::session`] handle. Per-image oracles
 /// and per-image seeded random streams make the evaluation outcome
@@ -194,49 +150,6 @@ pub fn evaluate_attack_parallel(
         || classifier.session(),
         |session, i, (image, true_class)| {
             let mut oracle = Oracle::with_budget(&**session, budget);
-            let mut rng = ChaCha8Rng::seed_from_u64(seed.wrapping_add(i as u64));
-            trace::set_image(i);
-            let outcome = attack.attack(&mut oracle, image, *true_class, &mut rng);
-            trace::record_run(
-                outcome.queries(),
-                matches!(outcome, AttackOutcome::Success { .. }),
-            );
-            oppsla_core::telemetry::observe_image_queries(outcome.queries());
-            outcome
-        },
-    );
-    AttackEval {
-        attack_name: attack.name().to_owned(),
-        outcomes,
-    }
-}
-
-/// [`evaluate_attack_parallel`] sharing a [`MemoBank`]. The bank is
-/// indexed by test-set position, so each worker only ever touches its
-/// current image's memo — results stay independent of the thread count
-/// and identical to [`evaluate_attack_with_memo`].
-pub fn evaluate_attack_parallel_with_memo(
-    attack: &(dyn Attack + Sync),
-    classifier: &dyn BatchClassifier,
-    test: &[(Image, usize)],
-    budget: u64,
-    seed: u64,
-    threads: usize,
-    memo: &MemoBank,
-) -> AttackEval {
-    assert!(
-        memo.len() >= test.len(),
-        "memo bank has {} entries for {} test images",
-        memo.len(),
-        test.len()
-    );
-    trace::begin_sweep("attack_eval", test.len(), attack.name());
-    let outcomes = parallel_map_with(
-        threads,
-        test,
-        || classifier.session(),
-        |session, i, (image, true_class)| {
-            let mut oracle = Oracle::with_budget(&**session, budget).with_memo(memo.memo(i));
             let mut rng = ChaCha8Rng::seed_from_u64(seed.wrapping_add(i as u64));
             trace::set_image(i);
             let outcome = attack.attack(&mut oracle, image, *true_class, &mut rng);
@@ -394,114 +307,6 @@ mod tests {
         assert_eq!(eval.median_queries(), 4.0);
         assert!((eval.avg_queries() - 16.0 / 3.0).abs() < 1e-9);
         assert_eq!(eval.success_rate_at(4), 0.5);
-    }
-
-    /// Success/failure structure of two evals must agree even when memo
-    /// hits change the query counts.
-    fn same_shape(a: &AttackEval, b: &AttackEval) {
-        assert_eq!(a.outcomes.len(), b.outcomes.len());
-        for (x, y) in a.outcomes.iter().zip(&b.outcomes) {
-            match (x, y) {
-                (
-                    AttackOutcome::Success {
-                        location: l1,
-                        pixel: p1,
-                        ..
-                    },
-                    AttackOutcome::Success {
-                        location: l2,
-                        pixel: p2,
-                        ..
-                    },
-                ) => {
-                    assert_eq!(l1, l2);
-                    assert_eq!(p1, p2);
-                }
-                (AttackOutcome::Failure { .. }, AttackOutcome::Failure { .. })
-                | (
-                    AttackOutcome::AlreadyMisclassified { .. },
-                    AttackOutcome::AlreadyMisclassified { .. },
-                ) => {}
-                other => panic!("outcome shapes diverged: {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn memo_eval_is_query_monotone_and_outcome_identical() {
-        let clf = trigger_clf(Location::new(3, 2));
-        let attack = SketchProgramAttack::new(Program::paper_example());
-        let test = grey_set(4);
-        let plain = evaluate_attack(&attack, &clf, &test, 10_000, 0);
-
-        let bank = MemoBank::new(test.len(), oppsla_core::oracle::DEFAULT_MEMO_CAPACITY);
-        let first = evaluate_attack_with_memo(&attack, &clf, &test, 10_000, 0, &bank);
-        // A cold bank changes nothing at all.
-        assert_eq!(first, plain);
-
-        // A second restart through the same bank keeps outcomes identical
-        // and can only lower per-image query counts.
-        let second = evaluate_attack_with_memo(&attack, &clf, &test, 10_000, 0, &bank);
-        same_shape(&second, &first);
-        for (i, (a, b)) in second.outcomes.iter().zip(&first.outcomes).enumerate() {
-            assert!(
-                a.queries() <= b.queries(),
-                "image {i}: restart spent {} > first run's {}",
-                a.queries(),
-                b.queries()
-            );
-            assert!(
-                a.queries() < b.queries(),
-                "image {i}: a warm memo must repay something"
-            );
-        }
-
-        // Parallel evaluation through a bank matches sequential exactly,
-        // for any thread count (fresh bank per comparison: the banks
-        // above are already warm).
-        for threads in [1, 2, 4] {
-            let bank_a = MemoBank::new(test.len(), oppsla_core::oracle::DEFAULT_MEMO_CAPACITY);
-            let bank_b = MemoBank::new(test.len(), oppsla_core::oracle::DEFAULT_MEMO_CAPACITY);
-            let seq = evaluate_attack_with_memo(&attack, &clf, &test, 10_000, 0, &bank_a);
-            let par = evaluate_attack_parallel_with_memo(
-                &attack, &clf, &test, 10_000, 0, threads, &bank_b,
-            );
-            assert_eq!(par, seq, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn fig3_roster_cells_are_query_monotone_under_a_shared_bank() {
-        // fig3's memo wiring in miniature: one bank per classifier,
-        // shared across the whole attack roster (including the
-        // DeepSearch baseline) and a repeat evaluation. Every
-        // (attack, image) cell must keep its outcome shape and spend no
-        // more queries than its memo-less twin — across attacks too,
-        // since the roster probes overlapping candidate spaces.
-        let clf = trigger_clf(Location::new(2, 3));
-        let attacks: Vec<Box<dyn Attack + Sync>> = vec![
-            Box::new(SketchProgramAttack::new(Program::paper_example())),
-            Box::new(oppsla_attacks::DeepSearch::default()),
-        ];
-        let test = grey_set(3);
-        let bank = MemoBank::new(test.len(), oppsla_core::oracle::DEFAULT_MEMO_CAPACITY);
-        for round in 0..2 {
-            for attack in &attacks {
-                let plain = evaluate_attack(attack.as_ref(), &clf, &test, 10_000, 0);
-                let memoed =
-                    evaluate_attack_with_memo(attack.as_ref(), &clf, &test, 10_000, 0, &bank);
-                same_shape(&memoed, &plain);
-                for (i, (m, p)) in memoed.outcomes.iter().zip(&plain.outcomes).enumerate() {
-                    assert!(
-                        m.queries() <= p.queries(),
-                        "round {round}, {}, image {i}: memo-on spent {} > memo-off's {}",
-                        attack.name(),
-                        m.queries(),
-                        p.queries()
-                    );
-                }
-            }
-        }
     }
 
     #[test]

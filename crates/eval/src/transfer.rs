@@ -6,13 +6,11 @@
 //! source-classifier programs on each target classifier. The diagonal is
 //! the self-attack baseline.
 
-use crate::curves::{
-    evaluate_attack, evaluate_attack_parallel, evaluate_attack_parallel_with_memo, AttackEval,
-};
+use crate::curves::{evaluate_attack, evaluate_attack_parallel, AttackEval};
 use crate::report::{fmt_stat, Table};
 use crate::suite::{ProgramSuite, SuiteAttack};
 use oppsla_core::image::Image;
-use oppsla_core::oracle::{BatchClassifier, Classifier, MemoBank};
+use oppsla_core::oracle::{BatchClassifier, Classifier};
 use oppsla_core::telemetry::trace;
 
 /// The transferability matrix.
@@ -118,61 +116,6 @@ pub fn run_transfer_parallel_traced(
                 eval_budget,
                 seed,
                 threads,
-            )
-        },
-    )
-}
-
-/// [`run_transfer_parallel_traced`] with one [`MemoBank`] per *target*
-/// classifier: every source suite attacking target `t` shares
-/// `banks[t]`, so candidate queries one source already paid for are
-/// served to the others for free. Banks are strictly per target — memo
-/// keys carry no classifier identity, so sharing one bank across
-/// classifiers would serve wrong scores. Success rates are identical to
-/// the memo-less run; only `avg_queries` can drop (and the drop is the
-/// cross-source redundancy Table 1 quantifies).
-///
-/// # Panics
-///
-/// Panics like [`run_transfer_parallel_traced`], or if `banks` does not
-/// hold exactly one bank per classifier.
-#[allow(clippy::too_many_arguments)]
-pub fn run_transfer_parallel_with_memo(
-    labels: &[String],
-    classifiers: &[&dyn BatchClassifier],
-    suites: &[ProgramSuite],
-    test: &[(Image, usize)],
-    eval_budget: u64,
-    seed: u64,
-    threads: usize,
-    meta: &trace::SectionMeta,
-    banks: &[MemoBank],
-) -> TransferResult {
-    assert_eq!(
-        banks.len(),
-        classifiers.len(),
-        "one memo bank per target classifier"
-    );
-    transfer_core(
-        labels,
-        classifiers.len(),
-        suites,
-        &mut |source, target, attack| {
-            if trace::armed() {
-                let mut m = meta.clone();
-                m.label = format!("{}/{}<-{}", meta.label, labels[target], labels[source]);
-                m.arch.clone_from(&labels[target]);
-                m.attack = format!("oppsla[{}]", labels[source]);
-                trace::begin_section(m);
-            }
-            evaluate_attack_parallel_with_memo(
-                attack,
-                classifiers[target],
-                test,
-                eval_budget,
-                seed,
-                threads,
-                &banks[target],
             )
         },
     )
@@ -294,52 +237,6 @@ mod tests {
                 run_transfer_parallel(&labels, &classifiers, &suites, &test, 10_000, 0, threads);
             assert_eq!(parallel, sequential, "threads = {threads}");
         }
-    }
-
-    #[test]
-    fn memoized_transfer_keeps_success_and_never_raises_queries() {
-        let a = clf_at(Location::new(1, 1));
-        let b = clf_at(Location::new(3, 3));
-        let labels = vec!["A".to_owned(), "B".to_owned()];
-        let suites = vec![
-            ProgramSuite::shared(Program::constant(false)),
-            ProgramSuite::shared(Program::paper_example()),
-        ];
-        let test = vec![
-            (Image::filled(5, 5, Pixel([0.4, 0.4, 0.4])), 0),
-            (Image::filled(5, 5, Pixel([0.5, 0.5, 0.5])), 0),
-        ];
-        let classifiers: Vec<&dyn BatchClassifier> = vec![&a, &b];
-        let meta = trace::SectionMeta::default();
-        let plain = run_transfer_parallel(&labels, &classifiers, &suites, &test, 10_000, 0, 1);
-        let banks: Vec<MemoBank> = (0..2)
-            .map(|_| MemoBank::new(test.len(), oppsla_core::oracle::DEFAULT_MEMO_CAPACITY))
-            .collect();
-        let memoed = run_transfer_parallel_with_memo(
-            &labels,
-            &classifiers,
-            &suites,
-            &test,
-            10_000,
-            0,
-            1,
-            &meta,
-            &banks,
-        );
-        assert_eq!(memoed.success_rate, plain.success_rate);
-        for (mr, pr) in memoed.avg_queries.iter().zip(&plain.avg_queries) {
-            for (m, p) in mr.iter().zip(pr) {
-                assert!(*m <= *p, "memoized transfer spent more queries: {m} > {p}");
-            }
-        }
-        // The first source to hit each target pays full price: the
-        // diagonal-free column for source 0 matches the plain run.
-        for target in 0..2 {
-            assert_eq!(memoed.avg_queries[target][0], plain.avg_queries[target][0]);
-        }
-        // The second source reuses the first source's candidates.
-        let improved = (0..2).any(|t| memoed.avg_queries[t][1] < plain.avg_queries[t][1]);
-        assert!(improved, "a warm target bank must repay something");
     }
 
     #[test]

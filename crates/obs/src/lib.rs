@@ -133,13 +133,6 @@ counters! {
     /// Tenant submissions merged into those grouped calls. Mean pack
     /// density is `sched_grouped_submissions / sched_grouped_calls`.
     SchedGroupedSubmissions => "sched_grouped_submissions",
-    /// Candidate queries served from the cross-restart memo cache without
-    /// touching the classifier. Never counted as oracle queries.
-    MemoHit => "memo_hit",
-    /// Freshly computed scores inserted into the memo cache.
-    MemoInsert => "memo_insert",
-    /// Memo entries evicted (oldest first) to respect the entry cap.
-    MemoEvict => "memo_evict",
 }
 
 /// Declares [`OpKind`] with stable wire names.

@@ -7,13 +7,9 @@
 //! oppsla_serverd [--addr 127.0.0.1:7431] [--workers 2] [--max-merge 8]
 //!                [--max-active 16] [--max-waiting 64]
 //!                [--train-per-class 64] [--epochs N] [--test-per-class 4]
-//!                [--cache-dir PATH] [--seed 1] [--memo]
+//!                [--cache-dir PATH] [--seed 1]
 //!                [--metrics-addr 127.0.0.1:9431] [--no-metrics]
 //! ```
-//!
-//! `--memo` shares a cross-tenant query memo per model shard. Leave it
-//! off for determinism-witness deployments: a shared memo makes each
-//! job's query count and log digest depend on other tenants' history.
 //!
 //! The live metrics plane is on by default (it is passive and never
 //! changes job outcomes); `--metrics-addr` additionally serves the
@@ -53,7 +49,6 @@ fn main() {
         test_seed: args.get_u64("test-seed", 9),
         max_active_jobs: args.get_usize("max-active", 16),
         max_waiting_jobs: args.get_usize("max-waiting", 64),
-        memo: args.flag("memo"),
         metrics: !args.flag("no-metrics"),
         metrics_addr: args.get_opt_str("metrics-addr").map(str::to_owned),
     };

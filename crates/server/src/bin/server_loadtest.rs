@@ -225,7 +225,6 @@ fn main() {
         test_seed: args.get_u64("test-seed", 9),
         max_active_jobs: tenants.max(16),
         max_waiting_jobs: 4 * tenants.max(16),
-        memo: false,
         metrics: metrics_on,
         metrics_addr: metrics_on.then(|| "127.0.0.1:0".into()),
     })

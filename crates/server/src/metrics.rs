@@ -81,8 +81,6 @@ pub struct TenantMetrics {
     pub jobs_errored: Arc<Counter>,
     /// Counted oracle queries spent across this tenant's jobs.
     pub queries: Arc<Counter>,
-    /// Queries served from the shard memo (uncounted in `queries`).
-    pub memo_hits: Arc<Counter>,
     /// Sum of the query budgets of admitted jobs.
     pub budget_granted: Arc<Counter>,
     /// Budget remaining at completion, summed over finished jobs
@@ -132,8 +130,6 @@ pub struct ServerMetrics {
     /// Counted oracle queries across all completed jobs. CI cross-checks
     /// this against ground-truth client-side counts after a loadtest.
     pub queries_total: Arc<Counter>,
-    /// Shard-memo hits across all completed jobs.
-    pub memo_hits_total: Arc<Counter>,
     /// End-to-end job wall time (admission to response), microseconds.
     pub job_latency_us: Arc<Histogram>,
     /// Zoo train-once latches fired (cold shards trained or loaded).
@@ -157,7 +153,6 @@ impl ServerMetrics {
             jobs_done: registry.counter("jobs_done", &[]),
             jobs_errored: registry.counter("jobs_errored", &[]),
             queries_total: registry.counter("queries_total", &[]),
-            memo_hits_total: registry.counter("memo_hits_total", &[]),
             job_latency_us: registry.histogram("job_latency_us", &[]),
             zoo_shard_trains: registry.counter("zoo_shard_trains", &[]),
             shards: Mutex::new(HashMap::new()),
@@ -221,7 +216,6 @@ impl ServerMetrics {
             jobs_done: self.registry.counter("tenant_jobs_done", labels),
             jobs_errored: self.registry.counter("tenant_jobs_errored", labels),
             queries: self.registry.counter("tenant_queries", labels),
-            memo_hits: self.registry.counter("tenant_memo_hits", labels),
             budget_granted: self.registry.counter("tenant_budget_granted", labels),
             budget_unspent: self.registry.counter("tenant_budget_unspent", labels),
             id,
@@ -291,7 +285,6 @@ mod tests {
             queries: 10,
             full_queries: 1,
             delta_queries: 9,
-            memo_hits: 0,
             wall_us,
             budget: 100,
         }

@@ -185,10 +185,6 @@ pub struct JobOutcome {
     pub pixel: Option<[f32; 3]>,
     /// Number of counted queries in the job's query log.
     pub log_len: u64,
-    /// Queries served from the server's per-shard memo (never counted in
-    /// `queries` or logged). Always 0 unless the deployment opted into
-    /// `--memo`.
-    pub memo_hits: u64,
     /// FNV-1a 64 digest over the job's query log (seq, pixel, pred and
     /// per-query score hashes), as 16 hex digits. Two jobs interacted
     /// with the model identically iff their digests match — the
@@ -212,7 +208,7 @@ pub struct StatsMetric {
 
 /// One entry of the slow-request log: a completed job that ranked among
 /// the N worst by wall time since the server started, with enough
-/// attribution (route split, memoization) to see *why* it was slow.
+/// attribution (route split) to see *why* it was slow.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct SlowJob {
     /// Server-assigned tenant id (`"t0"`, `"t1"`, … in connection order).
@@ -230,8 +226,6 @@ pub struct SlowJob {
     pub full_queries: u64,
     /// Queries that took the sparse delta route.
     pub delta_queries: u64,
-    /// Queries served from the per-shard memo (uncounted).
-    pub memo_hits: u64,
     /// End-to-end wall time of the job in microseconds (admission to
     /// response, as observed by the serving thread).
     pub wall_us: u64,
@@ -377,7 +371,6 @@ mod tests {
                 queries: 37,
                 full_queries: 5,
                 delta_queries: 32,
-                memo_hits: 0,
                 wall_us: 1234,
                 budget: 600,
             }],
@@ -391,7 +384,7 @@ mod tests {
                 "\"slow_jobs\":[{\"tenant\":\"t0\",\"arch\":\"mlp\",",
                 "\"scale\":\"shapes32\",\"status\":\"success\",",
                 "\"queries\":37,\"full_queries\":5,\"delta_queries\":32,",
-                "\"memo_hits\":0,\"wall_us\":1234,\"budget\":600}]}}"
+                "\"wall_us\":1234,\"budget\":600}]}}"
             )
         );
         let back: Response = serde_json::from_str(&json).unwrap();

@@ -47,12 +47,6 @@ pub struct ServerConfig {
     /// Jobs allowed to wait for a slot; further jobs are rejected with
     /// an error response.
     pub max_waiting_jobs: usize,
-    /// Share a cross-tenant query memo per model shard (see
-    /// [`crate::session::ShardMemos`]). Off by default: with a shared
-    /// memo a job's query count and `log_fnv` digest depend on other
-    /// tenants' history, so determinism-witness deployments must leave
-    /// this disabled.
-    pub memo: bool,
     /// Run the live metrics plane (see [`crate::metrics`]). On by
     /// default; the plane is passive (write-only from the job path), so
     /// disabling it changes overhead only, never outcomes — CI A/B-tests
@@ -74,7 +68,6 @@ impl Default for ServerConfig {
             test_seed: 9,
             max_active_jobs: 16,
             max_waiting_jobs: 64,
-            memo: false,
             metrics: true,
             metrics_addr: None,
         }
@@ -174,9 +167,6 @@ struct Shared {
     zoo: Arc<ShardedZoo>,
     handle: SchedulerHandle,
     admission: Admission,
-    /// Per-shard cross-tenant memos; `None` when the deployment did not
-    /// opt in.
-    memos: Option<crate::session::ShardMemos>,
     /// The live metrics plane; `None` when the deployment disabled it.
     metrics: Option<Arc<ServerMetrics>>,
     /// Set by a `Shutdown` request or [`Server::request_shutdown`].
@@ -226,7 +216,6 @@ impl Server {
             zoo,
             handle: scheduler.handle(),
             admission: Admission::new(cfg.max_active_jobs, cfg.max_waiting_jobs, admission_gauges),
-            memos: cfg.memo.then(crate::session::ShardMemos::default),
             metrics,
             shutdown: AtomicBool::new(false),
             connections: AtomicUsize::new(0),
@@ -437,8 +426,7 @@ fn serve_attack(shared: &Shared, tenant: Option<&TenantMetrics>, job: &JobReques
                 }
                 t.budget_granted.add(job.budget);
             }
-            let result =
-                crate::session::run_job(&shared.handle, &shared.zoo, job, shared.memos.as_ref());
+            let result = crate::session::run_job(&shared.handle, &shared.zoo, job);
             shared.admission.release();
             let wall_us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
             match result {
@@ -446,11 +434,9 @@ fn serve_attack(shared: &Shared, tenant: Option<&TenantMetrics>, job: &JobReques
                     if let (Some(m), Some(t)) = (&shared.metrics, tenant) {
                         m.jobs_done.inc();
                         m.queries_total.add(done.outcome.queries);
-                        m.memo_hits_total.add(done.outcome.memo_hits);
                         m.job_latency_us.observe(wall_us);
                         t.jobs_done.inc();
                         t.queries.add(done.outcome.queries);
-                        t.memo_hits.add(done.outcome.memo_hits);
                         t.budget_unspent
                             .add(job.budget.saturating_sub(done.outcome.queries));
                         m.record_slow(SlowJob {
@@ -461,7 +447,6 @@ fn serve_attack(shared: &Shared, tenant: Option<&TenantMetrics>, job: &JobReques
                             queries: done.outcome.queries,
                             full_queries: done.full_queries,
                             delta_queries: done.delta_queries,
-                            memo_hits: done.outcome.memo_hits,
                             wall_us,
                             budget: job.budget,
                         });

@@ -12,15 +12,13 @@
 
 use crate::protocol::{ImageSpec, JobOutcome, JobRequest};
 use crate::scheduler::SchedulerHandle;
-use crate::zoo::{ShardKey, ShardedZoo};
+use crate::zoo::ShardedZoo;
 use oppsla_attacks::{Attack, AttackOutcome, SketchProgramAttack};
 use oppsla_core::dsl::{parse_program, Program};
 use oppsla_core::image::Image;
-use oppsla_core::oracle::{Classifier, Oracle, QueryLogEntry, QueryMemo, DEFAULT_MEMO_CAPACITY};
+use oppsla_core::oracle::{Classifier, Oracle, QueryLogEntry};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
 
 /// Budgets above this are rejected at admission: one tenant must not be
 /// able to park a worker on a near-infinite attack.
@@ -57,50 +55,6 @@ pub fn digest_query_log(log: &[QueryLogEntry]) -> u64 {
         h = mix(h, &e.score_hash.to_le_bytes());
     }
     h
-}
-
-/// Per-shard cross-tenant query memos, created lazily on first use.
-///
-/// Memo keys carry no classifier identity, so each shard — one trained
-/// classifier — gets its own [`QueryMemo`] and banks are never shared
-/// across shards. This is a deployment opt-in (default off): with a
-/// shared memo a job's counted queries, and therefore its `log_fnv`
-/// digest, depend on which candidates *other* tenants already paid for,
-/// so the digest stops being a pure function of the request. A job run
-/// without the registry never touches a memo.
-pub struct ShardMemos {
-    cap: usize,
-    memos: Mutex<HashMap<ShardKey, Arc<QueryMemo>>>,
-}
-
-impl ShardMemos {
-    /// A registry whose per-shard memos hold at most `cap` entries each.
-    #[must_use]
-    pub fn new(cap: usize) -> Self {
-        ShardMemos {
-            cap: cap.max(1),
-            memos: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// The memo for `shard`, creating it on first request.
-    pub fn memo(&self, shard: ShardKey) -> Arc<QueryMemo> {
-        let mut memos = self
-            .memos
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        Arc::clone(
-            memos
-                .entry(shard)
-                .or_insert_with(|| Arc::new(QueryMemo::with_capacity(self.cap))),
-        )
-    }
-}
-
-impl Default for ShardMemos {
-    fn default() -> Self {
-        ShardMemos::new(DEFAULT_MEMO_CAPACITY)
-    }
 }
 
 /// A validated job, ready to run.
@@ -212,10 +166,7 @@ pub struct CompletedJob {
     pub delta_queries: u64,
 }
 
-/// Runs one attack job through the scheduler. When `memos` is set, the
-/// job shares its shard's cross-tenant [`QueryMemo`] — candidates some
-/// earlier job already paid for are served from the cache without
-/// counting (reported via [`JobOutcome::memo_hits`]).
+/// Runs one attack job through the scheduler.
 ///
 /// # Errors
 ///
@@ -227,22 +178,16 @@ pub fn run_job(
     scheduler: &SchedulerHandle,
     zoo: &ShardedZoo,
     req: &JobRequest,
-    memos: Option<&ShardMemos>,
 ) -> Result<CompletedJob, String> {
     let job = resolve(zoo, req)?;
     let arch = crate::protocol::parse_arch(&req.arch).expect("validated");
     let scale = crate::protocol::parse_scale(&req.scale).expect("validated");
     let classifier = scheduler.classifier((arch, scale));
-    let memo = memos.map(|m| m.memo((arch, scale)));
     let mut oracle = Oracle::with_budget(&classifier, job.budget);
-    if let Some(memo) = &memo {
-        oracle = oracle.with_memo(memo);
-    }
     oracle.enable_query_log();
     let attack = SketchProgramAttack::new(job.program);
     let mut rng = ChaCha8Rng::seed_from_u64(job.seed);
     let outcome = attack.attack(&mut oracle, &job.image, job.true_class, &mut rng);
-    let memo_hits = oracle.memo_hits();
     let log = oracle.take_query_log();
     let digest = digest_query_log(&log);
     let full_queries = log.iter().filter(|e| e.pixel.is_none()).count() as u64;
@@ -265,7 +210,6 @@ pub fn run_job(
             location,
             pixel,
             log_len: log.len() as u64,
-            memo_hits,
             log_fnv: format!("{digest:016x}"),
         },
         full_queries,
@@ -313,8 +257,8 @@ mod tests {
         let zoo = fast_zoo();
         let scheduler = Scheduler::start(Arc::clone(&zoo), SchedulerConfig::default());
         let handle = scheduler.handle();
-        let a = run_job(&handle, &zoo, &mlp_request(), None).unwrap();
-        let b = run_job(&handle, &zoo, &mlp_request(), None).unwrap();
+        let a = run_job(&handle, &zoo, &mlp_request()).unwrap();
+        let b = run_job(&handle, &zoo, &mlp_request()).unwrap();
         assert_eq!(
             a.outcome, b.outcome,
             "same request, same scheduler => same outcome"
@@ -324,47 +268,12 @@ mod tests {
             a.outcome.log_len, a.outcome.queries,
             "every counted query is logged"
         );
-        assert_eq!(a.outcome.memo_hits, 0, "no memo registry, no hits");
         assert_eq!(
             a.full_queries + a.delta_queries,
             a.outcome.queries,
             "route attribution partitions the counted queries"
         );
         assert!(a.full_queries >= 1, "the baseline forward is a full query");
-        scheduler.shutdown();
-    }
-
-    #[test]
-    fn shard_memo_only_cheapens_repeat_jobs() {
-        let zoo = fast_zoo();
-        let scheduler = Scheduler::start(Arc::clone(&zoo), SchedulerConfig::default());
-        let handle = scheduler.handle();
-        let plain = run_job(&handle, &zoo, &mlp_request(), None)
-            .unwrap()
-            .outcome;
-        let memos = ShardMemos::default();
-        let cold = run_job(&handle, &zoo, &mlp_request(), Some(&memos))
-            .unwrap()
-            .outcome;
-        // A cold memo changes nothing: every candidate is new, so the
-        // job pays (and logs) exactly what an unmemoized job pays.
-        assert_eq!(cold.status, plain.status);
-        assert_eq!(cold.queries, plain.queries);
-        assert_eq!(cold.log_fnv, plain.log_fnv);
-        assert_eq!(cold.memo_hits, 0);
-        let warm = run_job(&handle, &zoo, &mlp_request(), Some(&memos))
-            .unwrap()
-            .outcome;
-        assert_eq!(warm.status, plain.status, "memo must not change outcomes");
-        assert_eq!(warm.location, plain.location);
-        assert_eq!(warm.pixel, plain.pixel);
-        assert!(
-            warm.queries <= plain.queries,
-            "memo can only reduce queries"
-        );
-        assert_eq!(warm.log_len, warm.queries, "hits are never logged");
-        assert!(warm.memo_hits > 0, "repeat job must hit the warm memo");
-        assert!(warm.queries < plain.queries);
         scheduler.shutdown();
     }
 
@@ -431,7 +340,7 @@ mod tests {
             ),
         ];
         for (req, want) in cases {
-            let err = run_job(&handle, &zoo, &req, None).unwrap_err();
+            let err = run_job(&handle, &zoo, &req).unwrap_err();
             assert!(err.contains(want), "{req:?}: {err:?} missing {want:?}");
         }
         scheduler.shutdown();

@@ -103,10 +103,9 @@ pub fn render(report: &StatsReport, prev: Option<&StatsReport>) -> String {
     };
     let _ = writeln!(
         out,
-        "queries {}{}  memo hits {}  job p50/p99 {}us/{}us  shard trains {}",
+        "queries {}{}  job p50/p99 {}us/{}us  shard trains {}",
         value(report, "queries_total"),
         qps,
-        value(report, "memo_hits_total"),
         value(report, "job_latency_us_p50"),
         value(report, "job_latency_us_p99"),
         value(report, "zoo_shard_trains"),
@@ -116,8 +115,8 @@ pub fn render(report: &StatsReport, prev: Option<&StatsReport>) -> String {
     if !tenants.is_empty() {
         let _ = writeln!(
             out,
-            "\n{:<10} {:>6} {:>5} {:>5} {:>5} {:>10} {:>8} {:>12}",
-            "TENANT", "DONE", "ERR", "REJ", "WAIT", "QUERIES", "MEMO", "BUDGET-LEFT"
+            "\n{:<10} {:>6} {:>5} {:>5} {:>5} {:>10} {:>12}",
+            "TENANT", "DONE", "ERR", "REJ", "WAIT", "QUERIES", "BUDGET-LEFT"
         );
         let mut ids: Vec<&String> = tenants.keys().collect();
         ids.sort_by_key(|id| tenant_order(id));
@@ -126,14 +125,13 @@ pub fn render(report: &StatsReport, prev: Option<&StatsReport>) -> String {
             let get = |name: &str| row.get(name).copied().unwrap_or(0.0);
             let _ = writeln!(
                 out,
-                "{:<10} {:>6} {:>5} {:>5} {:>5} {:>10} {:>8} {:>12}",
+                "{:<10} {:>6} {:>5} {:>5} {:>5} {:>10} {:>12}",
                 id,
                 get("tenant_jobs_done"),
                 get("tenant_jobs_errored"),
                 get("tenant_jobs_rejected"),
                 get("tenant_jobs_waited"),
                 get("tenant_queries"),
-                get("tenant_memo_hits"),
                 get("tenant_budget_unspent"),
             );
         }
@@ -177,19 +175,18 @@ pub fn render(report: &StatsReport, prev: Option<&StatsReport>) -> String {
     if !report.slow_jobs.is_empty() {
         let _ = writeln!(
             out,
-            "\nslowest jobs\n{:<10} {:<22} {:<22} {:>10} {:>12} {:>6} {:>10} {:>8}",
-            "TENANT", "SHARD", "STATUS", "QUERIES", "FULL/DELTA", "MEMO", "WALL", "BUDGET"
+            "\nslowest jobs\n{:<10} {:<22} {:<22} {:>10} {:>12} {:>10} {:>8}",
+            "TENANT", "SHARD", "STATUS", "QUERIES", "FULL/DELTA", "WALL", "BUDGET"
         );
         for j in &report.slow_jobs {
             let _ = writeln!(
                 out,
-                "{:<10} {:<22} {:<22} {:>10} {:>12} {:>6} {:>9}us {:>8}",
+                "{:<10} {:<22} {:<22} {:>10} {:>12} {:>9}us {:>8}",
                 j.tenant,
                 format!("{}/{}", j.arch, j.scale),
                 j.status,
                 j.queries,
                 format!("{}/{}", j.full_queries, j.delta_queries),
-                j.memo_hits,
                 j.wall_us,
                 j.budget,
             );
@@ -233,7 +230,6 @@ mod tests {
                 queries: 321,
                 full_queries: 1,
                 delta_queries: 320,
-                memo_hits: 0,
                 wall_us: 88_000,
                 budget: 600,
             }],

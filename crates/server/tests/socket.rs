@@ -250,6 +250,22 @@ fn json_garbage_answers_an_error_and_keeps_the_connection() {
 }
 
 #[test]
+fn deeply_nested_json_answers_an_error_and_keeps_the_connection() {
+    // 10 KB of nesting: without a depth bound the parser recursed once
+    // per `[` and overflowed the connection thread's stack, aborting the
+    // whole daemon.
+    let mut s = connect();
+    let frame = format!("{}{}", "[".repeat(10_000), "]".repeat(10_000));
+    write_frame(&mut s, &frame).expect("send nested frame");
+    let payload = read_frame(&mut s).expect("read").expect("response");
+    match serde_json::from_str::<Response>(&payload).expect("parse") {
+        Response::Error(e) => assert!(e.contains("bad request"), "{e}"),
+        other => panic!("expected Error, got {other:?}"),
+    }
+    assert_eq!(roundtrip(&mut s, &Request::Ping), Response::Pong);
+}
+
+#[test]
 fn oversized_frame_is_rejected_and_the_connection_closed() {
     use std::io::Write as _;
     let mut s = connect();

@@ -11,8 +11,8 @@
 # once. So per-row drops only warn; the gate FAILS when the geometric
 # mean of new/baseline ratios across a report drops more than the
 # allowed regression (25% by default, tightened/loosened with
-# --max-regression PCT — the deterministic search-efficiency report
-# uses 10), or when a baseline row is missing from the new report.
+# --max-regression PCT — CI's server job gates metrics overhead at 5),
+# or when a baseline row is missing from the new report.
 #
 # With --require-improvement the gate flips from regression detection to
 # improvement enforcement: the geometric mean of new/baseline ratios must
