@@ -14,8 +14,6 @@
 //!     [--batch N]     (images per throughput measurement, default 64)
 //!     [--batch-k N]   (candidates per batched sweep, default 8)
 //!     [--threads N]   (worker threads; 0 = auto, default 0)
-//!     [--gemm-threads N] (GEMM worker fan-out; 0 = leave process default)
-//!     [--tune MODE]   (conv route tuning: measure | off, default measure)
 //!     [--out PATH]    (default BENCH_forward.json)
 //!     [--inc-out PATH] (default BENCH_incremental.json)
 //!     [--batched-out PATH] (default BENCH_batched.json)
@@ -27,7 +25,9 @@
 //! `incremental_speedup` is the compiled plan's full-forward cost divided
 //! by the dirty-region pixel-delta cost on the same base image, measured
 //! over a sweep of candidate pixels that mirrors the attack's query
-//! pattern (one cached base, many single-pixel candidates).
+//! pattern (one cached base, many single-pixel candidates). The sweep
+//! cycles through a fixed set of [`SWEEP_CYCLE`] candidates, so every
+//! `--iters` that is a multiple of it times the same mix.
 //!
 //! Every figure is the median of `WINDOWS` (five) timed windows. The
 //! windows are interleaved path by path, so drift on the host (frequency,
@@ -35,7 +35,7 @@
 //! of on whichever path happened to run during it.
 
 use oppsla_bench::cli::Args;
-use oppsla_bench::{threads_from, tune_from};
+use oppsla_bench::threads_from;
 use oppsla_core::parallel::parallel_map_with;
 use oppsla_nn::delta::BaseActivations;
 use oppsla_nn::infer::InferenceEngine;
@@ -48,6 +48,28 @@ use std::time::Instant;
 
 /// Timed windows per path; each reported figure is their median.
 const WINDOWS: usize = 5;
+
+/// Candidates in the delta sweeps' fixed cycle: CI's `--iters 40`, which
+/// the default `--batch-k 8` divides, so a short run and a long one time
+/// the same candidates in the same proportions.
+const SWEEP_CYCLE: usize = 40;
+
+/// The RGB-corner values the sweep cycles through, like the sketch's
+/// pair queue.
+const CORNERS: [[f32; 3]; 4] = [
+    [0.0, 0.0, 0.0],
+    [1.0, 0.0, 1.0],
+    [0.0, 1.0, 1.0],
+    [1.0, 1.0, 1.0],
+];
+
+/// Candidate `q` of a delta sweep over an `h`×`w` image: candidate
+/// `c = q mod SWEEP_CYCLE` of the cycle, the pixel `(13c mod h, 29c mod w)`
+/// set to corner `c mod 4`.
+fn candidate(q: usize, h: usize, w: usize) -> (usize, usize, [f32; 3]) {
+    let c = q % SWEEP_CYCLE;
+    ((c * 13) % h, (c * 29) % w, CORNERS[c % CORNERS.len()])
+}
 
 /// The median of an odd number of window timings.
 fn median(mut windows: Vec<f64>) -> f64 {
@@ -71,8 +93,7 @@ fn window(calls: usize, mut call: impl FnMut(usize)) -> f64 {
 }
 
 /// One architecture's measurements, all in nanoseconds per query or
-/// queries per second, plus the tuner's full-forward route decisions so
-/// regressions are attributable to dispatch vs kernel.
+/// queries per second.
 struct Row {
     arch: &'static str,
     input: String,
@@ -82,28 +103,6 @@ struct Row {
     batched_delta_ns: f64,
     sequential_qps: f64,
     parallel_qps: f64,
-    /// Full-forward conv routes, e.g. `direct:2,gemm:6` (`none` = no convs).
-    fwd_routes: String,
-}
-
-/// Compacts per-conv route labels into `label:count` pairs in first-seen
-/// order (`none` for conv-free plans like the MLP).
-fn route_summary(labels: impl Iterator<Item = &'static str>) -> String {
-    let mut counts: Vec<(&str, usize)> = Vec::new();
-    for l in labels {
-        match counts.iter_mut().find(|(k, _)| *k == l) {
-            Some((_, c)) => *c += 1,
-            None => counts.push((l, 1)),
-        }
-    }
-    if counts.is_empty() {
-        return "none".to_owned();
-    }
-    counts
-        .iter()
-        .map(|(k, c)| format!("{k}:{c}"))
-        .collect::<Vec<_>>()
-        .join(",")
 }
 
 impl Row {
@@ -127,14 +126,6 @@ fn main() {
     let batch = args.get_usize("batch", 64).max(1);
     let batch_k = args.get_usize("batch-k", 8).max(1);
     let threads = threads_from(&args);
-    let tune = tune_from(&args);
-    // GEMM fan-out inside a single product: 0 (default) leaves the
-    // process-wide setting (OPPSLA_GEMM_THREADS or 1) untouched.
-    let gemm_threads_arg = args.get_usize("gemm-threads", 0);
-    if gemm_threads_arg > 0 {
-        gemm::set_gemm_threads(gemm_threads_arg);
-    }
-    let gemm_threads = gemm::gemm_threads();
     let simd_isa = gemm::simd_isa();
     let out_path = args.get_str("out", "BENCH_forward.json");
     let inc_out_path = args.get_str("inc-out", "BENCH_incremental.json");
@@ -142,7 +133,7 @@ fn main() {
 
     eprintln!(
         "{iters} iters, {batch}-image batches, {batch_k}-candidate sweeps, {threads} worker \
-         thread(s), simd {simd_isa}, {gemm_threads} GEMM thread(s), --tune {tune}"
+         thread(s), simd {simd_isa}"
     );
 
     let cases: [(Arch, InputSpec, usize); 7] = [
@@ -178,23 +169,16 @@ fn main() {
         let mut buf = Vec::with_capacity(plan.num_classes());
 
         // Incremental path: one cached base, many single-pixel candidates
-        // — the attack's actual query pattern. The candidate sweep walks
-        // the image with RGB-corner values like the sketch's pair queue.
+        // — the attack's actual query pattern.
         let delta = engine.delta_plan();
         let acts = BaseActivations::capture(plan, &mut ws, &image);
         let mut dws = delta.workspace(&acts);
-        let corners = [
-            [0.0, 0.0, 0.0],
-            [1.0, 0.0, 1.0],
-            [0.0, 1.0, 1.0],
-            [1.0, 1.0, 1.0],
-        ];
         let (h, w) = (input.height, input.width);
         // Sanity: the incremental path must be bit-identical to a full
         // forward on the poked image.
         {
             let (row, col) = (h / 3, w / 2);
-            let rgb = corners[1];
+            let rgb = CORNERS[1];
             delta.scores_pixel_delta_into(plan, &acts, &mut dws, row, col, rgb, &mut buf);
             let mut poked = image.clone();
             let area = h * w;
@@ -219,8 +203,7 @@ fn main() {
         let fill_cands = |cands: &mut Vec<(usize, usize, [f32; 3])>, sweep: usize| {
             cands.clear();
             for j in 0..batch_k {
-                let q = sweep * batch_k + j;
-                cands.push(((q * 13) % h, (q * 29) % w, corners[q % corners.len()]));
+                cands.push(candidate(sweep * batch_k + j, h, w));
             }
         };
 
@@ -266,15 +249,15 @@ fn main() {
                 plan.scores_into(&mut ws, black_box(&image), &mut buf);
                 black_box(&buf);
             }));
-            incremental.push(window(iters, |i| {
-                let (row, col) = ((i * 13) % h, (i * 29) % w);
+            incremental.push(window(iters, |q| {
+                let (row, col, rgb) = candidate(q, h, w);
                 delta.scores_pixel_delta_into(
                     plan,
                     &acts,
                     &mut dws,
                     black_box(row),
                     black_box(col),
-                    corners[i % corners.len()],
+                    rgb,
                     &mut buf,
                 );
                 black_box(&buf);
@@ -305,7 +288,6 @@ fn main() {
             batched_delta_ns: median(batched),
             sequential_qps: median(seq_qps),
             parallel_qps: median(par_qps),
-            fwd_routes: route_summary(plan.tuner_report().iter().map(|d| d.route())),
         };
         eprintln!(
             "[{arch} {}] tape {:.0} ns/q, engine {:.0} ns/q ({:.2}x), incr {:.0} ns/q ({:.2}x), batched-delta {:.0} ns/q ({:.2}x), {:.0} q/s seq, {:.0} q/s x{threads}",
@@ -381,8 +363,6 @@ fn main() {
     json.push_str(&format!("  \"batch\": {batch},\n"));
     json.push_str(&format!("  \"threads\": {threads},\n"));
     json.push_str(&format!("  \"simd_isa\": \"{simd_isa}\",\n"));
-    json.push_str(&format!("  \"gemm_threads\": {gemm_threads},\n"));
-    json.push_str(&format!("  \"tune\": \"{tune}\",\n"));
     json.push_str(&format!("  \"telemetry_enabled\": {telemetry_enabled},\n"));
     json.push_str(&format!("  \"telemetry_hook_ns_per_op\": {hook_ns:.1},\n"));
     json.push_str(&format!("  \"trace_enabled\": {trace_enabled},\n"));
@@ -396,7 +376,7 @@ fn main() {
                 "    {{\"arch\": \"{}\", \"input\": \"{}\", ",
                 "\"tape_ns_per_query\": {:.1}, \"engine_ns_per_query\": {:.1}, ",
                 "\"engine_speedup\": {:.3}, \"sequential_queries_per_sec\": {:.1}, ",
-                "\"parallel_queries_per_sec\": {:.1}, \"tuned_route\": \"{}\"}}{}\n"
+                "\"parallel_queries_per_sec\": {:.1}}}{}\n"
             ),
             row.arch,
             row.input,
@@ -405,7 +385,6 @@ fn main() {
             row.speedup(),
             row.sequential_qps,
             row.parallel_qps,
-            row.fwd_routes,
             if i + 1 < rows.len() { "," } else { "" },
         ));
     }
@@ -425,8 +404,6 @@ fn main() {
     inc.push_str("  \"benchmark\": \"incremental_pixel_delta\",\n");
     inc.push_str(&format!("  \"iters\": {iters},\n"));
     inc.push_str(&format!("  \"simd_isa\": \"{simd_isa}\",\n"));
-    inc.push_str(&format!("  \"gemm_threads\": {gemm_threads},\n"));
-    inc.push_str(&format!("  \"tune\": \"{tune}\",\n"));
     inc.push_str(&format!("  \"telemetry_enabled\": {telemetry_enabled},\n"));
     inc.push_str("  \"results\": [\n");
     for (i, row) in rows.iter().enumerate() {
@@ -434,14 +411,13 @@ fn main() {
             concat!(
                 "    {{\"arch\": \"{}\", \"input\": \"{}\", ",
                 "\"full_ns_per_query\": {:.1}, \"incremental_ns_per_query\": {:.1}, ",
-                "\"incremental_speedup\": {:.3}, \"tuned_route\": \"{}\"}}{}\n"
+                "\"incremental_speedup\": {:.3}}}{}\n"
             ),
             row.arch,
             row.input,
             row.engine_ns,
             row.incremental_ns,
             row.incremental_speedup(),
-            row.fwd_routes,
             if i + 1 < rows.len() { "," } else { "" },
         ));
     }
@@ -463,8 +439,6 @@ fn main() {
     bat.push_str(&format!("  \"iters\": {iters},\n"));
     bat.push_str(&format!("  \"batch_k\": {batch_k},\n"));
     bat.push_str(&format!("  \"simd_isa\": \"{simd_isa}\",\n"));
-    bat.push_str(&format!("  \"gemm_threads\": {gemm_threads},\n"));
-    bat.push_str(&format!("  \"tune\": \"{tune}\",\n"));
     bat.push_str(&format!("  \"telemetry_enabled\": {telemetry_enabled},\n"));
     bat.push_str("  \"results\": [\n");
     for (i, row) in rows.iter().enumerate() {

@@ -40,8 +40,7 @@ fn main() {
     let test_per_class = args.get_usize("test-per-class", 2);
     let budget = args.get_u64("budget", 8192);
     let threads = threads_from(&args);
-    let tune = oppsla_bench::tune_from(&args);
-    eprintln!("running on {threads} worker thread(s), --tune {tune}");
+    eprintln!("running on {threads} worker thread(s)");
     let synth = SynthConfig {
         max_iterations: args.get_usize("synth-iters", 40),
         beta: 0.01,

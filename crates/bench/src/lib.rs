@@ -116,28 +116,3 @@ pub fn threads_from(args: &cli::Args) -> usize {
         n => n,
     }
 }
-
-/// Resolves the shared `--tune` knob (`measure`, the default, or `off`)
-/// into the global [`oppsla_nn::tune`] policy and returns the mode name
-/// for reports. Kernel routes are bit-identical either way, so stdout
-/// stays byte-identical across modes — `off` only pins the full
-/// forward's static conv-route threshold so plan construction does no
-/// timing.
-///
-/// # Panics
-///
-/// Panics on an unknown mode.
-pub fn tune_from(args: &cli::Args) -> &'static str {
-    use oppsla_nn::tune::{set_policy, TunePolicy};
-    match args.get_str("tune", "measure").as_str() {
-        "measure" => {
-            set_policy(TunePolicy::Measure);
-            "measure"
-        }
-        "off" => {
-            set_policy(TunePolicy::Off);
-            "off"
-        }
-        other => panic!("--tune expects 'measure' or 'off', got {other:?}"),
-    }
-}

@@ -12,8 +12,10 @@
 //!   attacked image).
 //! * [`DeltaPlan`] compiles the plan's op list into delta steps that,
 //!   given a (pixel, channel-perturbation) candidate, recompute only the
-//!   dirty spatial rectangle of each layer via the region-restricted
-//!   kernels in [`oppsla_tensor::ops`].
+//!   dirty spatial rectangle of each layer: convolutions through the
+//!   plan's one conv kernel,
+//!   [`oppsla_tensor::gemm::conv2d_region_batch_into`], pooling through
+//!   the region-restricted kernels in [`oppsla_tensor::ops`].
 //! * [`DeltaWorkspace`] holds a mutable copy of the base activations plus
 //!   per-buffer dirty state; after a query, the dirty rectangles are
 //!   lazily restored from the base at the start of the next one, so a
@@ -77,7 +79,8 @@ impl Region {
 /// duplicating the weight snapshot.
 #[derive(Debug, Clone, Copy)]
 enum Step {
-    /// Region-restricted convolution (op index into the plan).
+    /// Region-restricted convolution (op index into the plan), one
+    /// kernel call for every candidate of the pass.
     Conv { op: usize },
     /// Elementwise ReLU over the dirty region.
     Relu { x: usize, out: usize },
@@ -286,7 +289,10 @@ impl DeltaPlan {
         oppsla_obs::count(oppsla_obs::Counter::DeltaQueries);
         self.begin_candidate(base, ws, row, col, rgb);
         for &step in &self.steps {
-            self.run_step(plan, ws, step);
+            match step {
+                Step::Conv { op } => self.run_conv_batch(plan, std::slice::from_mut(ws), op),
+                _ => self.run_step(plan, ws, step),
+            }
         }
         out.clear();
         softmax_append(&ws.bufs[self.output_buf], out);
@@ -306,8 +312,8 @@ impl DeltaPlan {
     ///   to one [`gemm::conv2d_region_batch_into`] call. Its register
     ///   lanes are output channels and its tiles of pixels span
     ///   candidates, so each weight load feeds several candidates' pixels.
-    ///   Every pixel accumulates its in-bounds taps in the sequential
-    ///   region kernel's `(ch, ky, kx)` order, bias added last.
+    ///   Every pixel accumulates its in-bounds taps in `(ch, ky, kx)`
+    ///   order, bias added last, whichever tile it lands in.
     /// * Fully connected steps pass up to 8 candidates' input rows to
     ///   one [`gemm::linear_nt_rows_into`] call, whose register tiles load
     ///   each weight once for several candidates. Every row keeps the
@@ -453,9 +459,9 @@ impl DeltaPlan {
     /// candidate whose input is dirty contributes its dirty output
     /// rectangle, the kernel's register tiles share every weight load
     /// across pixels of any candidate, and results land straight in each
-    /// workspace. Every output cell is the sequential route's
-    /// [`ops::conv2d_region_into`] result bit for bit, so which
-    /// candidates share a call never changes an output bit.
+    /// workspace. Each output cell is computed on its own, so which
+    /// candidates share a call never changes an output bit. The
+    /// sequential route calls this with a one-workspace batch.
     fn run_conv_batch(&self, plan: &InferencePlan, workspaces: &mut [DeltaWorkspace], op: usize) {
         let InferOp::Conv2d {
             x,
@@ -595,7 +601,8 @@ impl DeltaPlan {
     /// Advances one workspace through one delta step (dirty-region
     /// propagation plus the region-restricted kernel call). All candidate
     /// state lives in `ws`, so steps can be interleaved across workspaces
-    /// in any order — the batched path runs them layer-major.
+    /// in any order — the batched path runs them layer-major. Conv steps
+    /// never come here: both routes run them through `run_conv_batch`.
     fn run_step(&self, plan: &InferencePlan, ws: &mut DeltaWorkspace, step: Step) {
         let _op_timing = oppsla_obs::op_timer(match step {
             Step::Conv { .. } => oppsla_obs::OpKind::Conv,
@@ -608,29 +615,7 @@ impl DeltaPlan {
         });
         {
             match step {
-                Step::Conv { op, .. } => {
-                    let InferOp::Conv2d {
-                        x,
-                        out,
-                        ref weight,
-                        ref bias,
-                        ref geom,
-                        out_c,
-                        ..
-                    } = plan.ops[op]
-                    else {
-                        unreachable!("Step::Conv points at a non-conv op");
-                    };
-                    let region = conv_out_region(ws.dirty[x], geom);
-                    let rect = match region {
-                        Region::Clean => return,
-                        Region::Full => Rect::full(geom.out_h(), geom.out_w()),
-                        Region::Dirty(r) => r,
-                    };
-                    let (xb, ob) = buf_pair(&mut ws.bufs, x, out);
-                    ops::conv2d_region_into(xb, weight, bias, geom, out_c, rect, ob);
-                    self.mark(ws, out, region);
-                }
+                Step::Conv { .. } => unreachable!("conv steps run through run_conv_batch"),
                 Step::Relu { x, out } => {
                     let region = ws.dirty[x];
                     if region.is_clean() {

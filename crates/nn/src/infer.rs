@@ -14,8 +14,8 @@
 //! The plan mirrors the tape's arithmetic operation-for-operation — the
 //! same per-element accumulation order (convolution is fused rather than
 //! lowered through im2col, which skips only exact-zero padding taps; see
-//! [`oppsla_tensor::ops::conv2d_region_into`] for why that is bit-exact),
-//! same bias broadcast, same max-shift softmax — so scores are
+//! [`oppsla_tensor::gemm::conv2d_region_batch_into`] for why that is
+//! bit-exact), same bias broadcast, same max-shift softmax — so scores are
 //! bit-identical to [`ConvNet::scores`] (verified by
 //! `tests/infer_matches_tape.rs`).
 //!
@@ -40,8 +40,7 @@
 
 use crate::layers::Layer;
 use crate::models::{ConvNet, InputSpec};
-use crate::tune::{self, ConvRouteDecision, TunePolicy};
-use oppsla_tensor::gemm::{self, ConvLanes, PackedA};
+use oppsla_tensor::gemm::{self, ConvLanes};
 use oppsla_tensor::ops::{self, Conv2dGeometry, Rect};
 use oppsla_tensor::Tensor;
 use std::sync::Mutex;
@@ -65,32 +64,19 @@ struct Slot {
 /// the same op list with region-restricted kernels.
 #[derive(Debug)]
 pub(crate) enum InferOp {
-    /// Convolution plus bias. Full forwards run either the tape's
-    /// im2col + matmul + bias pipeline (`direct == false`, small feature
-    /// maps, where the GEMM wins) or the fused direct kernel
-    /// [`oppsla_tensor::ops::conv2d_region_into`] (`direct == true`,
-    /// large feature maps, where the im2col scratch spills cache). The
-    /// two are bit-identical — same per-element accumulation order, bias
-    /// last — so the choice never changes the scores. The incremental
-    /// engine patches with the same arithmetic: the region kernel on its
-    /// sequential route, the channel-lane kernel on its batched one.
+    /// Convolution plus bias through the one conv kernel,
+    /// [`gemm::conv2d_region_batch_into`]: full forwards pass it the full
+    /// output rectangle, and both delta routes pass each dirty
+    /// candidate's rectangle. It is bit-identical to the tape's im2col +
+    /// matmul + bias pipeline — same per-element accumulation order, bias
+    /// last.
     Conv2d {
         x: usize,
         out: usize,
-        weight: Vec<f32>,
-        /// The same kernel bank repacked once at plan-compile time into
-        /// [`PackedA`] row panels for the blocked GEMM (GEMM-path convs
-        /// only; the direct kernel reads the row-major `weight`).
-        packed: PackedA,
         /// The kernel bank and bias transposed once at plan-compile time
-        /// to output-channel lanes for the batched delta route's
-        /// [`gemm::conv2d_region_batch_into`].
+        /// to output-channel lanes.
         lanes: ConvLanes,
-        bias: Vec<f32>,
         geom: Conv2dGeometry,
-        out_c: usize,
-        cols_len: usize,
-        direct: bool,
     },
     /// `x · weightᵀ + bias`. The weight is stored pre-transposed
     /// (`[in, out]`) for the row-tiled SIMD kernel: full forwards and the
@@ -150,23 +136,8 @@ pub struct InferencePlanner {
     slots: Vec<Slot>,
     buf_lens: Vec<usize>,
     buf_dims: Vec<Vec<usize>>,
-    scratch_len: usize,
     ops: Vec<InferOp>,
-    /// One route decision per planned conv, in op order.
-    tuned: Vec<ConvRouteDecision>,
-    /// Decisions already measured this compile, keyed by conv shape, so
-    /// repeated layers (DenseNet blocks) are timed once.
-    tune_cache: Vec<((Conv2dGeometry, usize), ConvRouteDecision)>,
 }
-
-/// Static spatial-extent crossover for the per-conv kernel choice when
-/// tuning is off ([`TunePolicy::Off`]): outputs of at least this many
-/// pixels run the fused direct kernel, smaller ones the im2col GEMM.
-/// Measured once on the zoo (forward_bench) with the scalar GEMM; the
-/// default [`TunePolicy::Measure`] re-measures per machine and per conv
-/// shape instead, because the crossover moves with the SIMD level and
-/// cache sizes (it is what mis-routed densenet-small at 64x64).
-const DIRECT_CONV_MIN_PIXELS: usize = 4096;
 
 impl InferencePlanner {
     /// Starts a plan whose input slot is a `[c, h, w]` image buffer.
@@ -175,10 +146,7 @@ impl InferencePlanner {
             slots: Vec::new(),
             buf_lens: Vec::new(),
             buf_dims: Vec::new(),
-            scratch_len: 0,
             ops: Vec::new(),
-            tuned: Vec::new(),
-            tune_cache: Vec::new(),
         };
         p.new_slot(vec![input.channels, input.height, input.width]);
         p
@@ -246,52 +214,13 @@ impl InferencePlanner {
             "conv2d weight columns disagree with geometry"
         );
         assert_eq!(bias.numel(), out_c, "conv2d bias must be [out_c]");
-        let (oh, ow) = (geom.out_h(), geom.out_w());
-        let out = self.new_slot(vec![out_c, oh, ow]);
-        let cols_len = in_channels * kernel * kernel * oh * ow;
+        let out = self.new_slot(vec![out_c, geom.out_h(), geom.out_w()]);
         let k = in_channels * kernel * kernel;
-        let packed = gemm::pack_a(weight.data(), out_c, k);
-        // Route choice: measured per unique conv shape (cached within
-        // this compile), or the static pixel-count heuristic when tuning
-        // is off. Both routes are bit-identical, so this only moves time.
-        let decision = match self
-            .tune_cache
-            .iter()
-            .find(|((g, oc), _)| *g == geom && *oc == out_c)
-        {
-            Some((_, d)) => d.clone(),
-            None => {
-                let d = match tune::policy() {
-                    TunePolicy::Off => ConvRouteDecision::unmeasured(
-                        out_c,
-                        k,
-                        oh * ow,
-                        oh * ow >= DIRECT_CONV_MIN_PIXELS,
-                    ),
-                    TunePolicy::Measure => {
-                        tune::tune_conv_route(weight.data(), bias.data(), &packed, &geom, out_c)
-                    }
-                };
-                self.tune_cache.push(((geom, out_c), d.clone()));
-                d
-            }
-        };
-        let direct = decision.direct;
-        self.tuned.push(decision);
-        if !direct {
-            self.scratch_len = self.scratch_len.max(cols_len);
-        }
         self.ops.push(InferOp::Conv2d {
             x: self.buf(x),
             out: self.buf(out),
-            packed,
             lanes: ConvLanes::new(weight.data(), bias.data(), out_c, k),
-            weight: weight.data().to_vec(),
-            bias: bias.data().to_vec(),
             geom,
-            out_c,
-            cols_len,
-            direct,
         });
         out
     }
@@ -469,11 +398,7 @@ pub struct InferencePlan {
     /// Logical `[c, h, w]` (or flat `[n]`) dims of every buffer, used by
     /// the incremental engine's dirty-region bookkeeping.
     pub(crate) buf_dims: Vec<Vec<usize>>,
-    /// im2col scratch floats needed by the largest non-direct conv.
-    scratch_len: usize,
     pub(crate) output_buf: usize,
-    /// Per-conv route decisions (op order), recorded by the tuner.
-    tuned: Vec<ConvRouteDecision>,
 }
 
 impl InferencePlan {
@@ -494,20 +419,12 @@ impl InferencePlan {
             ops: p.ops,
             buf_lens: p.buf_lens,
             buf_dims: p.buf_dims,
-            scratch_len: p.scratch_len,
-            tuned: p.tuned,
         }
     }
 
     /// Expected input geometry.
     pub fn input_spec(&self) -> InputSpec {
         self.input
-    }
-
-    /// The tuner's per-conv route decisions, in op order — one entry per
-    /// planned convolution. Empty for conv-free plans (the MLP).
-    pub fn tuner_report(&self) -> &[ConvRouteDecision] {
-        &self.tuned
     }
 
     /// Number of output classes.
@@ -520,17 +437,6 @@ impl InferencePlan {
     pub fn workspace(&self) -> ForwardWorkspace {
         ForwardWorkspace {
             bufs: self.buf_lens.iter().map(|&l| vec![0.0; l]).collect(),
-            scratch: vec![0.0; self.scratch_len],
-            // Pre-grown to the blocked GEMM's fixed panel capacity so the
-            // first query is as allocation-free as the rest.
-            pack_buf: vec![
-                0.0;
-                if self.scratch_len > 0 {
-                    gemm::KC * gemm::NC
-                } else {
-                    0
-                }
-            ],
         }
     }
 
@@ -573,11 +479,7 @@ impl InferencePlan {
             self.buf_lens.len(),
             "workspace does not belong to this plan"
         );
-        let ForwardWorkspace {
-            bufs,
-            scratch,
-            pack_buf,
-        } = ws;
+        let bufs = &mut ws.bufs;
         bufs[0].copy_from_slice(image.data());
         for op in &self.ops {
             // Per-layer timing hook: the guard records call count and
@@ -596,34 +498,12 @@ impl InferencePlan {
                 InferOp::Conv2d {
                     x,
                     out,
-                    packed,
-                    weight,
-                    bias,
+                    lanes,
                     geom,
-                    out_c,
-                    cols_len,
-                    direct,
-                    ..
                 } => {
                     let (xb, ob) = buf_pair(bufs, *x, *out);
-                    if *direct {
-                        let full = Rect::full(geom.out_h(), geom.out_w());
-                        ops::conv2d_region_into(xb, weight, bias, geom, *out_c, full, ob);
-                    } else {
-                        let cols = &mut scratch[..*cols_len];
-                        ops::im2col_into(xb, geom, cols);
-                        let area = geom.out_h() * geom.out_w();
-                        // Blocked, panel-packed GEMM — bit-identical to
-                        // the naive `matmul_into` it replaced (see
-                        // `oppsla_tensor::gemm`).
-                        gemm::matmul_packed_into(packed, cols, area, pack_buf, ob);
-                        for oc in 0..*out_c {
-                            let b = bias[oc];
-                            for v in &mut ob[oc * area..(oc + 1) * area] {
-                                *v += b;
-                            }
-                        }
-                    }
+                    let full = Rect::full(geom.out_h(), geom.out_w());
+                    gemm::conv2d_region_batch_into(lanes, geom, [(xb, full, ob)]);
                 }
                 InferOp::Linear {
                     x,
@@ -705,16 +585,10 @@ fn buf_pair(bufs: &mut [Vec<f32>], x: usize, out: usize) -> (&[f32], &mut [f32])
 
 /// Pre-allocated storage for every intermediate activation of one
 /// [`InferencePlan`]. One workspace serves one thread; clone-free reuse
-/// across queries is the point. `scratch` holds the im2col buffer for the
-/// largest GEMM-path conv — empty when every conv runs the fused direct
-/// kernel (e.g. none, or all large feature maps).
+/// across queries is the point.
 #[derive(Debug)]
 pub struct ForwardWorkspace {
     pub(crate) bufs: Vec<Vec<f32>>,
-    scratch: Vec<f32>,
-    /// B-panel packing scratch for the blocked GEMM (fixed `KC·NC`
-    /// capacity; empty when every conv runs the direct kernel).
-    pack_buf: Vec<f32>,
 }
 
 /// An [`InferencePlan`] bundled with a mutex-guarded workspace: a drop-in,

@@ -41,4 +41,3 @@ pub mod models;
 pub mod optim;
 pub mod serialize;
 pub mod trainer;
-pub mod tune;

@@ -53,7 +53,7 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 #[test]
 fn steady_state_queries_do_not_allocate() {
     // A convolutional family exercises every op kind on the hot path
-    // (conv + im2col scratch, pooling, flatten aliasing, linear head).
+    // (conv, pooling, flatten aliasing, linear head).
     let mut rng = ChaCha8Rng::seed_from_u64(21);
     let net = ConvNet::build(Arch::VggSmall, InputSpec::RGB32, 10, &mut rng);
     let plan = InferencePlan::compile(&net);

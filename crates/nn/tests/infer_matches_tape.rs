@@ -23,6 +23,13 @@ fn arb_arch() -> impl Strategy<Value = Arch> {
     ]
 }
 
+/// Both input geometries of the zoo. At 64×64 the first conv has 4,096
+/// output pixels, so the larger nets (the resnet and densenet rows of
+/// forward_bench) get the same exact check as the 32×32 ones.
+fn arb_spec() -> impl Strategy<Value = InputSpec> {
+    prop_oneof![Just(InputSpec::RGB32), Just(InputSpec::RGB64)]
+}
+
 fn random_image(spec: InputSpec, seed: u64) -> Tensor {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     Tensor::from_fn([spec.channels, spec.height, spec.width], |_| {
@@ -36,14 +43,15 @@ proptest! {
     #[test]
     fn plan_scores_equal_tape_scores(
         arch in arb_arch(),
+        spec in arb_spec(),
         build_seed in any::<u64>(),
         image_seed in any::<u64>(),
         classes in 2usize..11,
     ) {
         let mut rng = ChaCha8Rng::seed_from_u64(build_seed);
-        let net = ConvNet::build(arch, InputSpec::RGB32, classes, &mut rng);
+        let net = ConvNet::build(arch, spec, classes, &mut rng);
         let engine = InferenceEngine::new(&net);
-        let image = random_image(InputSpec::RGB32, image_seed);
+        let image = random_image(spec, image_seed);
         let fast = engine.scores(&image);
         let reference = net.scores(&image);
         prop_assert_eq!(fast, reference);

@@ -128,7 +128,7 @@ counters! {
     /// drop.
     BatchFlush => "batch_flush",
     /// Cross-tenant grouped delta calls issued by the attack server's
-    /// batch scheduler (one per merged GEMM dispatch).
+    /// batch scheduler (one per multi-base delta pass it dispatches).
     SchedGroupedCalls => "sched_grouped_calls",
     /// Tenant submissions merged into those grouped calls. Mean pack
     /// density is `sched_grouped_submissions / sched_grouped_calls`.
@@ -163,7 +163,7 @@ macro_rules! op_kinds {
 }
 
 op_kinds! {
-    /// 2-D convolution (direct or im2col+GEMM).
+    /// 2-D convolution (the channel-lane region kernel).
     Conv => "conv2d",
     /// Fully connected layer.
     Linear => "linear",

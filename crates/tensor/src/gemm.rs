@@ -1,85 +1,43 @@
-//! Cache-blocked, panel-packed matrix multiplication for the inference
-//! hot path.
-//!
-//! [`ops::matmul_into`](crate::ops::matmul_into) walks `A` and `B` in
-//! their natural row-major layouts, so for the im2col convolution shapes
-//! (`A = [out_c, c·kh·kw]` weights, `B = [c·kh·kw, oh·ow]` columns) every
-//! sweep over `k` re-streams both operands from memory. The kernels here
-//! follow the classic BLIS decomposition instead: `A` is repacked once
-//! into row panels of [`MR`] ([`pack_a`], reusable across every query
-//! against the same weights), `B` is repacked per call into column panels
-//! of [`NR`] inside a caller-owned scratch buffer, and a register-tiled
-//! `MR×NR` micro-kernel accumulates `KC`-deep slabs that stay resident in
-//! cache.
+//! SIMD kernels for the inference hot path: the fully connected product
+//! ([`linear_nt_rows_into`]) and the convolution
+//! ([`conv2d_region_batch_into`]), each dispatched at runtime to the
+//! widest instruction set the host can execute.
 //!
 //! # Determinism contract
 //!
-//! [`matmul_packed_into`] is **bit-identical** to
-//! [`ops::matmul_into`](crate::ops::matmul_into) — not merely close. The
-//! naive kernel gives every output element the add sequence
-//! `((0 + a·b)₀ + a·b)₁ …` in strictly ascending `k`. The blocked kernel
-//! preserves that exact sequence: `k` slabs are processed in ascending
-//! order, each micro-tile accumulator starts from zero on the first slab
-//! and reloads the previously stored `f32` values (an exact round trip —
-//! no extended precision) on later slabs, and within a slab each element
-//! accumulates in ascending `k` with a separate multiply and add (Rust
-//! never contracts to FMA). The speedup comes from packing, cache
-//! residency, and register reuse — not from reassociation — so tests can
-//! (and do) assert exact equality on every shape, including shapes that
-//! are not multiples of the block sizes.
+//! Every kernel here is **bit-identical** to the naive arithmetic of
+//! [`crate::ops`] that the autograd tape runs — not merely close. The
+//! naive kernels give every output element the add sequence
+//! `((0 + a·b)₀ + a·b)₁ …` in strictly ascending `k`, and the kernels here
+//! keep that exact sequence: each accumulator starts from zero, takes its
+//! terms in the same order with a separate multiply and add (Rust never
+//! contracts to FMA), and the bias comes last. The SIMD lanes of a
+//! register are independent output elements — columns of the fully
+//! connected product, output channels of the convolution — so a lane runs
+//! exactly the scalar recurrence: no horizontal reduction, no
+//! reassociation. The speedup comes from register reuse across rows or
+//! pixels, not from reordering a sum, so tests can (and do) assert exact
+//! equality on every shape and at every level.
 //!
-//! # SIMD microkernels
-//!
-//! The `MR×NR` micro-kernel is vectorized **across the `NR` output
-//! columns**: each SIMD lane owns one output column of the tile, so a
-//! lane runs exactly the scalar recurrence `acc += a·b` in the same
-//! ascending-`k` order — independent accumulators, no horizontal
-//! reduction, no reassociation, explicit mul-then-add intrinsics (never
-//! FMA). IEEE-754 arithmetic is identical lane-by-lane to the scalar
-//! loop, so every SIMD level is bit-identical by construction (enforced
-//! against the scalar kernel by `tests/gemm_simd.rs` proptests).
+//! # SIMD levels
 //!
 //! The widest level the CPU supports is picked once at runtime
 //! ([`active_level`]; AVX-512F/AVX2/SSE2 on x86_64 via
 //! `is_x86_feature_detected!`, NEON on aarch64, scalar anywhere else).
-//! Setting `OPPSLA_NO_SIMD=1` in the environment pins the scalar kernel;
+//! Setting `OPPSLA_NO_SIMD=1` in the environment pins the scalar kernels;
 //! [`force_simd_level`] overrides the choice programmatically (tests,
 //! benchmarks — safe at any time precisely because all levels agree
 //! bit-for-bit).
-//!
-//! # Threading
-//!
-//! [`matmul_packed_into`] splits the outer `NC` column loop across up to
-//! [`gemm_threads`] scoped workers for sufficiently large products. Each
-//! worker owns a disjoint, contiguous range of `NC`-aligned output
-//! columns — it packs its own `B` panels and writes only its own columns
-//! — so the arithmetic per output element is exactly the serial kernel's
-//! and results are byte-identical for any thread count (also proptested).
-//! Threading defaults to 1 (`OPPSLA_GEMM_THREADS` or [`set_gemm_threads`]
-//! raise it); threaded calls allocate one `KC·NC` pack buffer per worker,
-//! which only large GEMMs amortize, so small products always run serially
-//! on the caller's thread.
 
 use crate::ops::{Conv2dGeometry, Rect};
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 
-/// Micro-kernel row count: each micro-tile covers `MR` rows of `A`.
-pub const MR: usize = 4;
-/// Micro-kernel column count: each micro-tile covers `NR` columns of `B`.
-pub const NR: usize = 16;
-/// Slab depth: the shared `k` dimension is processed in blocks of `KC`.
-pub const KC: usize = 256;
-/// Row block: `MC` rows of packed `A` are swept per packed `B` panel.
-pub const MC: usize = 64;
-/// Column block: `NC` columns of `B` are packed at a time.
-pub const NC: usize = 256;
-
-/// One ISA level of the `MR×NR` micro-kernel. Every level computes
-/// bit-identical results (column-lane vectorization preserves the scalar
-/// per-element mul-then-add recurrence exactly); levels differ only in
-/// throughput. Variants for other architectures exist everywhere so level
-/// names serialize portably, but run the scalar kernel when the host
-/// cannot execute them.
+/// One ISA level of the kernels. Every level computes bit-identical
+/// results (lane-wise vectorization preserves the scalar per-element
+/// mul-then-add recurrence exactly); levels differ only in throughput.
+/// Variants for other architectures exist everywhere so level names
+/// serialize portably, but run the scalar kernels when the host cannot
+/// execute them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum SimdLevel {
@@ -129,7 +87,7 @@ impl SimdLevel {
     }
 }
 
-/// Every micro-kernel level this host can execute, narrowest to widest.
+/// Every kernel level this host can execute, narrowest to widest.
 /// Always starts with [`SimdLevel::Scalar`]; the last entry is the level
 /// [`active_level`] picks unless overridden.
 pub fn available_levels() -> Vec<SimdLevel> {
@@ -221,49 +179,6 @@ pub(crate) fn level_cap_env(
     }
 }
 
-/// Upper bound on `OPPSLA_GEMM_THREADS`: far beyond any sensible host,
-/// low enough that a typo (`400000`) cannot make every GEMM try to spawn
-/// a small city of scoped threads.
-pub(crate) const MAX_GEMM_THREADS: usize = 256;
-
-/// Resolves `OPPSLA_GEMM_THREADS`: a positive integer up to
-/// [`MAX_GEMM_THREADS`]. Unset/empty means 1 (sequential). Invalid or
-/// out-of-range values fall back (0 / unparsable → 1, oversized → the
-/// cap) and return a warning so the fallback is visible once on stderr
-/// instead of silently swallowed. Split out so the parse table is
-/// unit-testable without mutating the environment.
-pub(crate) fn gemm_threads_env(value: Option<&str>) -> (usize, Option<String>) {
-    match value {
-        None => (1, None),
-        Some("") => (1, None),
-        Some(v) => match v.parse::<usize>() {
-            Ok(0) => (
-                1,
-                Some(
-                    "OPPSLA_GEMM_THREADS=0 is out of range (minimum 1); \
-                     running GEMMs sequentially"
-                        .to_string(),
-                ),
-            ),
-            Ok(n) if n > MAX_GEMM_THREADS => (
-                MAX_GEMM_THREADS,
-                Some(format!(
-                    "OPPSLA_GEMM_THREADS={n} exceeds the supported maximum; \
-                     clamping to {MAX_GEMM_THREADS}"
-                )),
-            ),
-            Ok(n) => (n, None),
-            Err(_) => (
-                1,
-                Some(format!(
-                    "OPPSLA_GEMM_THREADS={v:?} is not a positive integer; \
-                     running GEMMs sequentially"
-                )),
-            ),
-        },
-    }
-}
-
 /// Prints an env-var fallback warning to stderr, once per variable per
 /// process (daemon logs should not repeat it on every lazy re-resolve).
 fn warn_env_once(once: &std::sync::Once, warning: &Option<String>) {
@@ -272,15 +187,14 @@ fn warn_env_once(once: &std::sync::Once, warning: &Option<String>) {
     }
 }
 
-/// Lazily resolved dispatch state. `LEVEL` holds `SimdLevel::code() + 1`
-/// (0 = not yet resolved); `THREADS` holds the configured worker count
-/// (0 = not yet resolved).
+/// Lazily resolved dispatch state: `SimdLevel::code() + 1` (0 = not yet
+/// resolved).
 static LEVEL: AtomicU8 = AtomicU8::new(0);
-static THREADS: AtomicUsize = AtomicUsize::new(0);
 
-/// The micro-kernel level [`matmul_packed_into`] dispatches to: the
-/// widest available level, unless `OPPSLA_NO_SIMD=1` pinned the scalar
-/// kernel, `OPPSLA_SIMD_LEVEL=<name>` pinned a specific level, or
+/// The kernel level [`linear_nt_rows_into`] and
+/// [`conv2d_region_batch_into`] dispatch to: the widest available level,
+/// unless `OPPSLA_NO_SIMD=1` pinned the scalar kernels,
+/// `OPPSLA_SIMD_LEVEL=<name>` pinned a specific level, or
 /// [`force_simd_level`] overrode the choice.
 pub fn active_level() -> SimdLevel {
     match LEVEL.load(Ordering::Relaxed) {
@@ -313,479 +227,12 @@ pub fn simd_isa() -> &'static str {
     active_level().as_str()
 }
 
-/// Overrides the dispatched micro-kernel level (tests, A/B benchmarks).
-/// Safe at any time — every level is bit-identical, so concurrent GEMMs
+/// Overrides the dispatched kernel level (tests, A/B benchmarks). Safe
+/// at any time — every level is bit-identical, so concurrent kernel calls
 /// merely change speed, never results. A level the host cannot execute
-/// falls back to the scalar kernel.
+/// falls back to the scalar kernels.
 pub fn force_simd_level(level: SimdLevel) {
     LEVEL.store(level.code() + 1, Ordering::Relaxed);
-}
-
-/// The worker-thread count [`matmul_packed_into`] may fan out to
-/// (default 1; `OPPSLA_GEMM_THREADS` sets the initial value — invalid or
-/// out-of-range values warn once on stderr and fall back per
-/// [`gemm_threads_env`]).
-pub fn gemm_threads() -> usize {
-    match THREADS.load(Ordering::Relaxed) {
-        0 => {
-            static WARNED: std::sync::Once = std::sync::Once::new();
-            let (n, warning) =
-                gemm_threads_env(std::env::var("OPPSLA_GEMM_THREADS").ok().as_deref());
-            warn_env_once(&WARNED, &warning);
-            THREADS.store(n, Ordering::Relaxed);
-            n
-        }
-        n => n,
-    }
-}
-
-/// Sets the GEMM worker-thread count (clamped to at least 1). Results are
-/// byte-identical for any value; only wall-clock time changes.
-pub fn set_gemm_threads(n: usize) {
-    THREADS.store(n.max(1), Ordering::Relaxed);
-}
-
-/// Minimum multiply-add count before a GEMM fans out to worker threads:
-/// below this, scoped-thread spawn and per-worker pack buffers cost more
-/// than they save. 4M madds ≈ a 64×576×128-column conv product.
-const PAR_MIN_MADDS: usize = 4_000_000;
-
-/// The left-hand operand of [`matmul_packed_into`], repacked into
-/// `MR`-row micro-panels (k-major within each panel, zero-padded to a
-/// multiple of [`MR`] rows). Pack once per weight matrix and reuse for
-/// every multiplication against it.
-#[derive(Debug, Clone)]
-pub struct PackedA {
-    m: usize,
-    k: usize,
-    data: Vec<f32>,
-}
-
-impl PackedA {
-    /// Row count of the original matrix.
-    pub fn m(&self) -> usize {
-        self.m
-    }
-
-    /// Shared-dimension length of the original matrix.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-}
-
-/// Repacks a row-major `A: [m, k]` into [`PackedA`] panels: `KC`-deep
-/// slabs outermost, then `MR`-row micro-panels, each stored k-major so
-/// the micro-kernel reads both operands with unit stride.
-///
-/// # Panics
-///
-/// Panics if the slice length disagrees with the given dimensions.
-pub fn pack_a(a: &[f32], m: usize, k: usize) -> PackedA {
-    assert_eq!(a.len(), m * k, "pack_a input length");
-    let panels = m.div_ceil(MR);
-    let mut data = vec![0.0f32; panels * MR * k];
-    let mut pos = 0;
-    for k0 in (0..k).step_by(KC) {
-        let kc = KC.min(k - k0);
-        for p in 0..panels {
-            for kk in 0..kc {
-                for r in 0..MR {
-                    let i = p * MR + r;
-                    data[pos] = if i < m { a[i * k + k0 + kk] } else { 0.0 };
-                    pos += 1;
-                }
-            }
-        }
-    }
-    PackedA { m, k, data }
-}
-
-/// Matrix product `A · B` into `out` for a pre-packed `A: [m, k]`,
-/// row-major `B: [k, n]`, `out: [m, n]`. Overwrites `out`. Bit-identical
-/// to [`ops::matmul_into`](crate::ops::matmul_into) (see the module
-/// docs for why).
-///
-/// `pack_buf` is scratch for the `B` panels; it is grown to a fixed
-/// capacity (`KC·NC` floats) on first use and never after, so reusing it
-/// across calls makes the steady state allocation-free.
-///
-/// # Panics
-///
-/// Panics if a slice length disagrees with the packed dimensions.
-pub fn matmul_packed_into(
-    pa: &PackedA,
-    b: &[f32],
-    n: usize,
-    pack_buf: &mut Vec<f32>,
-    out: &mut [f32],
-) {
-    matmul_packed_into_with(active_level(), gemm_threads(), pa, b, n, pack_buf, out);
-}
-
-/// [`matmul_packed_into`] with the micro-kernel level and worker-thread
-/// count given explicitly instead of read from the process-global
-/// dispatch state. The workhorse behind the SIMD-vs-scalar equivalence
-/// tests and the kernel microbenchmark; every `(level, threads)`
-/// combination produces byte-identical output.
-///
-/// # Panics
-///
-/// Panics if a slice length disagrees with the packed dimensions.
-pub fn matmul_packed_into_with(
-    level: SimdLevel,
-    threads: usize,
-    pa: &PackedA,
-    b: &[f32],
-    n: usize,
-    pack_buf: &mut Vec<f32>,
-    out: &mut [f32],
-) {
-    let (m, k) = (pa.m, pa.k);
-    assert_eq!(b.len(), k * n, "matmul_packed_into rhs length");
-    assert_eq!(out.len(), m * n, "matmul_packed_into out length");
-    if k == 0 {
-        // Degenerate: the naive kernel zero-fills and adds nothing.
-        out.fill(0.0);
-        return;
-    }
-    // Fan out only when each worker gets at least one whole NC column
-    // block and the product is big enough to amortize thread spawns.
-    let blocks = n.div_ceil(NC);
-    let threads = threads.max(1).min(blocks);
-    if threads <= 1 || m * k * n < PAR_MIN_MADDS {
-        pack_buf.resize(KC * NC, 0.0);
-        // SAFETY: the full column range [0, n) on the caller's thread is
-        // exactly the exclusive borrow `out` already grants.
-        unsafe { gemm_col_range(level, pa, b, n, 0, n, pack_buf, out.as_mut_ptr()) };
-        return;
-    }
-
-    struct OutPtr(*mut f32);
-    // SAFETY: workers write disjoint column ranges of `out` (see below).
-    unsafe impl Send for OutPtr {}
-    unsafe impl Sync for OutPtr {}
-    let out_ptr = OutPtr(out.as_mut_ptr());
-    let per = blocks / threads;
-    let extra = blocks % threads;
-    std::thread::scope(|scope| {
-        let out_ptr = &out_ptr;
-        let mut block0 = 0;
-        for w in 0..threads {
-            let nblocks = per + usize::from(w < extra);
-            let j_lo = block0 * NC;
-            let j_hi = ((block0 + nblocks) * NC).min(n);
-            block0 += nblocks;
-            scope.spawn(move || {
-                let mut local_pack = vec![0.0f32; KC * NC];
-                // SAFETY: each worker's [j_lo, j_hi) range is disjoint
-                // (contiguous NC-aligned partition of [0, n)), and a
-                // micro-tile only reads/writes `out` columns inside its
-                // own range — so no two threads touch the same element.
-                unsafe { gemm_col_range(level, pa, b, n, j_lo, j_hi, &mut local_pack, out_ptr.0) };
-            });
-        }
-    });
-}
-
-/// The blocked GEMM restricted to output columns `[j_lo, j_hi)`: packs
-/// `B` column panels for that range and sweeps the `KC`/`MC` blocking
-/// loops over them. Column `j`'s arithmetic is independent of the range
-/// it is computed in, so any partition of `[0, n)` reproduces the
-/// full-range result bit for bit — this is what makes the threaded path
-/// deterministic.
-///
-/// # Safety
-///
-/// `out` must point to an `m·n` f32 buffer; the caller must guarantee no
-/// other thread reads or writes columns `[j_lo, j_hi)` of it for the
-/// duration of the call. `j_lo` must be NC-aligned and `j_lo <= j_hi <=
-/// n`.
-#[allow(clippy::too_many_arguments)]
-unsafe fn gemm_col_range(
-    level: SimdLevel,
-    pa: &PackedA,
-    b: &[f32],
-    n: usize,
-    j_lo: usize,
-    j_hi: usize,
-    pack_buf: &mut Vec<f32>,
-    out: *mut f32,
-) {
-    let (m, k) = (pa.m, pa.k);
-    let panels = m.div_ceil(MR);
-    pack_buf.resize(KC * NC, 0.0);
-    for jc in (j_lo..j_hi).step_by(NC) {
-        let nc = NC.min(j_hi - jc);
-        let npanels = nc.div_ceil(NR);
-        for (kb, k0) in (0..k).step_by(KC).enumerate() {
-            let kc = KC.min(k - k0);
-            // Pack this B slab: `npanels` column panels, k-major, the
-            // ragged last panel zero-padded to NR lanes.
-            for q in 0..npanels {
-                let j0 = jc + q * NR;
-                let ncols = NR.min(j_hi - j0);
-                let dst = &mut pack_buf[q * kc * NR..(q + 1) * kc * NR];
-                for kk in 0..kc {
-                    let brow = &b[(k0 + kk) * n + j0..(k0 + kk) * n + j0 + ncols];
-                    let lane = &mut dst[kk * NR..(kk + 1) * NR];
-                    lane[..ncols].copy_from_slice(brow);
-                    lane[ncols..].fill(0.0);
-                }
-            }
-            let first = kb == 0;
-            let a_block = &pa.data[panels * MR * k0..panels * MR * (k0 + kc)];
-            for ic in (0..m).step_by(MC) {
-                let mc = MC.min(m - ic);
-                for q in 0..npanels {
-                    let j0 = jc + q * NR;
-                    let ncols = NR.min(j_hi - j0);
-                    let b_panel = &pack_buf[q * kc * NR..(q + 1) * kc * NR];
-                    for ir in (0..mc).step_by(MR) {
-                        let i0 = ic + ir;
-                        // MC is a multiple of MR, so i0 always starts a panel.
-                        let a_panel = &a_block[(i0 / MR) * kc * MR..(i0 / MR + 1) * kc * MR];
-                        let nrows = MR.min(m - i0);
-                        micro_kernel(
-                            level, a_panel, b_panel, kc, first, out, n, i0, j0, nrows, ncols,
-                        );
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// `MR×NR` register tile: load the partial `C` tile (zero on the first
-/// `k` slab), accumulate `kc` ascending rank-1 updates via the level's
-/// lane kernel, store back the valid lanes. Padded lanes compute garbage
-/// that is never stored.
-///
-/// # Safety
-///
-/// `out` must point to an `m·n` buffer whose tile
-/// `[i0, i0+nrows) × [j0, j0+ncols)` this thread exclusively owns.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-unsafe fn micro_kernel(
-    level: SimdLevel,
-    a_panel: &[f32],
-    b_panel: &[f32],
-    kc: usize,
-    first: bool,
-    out: *mut f32,
-    n: usize,
-    i0: usize,
-    j0: usize,
-    nrows: usize,
-    ncols: usize,
-) {
-    let mut acc = [[0.0f32; NR]; MR];
-    if !first {
-        for (r, row) in acc.iter_mut().enumerate().take(nrows) {
-            let off = (i0 + r) * n + j0;
-            std::ptr::copy_nonoverlapping(out.add(off), row.as_mut_ptr(), ncols);
-        }
-    }
-    accumulate(level, a_panel, b_panel, kc, &mut acc);
-    for (r, row) in acc.iter().enumerate().take(nrows) {
-        let off = (i0 + r) * n + j0;
-        std::ptr::copy_nonoverlapping(row.as_ptr(), out.add(off), ncols);
-    }
-}
-
-/// Dispatches the `kc` rank-1 updates of one tile to the level's lane
-/// kernel. A level the host cannot execute (foreign architecture) runs
-/// the scalar kernel — results are identical either way.
-#[inline]
-fn accumulate(
-    level: SimdLevel,
-    a_panel: &[f32],
-    b_panel: &[f32],
-    kc: usize,
-    acc: &mut [[f32; NR]; MR],
-) {
-    debug_assert!(a_panel.len() >= kc * MR && b_panel.len() >= kc * NR);
-    match level {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is part of the x86_64 baseline.
-        SimdLevel::Sse2 => unsafe { accumulate_sse2(a_panel, b_panel, kc, acc) },
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 if std::arch::is_x86_feature_detected!("avx2") => {
-            // SAFETY: guarded by the runtime feature check.
-            unsafe { accumulate_avx2(a_panel, b_panel, kc, acc) }
-        }
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx512 if std::arch::is_x86_feature_detected!("avx512f") => {
-            // SAFETY: guarded by the runtime feature check.
-            unsafe { accumulate_avx512(a_panel, b_panel, kc, acc) }
-        }
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is part of the aarch64 baseline.
-        SimdLevel::Neon => unsafe { accumulate_neon(a_panel, b_panel, kc, acc) },
-        _ => accumulate_scalar(a_panel, b_panel, kc, acc),
-    }
-}
-
-/// The reference lane kernel: per accumulator, `kc` ascending mul-then-add
-/// updates. Every SIMD kernel below reproduces exactly this recurrence per
-/// lane.
-#[inline]
-fn accumulate_scalar(a_panel: &[f32], b_panel: &[f32], kc: usize, acc: &mut [[f32; NR]; MR]) {
-    for kk in 0..kc {
-        let av: &[f32; MR] = a_panel[kk * MR..(kk + 1) * MR].try_into().unwrap();
-        let bv: &[f32; NR] = b_panel[kk * NR..(kk + 1) * NR].try_into().unwrap();
-        for (row, &a) in acc.iter_mut().zip(av.iter()) {
-            for (o, &x) in row.iter_mut().zip(bv.iter()) {
-                *o += a * x;
-            }
-        }
-    }
-}
-
-/// SSE2 lane kernel: 4 rows × four 4-lane registers. Explicit
-/// `_mm_mul_ps` + `_mm_add_ps` (never FMA) in ascending `k`, so each lane
-/// is bit-identical to the scalar recurrence.
-///
-/// # Safety
-///
-/// Caller must ensure the panels hold at least `kc` steps (checked by the
-/// dispatcher's debug assert) and that SSE2 is available (x86_64
-/// baseline).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-unsafe fn accumulate_sse2(a_panel: &[f32], b_panel: &[f32], kc: usize, acc: &mut [[f32; NR]; MR]) {
-    use std::arch::x86_64::*;
-    let mut c = [[_mm_setzero_ps(); 4]; MR];
-    for (r, row) in acc.iter().enumerate() {
-        for (v, cv) in row.chunks_exact(4).zip(c[r].iter_mut()) {
-            *cv = _mm_loadu_ps(v.as_ptr());
-        }
-    }
-    for kk in 0..kc {
-        let bp = b_panel.as_ptr().add(kk * NR);
-        let b = [
-            _mm_loadu_ps(bp),
-            _mm_loadu_ps(bp.add(4)),
-            _mm_loadu_ps(bp.add(8)),
-            _mm_loadu_ps(bp.add(12)),
-        ];
-        let ap = a_panel.as_ptr().add(kk * MR);
-        for (r, crow) in c.iter_mut().enumerate() {
-            let a = _mm_set1_ps(*ap.add(r));
-            for (cv, &bv) in crow.iter_mut().zip(b.iter()) {
-                *cv = _mm_add_ps(*cv, _mm_mul_ps(a, bv));
-            }
-        }
-    }
-    for (r, row) in acc.iter_mut().enumerate() {
-        for (v, cv) in row.chunks_exact_mut(4).zip(c[r].iter()) {
-            _mm_storeu_ps(v.as_mut_ptr(), *cv);
-        }
-    }
-}
-
-/// AVX2 lane kernel: 4 rows × two 8-lane registers, mul-then-add.
-///
-/// # Safety
-///
-/// Caller must ensure AVX2 is available and the panels hold `kc` steps.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn accumulate_avx2(a_panel: &[f32], b_panel: &[f32], kc: usize, acc: &mut [[f32; NR]; MR]) {
-    use std::arch::x86_64::*;
-    let mut c = [[_mm256_setzero_ps(); 2]; MR];
-    for (r, row) in acc.iter().enumerate() {
-        c[r][0] = _mm256_loadu_ps(row.as_ptr());
-        c[r][1] = _mm256_loadu_ps(row.as_ptr().add(8));
-    }
-    for kk in 0..kc {
-        let bp = b_panel.as_ptr().add(kk * NR);
-        let b0 = _mm256_loadu_ps(bp);
-        let b1 = _mm256_loadu_ps(bp.add(8));
-        let ap = a_panel.as_ptr().add(kk * MR);
-        for (r, crow) in c.iter_mut().enumerate() {
-            let a = _mm256_set1_ps(*ap.add(r));
-            crow[0] = _mm256_add_ps(crow[0], _mm256_mul_ps(a, b0));
-            crow[1] = _mm256_add_ps(crow[1], _mm256_mul_ps(a, b1));
-        }
-    }
-    for (r, row) in acc.iter_mut().enumerate() {
-        _mm256_storeu_ps(row.as_mut_ptr(), c[r][0]);
-        _mm256_storeu_ps(row.as_mut_ptr().add(8), c[r][1]);
-    }
-}
-
-/// AVX-512F lane kernel: 4 rows × one 16-lane register (a full NR tile
-/// row per register), mul-then-add.
-///
-/// # Safety
-///
-/// Caller must ensure AVX-512F is available and the panels hold `kc`
-/// steps.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn accumulate_avx512(
-    a_panel: &[f32],
-    b_panel: &[f32],
-    kc: usize,
-    acc: &mut [[f32; NR]; MR],
-) {
-    use std::arch::x86_64::*;
-    let mut c = [_mm512_setzero_ps(); MR];
-    for (r, row) in acc.iter().enumerate() {
-        c[r] = _mm512_loadu_ps(row.as_ptr());
-    }
-    for kk in 0..kc {
-        let b = _mm512_loadu_ps(b_panel.as_ptr().add(kk * NR));
-        let ap = a_panel.as_ptr().add(kk * MR);
-        for (r, cv) in c.iter_mut().enumerate() {
-            let a = _mm512_set1_ps(*ap.add(r));
-            *cv = _mm512_add_ps(*cv, _mm512_mul_ps(a, b));
-        }
-    }
-    for (r, row) in acc.iter_mut().enumerate() {
-        _mm512_storeu_ps(row.as_mut_ptr(), c[r]);
-    }
-}
-
-/// NEON lane kernel: 4 rows × four 4-lane registers, `vmulq`/`vaddq`
-/// (never `vfmaq` — fused multiply-add would change the rounding).
-///
-/// # Safety
-///
-/// Caller must ensure the panels hold `kc` steps (NEON itself is aarch64
-/// baseline).
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-unsafe fn accumulate_neon(a_panel: &[f32], b_panel: &[f32], kc: usize, acc: &mut [[f32; NR]; MR]) {
-    use std::arch::aarch64::*;
-    let mut c = [[vdupq_n_f32(0.0); 4]; MR];
-    for (r, row) in acc.iter().enumerate() {
-        for (v, cv) in row.chunks_exact(4).zip(c[r].iter_mut()) {
-            *cv = vld1q_f32(v.as_ptr());
-        }
-    }
-    for kk in 0..kc {
-        let bp = b_panel.as_ptr().add(kk * NR);
-        let b = [
-            vld1q_f32(bp),
-            vld1q_f32(bp.add(4)),
-            vld1q_f32(bp.add(8)),
-            vld1q_f32(bp.add(12)),
-        ];
-        let ap = a_panel.as_ptr().add(kk * MR);
-        for (r, crow) in c.iter_mut().enumerate() {
-            let a = vdupq_n_f32(*ap.add(r));
-            for (cv, &bv) in crow.iter_mut().zip(b.iter()) {
-                *cv = vaddq_f32(*cv, vmulq_f32(a, bv));
-            }
-        }
-    }
-    for (r, row) in acc.iter_mut().enumerate() {
-        for (v, cv) in row.chunks_exact_mut(4).zip(c[r].iter()) {
-            vst1q_f32(v.as_mut_ptr(), *cv);
-        }
-    }
 }
 
 /// Rows per fully connected register tile: each weight register loaded
@@ -1202,338 +649,6 @@ fc_kernel!(
     vaddq_f32
 );
 
-/// Interior core of a stride-1 direct convolution: for every output
-/// channel `oc < out_c` and lane `j < span`,
-///
-/// ```text
-/// out[oc·out_stride + j] = Σ_{ch,ky,kx} weight[oc·k + tap] ·
-///     image[(ch·h + iy0 + ky)·w + ix0 + j + kx]
-/// ```
-///
-/// — `span` consecutive cells of one output row whose receptive fields
-/// are fully in bounds (the caller carves off padded edge strips first).
-/// Taps accumulate in the `(ch, ky, kx)`-major order of
-/// [`crate::ops::conv2d_region_into`] with separate mul-then-add, and output
-/// lanes are independent columns, so every level is bit-identical to the
-/// scalar accumulation. Bias is **not** added here. The span is walked
-/// greedily through descending vector widths (16 → 8 → 4 → scalar on
-/// x86), so a span-14 row runs as one AVX2 block, one SSE2 block, and
-/// two scalar lanes rather than leaving six lanes to the scalar tail —
-/// the split changes nothing numerically because every lane is an
-/// independent column.
-///
-/// # Panics
-///
-/// Panics if a slice length disagrees with the geometry arguments or the
-/// tap window `[iy0, iy0 + kh) × [ix0, ix0 + span + kw - 1)` leaves the
-/// image.
-#[allow(clippy::too_many_arguments)]
-pub fn conv_direct_core_into(
-    level: SimdLevel,
-    image: &[f32],
-    c: usize,
-    h: usize,
-    w: usize,
-    kh: usize,
-    kw: usize,
-    weight: &[f32],
-    out_c: usize,
-    iy0: usize,
-    ix0: usize,
-    span: usize,
-    out: &mut [f32],
-    out_stride: usize,
-) {
-    assert_eq!(image.len(), c * h * w, "conv_direct_core_into image length");
-    assert_eq!(
-        weight.len(),
-        out_c * c * kh * kw,
-        "conv_direct_core_into weight length"
-    );
-    assert!(
-        iy0 + kh <= h && ix0 + span + kw - 1 <= w,
-        "tap window leaves the {h}x{w} image"
-    );
-    assert!(
-        span > 0 && (out_c - 1) * out_stride + span <= out.len(),
-        "conv_direct_core_into out range"
-    );
-    let mut done = 0usize;
-    while done < span {
-        let rem = span - done;
-        // Widest level whose full register the remaining lanes fill,
-        // capped at the caller's `level`. The chunk is a whole multiple
-        // of that width, so the kernels' scalar lane tails never run —
-        // the final sub-width remainder goes to the scalar core.
-        let eff = match level {
-            SimdLevel::Avx512 if rem >= 16 => SimdLevel::Avx512,
-            SimdLevel::Avx512 | SimdLevel::Avx2 if rem >= 8 => SimdLevel::Avx2,
-            SimdLevel::Avx512 | SimdLevel::Avx2 | SimdLevel::Sse2 if rem >= 4 => SimdLevel::Sse2,
-            SimdLevel::Neon if rem >= 4 => SimdLevel::Neon,
-            _ => SimdLevel::Scalar,
-        };
-        let chunk = match eff {
-            SimdLevel::Avx512 => rem / 16 * 16,
-            SimdLevel::Avx2 => 8,
-            SimdLevel::Sse2 | SimdLevel::Neon => 4,
-            SimdLevel::Scalar => rem,
-        };
-        let (ix, o) = (ix0 + done, &mut out[done..]);
-        match eff {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: SSE2 is part of the x86_64 baseline; ranges asserted.
-            SimdLevel::Sse2 => unsafe {
-                conv_core_sse2(
-                    image, c, h, w, kh, kw, weight, out_c, iy0, ix, chunk, o, out_stride,
-                )
-            },
-            #[cfg(target_arch = "x86_64")]
-            SimdLevel::Avx2 if std::arch::is_x86_feature_detected!("avx2") => {
-                // SAFETY: guarded by the runtime feature check.
-                unsafe {
-                    conv_core_avx2(
-                        image, c, h, w, kh, kw, weight, out_c, iy0, ix, chunk, o, out_stride,
-                    )
-                }
-            }
-            #[cfg(target_arch = "x86_64")]
-            SimdLevel::Avx512 if std::arch::is_x86_feature_detected!("avx512f") => {
-                // SAFETY: guarded by the runtime feature check.
-                unsafe {
-                    conv_core_avx512(
-                        image, c, h, w, kh, kw, weight, out_c, iy0, ix, chunk, o, out_stride,
-                    )
-                }
-            }
-            #[cfg(target_arch = "aarch64")]
-            // SAFETY: NEON is part of the aarch64 baseline; ranges asserted.
-            SimdLevel::Neon => unsafe {
-                conv_core_neon(
-                    image, c, h, w, kh, kw, weight, out_c, iy0, ix, chunk, o, out_stride,
-                )
-            },
-            _ => conv_core_scalar(
-                image, c, h, w, kh, kw, weight, out_c, iy0, ix, chunk, o, out_stride,
-            ),
-        }
-        done += chunk;
-    }
-}
-
-/// Reference interior-core kernel: each cell accumulates its taps from
-/// zero in `(ch, ky, kx)` order — exactly the scalar recurrence of
-/// `ops::conv2d_region_into` for cells with no out-of-bounds taps.
-#[allow(clippy::too_many_arguments)]
-fn conv_core_scalar(
-    image: &[f32],
-    c: usize,
-    h: usize,
-    w: usize,
-    kh: usize,
-    kw: usize,
-    weight: &[f32],
-    out_c: usize,
-    iy0: usize,
-    ix0: usize,
-    span: usize,
-    out: &mut [f32],
-    out_stride: usize,
-) {
-    let k = c * kh * kw;
-    for oc in 0..out_c {
-        let wrow = &weight[oc * k..(oc + 1) * k];
-        let orow = &mut out[oc * out_stride..oc * out_stride + span];
-        for (j, o) in orow.iter_mut().enumerate() {
-            let mut acc = 0.0f32;
-            let mut t = 0;
-            for ch in 0..c {
-                for ky in 0..kh {
-                    let base = (ch * h + iy0 + ky) * w + ix0 + j;
-                    for kx in 0..kw {
-                        acc += wrow[t] * image[base + kx];
-                        t += 1;
-                    }
-                }
-            }
-            *o = acc;
-        }
-    }
-}
-
-/// Generates one `conv_core_*` SIMD kernel: four output channels at a
-/// time (four independent accumulator chains hide add latency; the tap
-/// load is shared) over `LANES`-wide column blocks, then scalar lane
-/// tails and a single-channel remainder — all in the exact tap order of
-/// [`conv_core_scalar`], so every lane is bit-identical to it.
-macro_rules! conv_core_kernel {
-    ($name:ident, $arch:literal, $feature:literal, $lanes:expr, $set1:ident, $load:ident, $store:ident, $zero:expr, $mul:ident, $add:ident) => {
-        #[cfg(target_arch = $arch)]
-        #[target_feature(enable = $feature)]
-        #[allow(clippy::too_many_arguments)]
-        unsafe fn $name(
-            image: &[f32],
-            c: usize,
-            h: usize,
-            w: usize,
-            kh: usize,
-            kw: usize,
-            weight: &[f32],
-            out_c: usize,
-            iy0: usize,
-            ix0: usize,
-            span: usize,
-            out: &mut [f32],
-            out_stride: usize,
-        ) {
-            const L: usize = $lanes;
-            let k = c * kh * kw;
-            let img = image.as_ptr();
-            let mut oc = 0;
-            while oc + 4 <= out_c {
-                let w0 = weight.as_ptr().add(oc * k);
-                let (w1, w2, w3) = (w0.add(k), w0.add(2 * k), w0.add(3 * k));
-                let o0 = out.as_mut_ptr().add(oc * out_stride);
-                let (o1, o2, o3) = (
-                    o0.add(out_stride),
-                    o0.add(2 * out_stride),
-                    o0.add(3 * out_stride),
-                );
-                let mut j = 0;
-                while j + L <= span {
-                    let (mut a0, mut a1, mut a2, mut a3) = ($zero, $zero, $zero, $zero);
-                    let mut t = 0;
-                    for ch in 0..c {
-                        for ky in 0..kh {
-                            let base = img.add((ch * h + iy0 + ky) * w + ix0 + j);
-                            for kx in 0..kw {
-                                let xv = $load(base.add(kx));
-                                a0 = $add(a0, $mul($set1(*w0.add(t)), xv));
-                                a1 = $add(a1, $mul($set1(*w1.add(t)), xv));
-                                a2 = $add(a2, $mul($set1(*w2.add(t)), xv));
-                                a3 = $add(a3, $mul($set1(*w3.add(t)), xv));
-                                t += 1;
-                            }
-                        }
-                    }
-                    $store(o0.add(j), a0);
-                    $store(o1.add(j), a1);
-                    $store(o2.add(j), a2);
-                    $store(o3.add(j), a3);
-                    j += L;
-                }
-                while j < span {
-                    let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-                    let mut t = 0;
-                    for ch in 0..c {
-                        for ky in 0..kh {
-                            let base = img.add((ch * h + iy0 + ky) * w + ix0 + j);
-                            for kx in 0..kw {
-                                let xv = *base.add(kx);
-                                s0 += *w0.add(t) * xv;
-                                s1 += *w1.add(t) * xv;
-                                s2 += *w2.add(t) * xv;
-                                s3 += *w3.add(t) * xv;
-                                t += 1;
-                            }
-                        }
-                    }
-                    *o0.add(j) = s0;
-                    *o1.add(j) = s1;
-                    *o2.add(j) = s2;
-                    *o3.add(j) = s3;
-                    j += 1;
-                }
-                oc += 4;
-            }
-            while oc < out_c {
-                let w0 = weight.as_ptr().add(oc * k);
-                let o0 = out.as_mut_ptr().add(oc * out_stride);
-                let mut j = 0;
-                while j + L <= span {
-                    let mut a0 = $zero;
-                    let mut t = 0;
-                    for ch in 0..c {
-                        for ky in 0..kh {
-                            let base = img.add((ch * h + iy0 + ky) * w + ix0 + j);
-                            for kx in 0..kw {
-                                a0 = $add(a0, $mul($set1(*w0.add(t)), $load(base.add(kx))));
-                                t += 1;
-                            }
-                        }
-                    }
-                    $store(o0.add(j), a0);
-                    j += L;
-                }
-                while j < span {
-                    let mut s0 = 0.0f32;
-                    let mut t = 0;
-                    for ch in 0..c {
-                        for ky in 0..kh {
-                            let base = img.add((ch * h + iy0 + ky) * w + ix0 + j);
-                            for kx in 0..kw {
-                                s0 += *w0.add(t) * *base.add(kx);
-                                t += 1;
-                            }
-                        }
-                    }
-                    *o0.add(j) = s0;
-                    j += 1;
-                }
-                oc += 1;
-            }
-        }
-    };
-}
-
-conv_core_kernel!(
-    conv_core_sse2,
-    "x86_64",
-    "sse2",
-    4,
-    _mm_set1_ps,
-    _mm_loadu_ps,
-    _mm_storeu_ps,
-    _mm_setzero_ps(),
-    _mm_mul_ps,
-    _mm_add_ps
-);
-conv_core_kernel!(
-    conv_core_avx2,
-    "x86_64",
-    "avx2",
-    8,
-    _mm256_set1_ps,
-    _mm256_loadu_ps,
-    _mm256_storeu_ps,
-    _mm256_setzero_ps(),
-    _mm256_mul_ps,
-    _mm256_add_ps
-);
-conv_core_kernel!(
-    conv_core_avx512,
-    "x86_64",
-    "avx512f",
-    16,
-    _mm512_set1_ps,
-    _mm512_loadu_ps,
-    _mm512_storeu_ps,
-    _mm512_setzero_ps(),
-    _mm512_mul_ps,
-    _mm512_add_ps
-);
-conv_core_kernel!(
-    conv_core_neon,
-    "aarch64",
-    "neon",
-    4,
-    vdupq_n_f32,
-    vld1q_f32,
-    vst1q_f32,
-    vdupq_n_f32(0.0),
-    vmulq_f32,
-    vaddq_f32
-);
-
 /// Output-channel lanes the region-conv weights are padded to: the
 /// widest register of any level (AVX-512F), so every level reads one
 /// layout and no register load runs past a tap's row.
@@ -1549,7 +664,7 @@ const REGION_PX: usize = 8;
 /// contiguous row, and the bias as one `[width]` row. `width` is `out_c`
 /// rounded up to a multiple of 16, the widest register of any level, so
 /// every level reads one layout; padding lanes are zero.
-/// Build it once per plan, like [`PackedA`].
+/// Build it once per plan: a compiled plan keeps one per convolution.
 #[derive(Debug, Clone)]
 pub struct ConvLanes {
     out_c: usize,
@@ -1650,20 +765,22 @@ impl RegionTile {
 
 /// The taps `t < k` whose input coordinate `o·s + t − p` lies in
 /// `[0, n)`: output coordinate `o`'s in-bounds tap range along one axis.
-/// These are exactly the taps [`crate::ops::conv2d_region_into`] does
-/// not skip.
+/// The others read the zero padding and are skipped.
 fn tap_window(o: usize, s: usize, p: usize, k: usize, n: usize) -> (usize, usize) {
     let lo = p.saturating_sub(o * s).min(k);
     let hi = (n + p).saturating_sub(o * s).min(k);
     (lo, hi.max(lo))
 }
 
-/// Batched region convolution: for every job `(image, rect, out)`,
-/// recomputes `out[oc, oy, ox]` for each `(oy, ox)` in `rect` from the
-/// `[c, h, w]` `image` and leaves every other output cell untouched —
-/// bit for bit what [`crate::ops::conv2d_region_into`] writes with the
-/// `[out_c, k]` weights and bias `lanes` was built from. The delta
-/// engine passes one job per dirty candidate.
+/// Region convolution, the engine's one convolution kernel: for every
+/// job `(image, rect, out)`, recomputes `out[oc, oy, ox]` for each
+/// `(oy, ox)` in `rect` from the `[c, h, w]` `image` and leaves every
+/// other output cell untouched — bit for bit what the tape's
+/// [`crate::ops::im2col_into`] + [`crate::ops::matmul_into`] +
+/// bias-broadcast pipeline computes for those cells with the
+/// `[out_c, k]` weights and bias `lanes` was built from. A full forward
+/// passes one full-rectangle job per convolution; the delta engine
+/// passes one job per dirty candidate.
 ///
 /// The lanes of each register are output channels. Pixels go in tiles
 /// of up to eight, sized to the register file, that carry over from one
@@ -1673,9 +790,11 @@ fn tap_window(o: usize, s: usize, p: usize, k: usize, n: usize) -> (usize, usize
 /// in-bounds tap in `(ch, ky, kx)` order as a separate multiply then add
 /// (never FMA), then the bias, so each lane is the scalar recurrence and
 /// the tile a pixel lands in never changes a bit. Pixels whose window is
-/// clipped by the padding skip the out-of-bounds taps, as the scalar
-/// kernel does; they share a tile only with pixels of the same window.
-/// Padding lanes are never stored.
+/// clipped by the padding skip the out-of-bounds taps and share a tile
+/// only with pixels of the same window. Skipping is bit-exact: in
+/// IEEE-754 round-to-nearest an accumulator seeded with `+0.0` can never
+/// become `-0.0`, so adding the padding's `w · 0.0 = ±0.0` is always the
+/// identity. Padding lanes are never stored.
 ///
 /// # Panics
 ///
@@ -1841,7 +960,8 @@ pub fn conv2d_region_batch_into_with<'a>(
 
 /// Reference region-conv tile: per pixel and output channel, one
 /// accumulator from `0.0` over the window's taps in `(ch, ky, kx)` order,
-/// then the bias — the recurrence of `ops::conv2d_region_into`.
+/// then the bias — the recurrence of `ops::matmul_into` over im2col
+/// columns, less the padding's exact-zero taps.
 ///
 /// # Safety
 ///
@@ -2074,28 +1194,6 @@ mod tests {
         assert_eq!(level, SimdLevel::Avx2);
         let warning = warning.expect("must warn");
         assert!(warning.contains("known:"), "{warning}");
-    }
-
-    #[test]
-    fn gemm_threads_env_parse_table() {
-        // Valid values parse cleanly.
-        for (value, want) in [(None, 1), (Some(""), 1), (Some("1"), 1), (Some("4"), 4)] {
-            let (got, warning) = gemm_threads_env(value);
-            assert_eq!(got, want, "{value:?}");
-            assert!(warning.is_none(), "{value:?} must not warn: {warning:?}");
-        }
-        // Out-of-range and unparsable values fall back with a warning.
-        let (got, warning) = gemm_threads_env(Some("0"));
-        assert_eq!(got, 1);
-        assert!(warning.expect("must warn").contains("out of range"));
-        let (got, warning) = gemm_threads_env(Some("1000000"));
-        assert_eq!(got, MAX_GEMM_THREADS);
-        assert!(warning.expect("must warn").contains("clamping"));
-        for value in ["four", "-2", "3.5", "4 threads"] {
-            let (got, warning) = gemm_threads_env(Some(value));
-            assert_eq!(got, 1, "{value:?} falls back to sequential");
-            assert!(warning.is_some(), "{value:?} must warn");
-        }
     }
 
     #[test]

@@ -10,7 +10,6 @@
 //! perform the exact same arithmetic in the exact same order, so both
 //! paths produce bit-identical results.
 
-use crate::gemm;
 use crate::Tensor;
 
 /// Matrix product `A · B` into `out` for `A: [m, k]`, `B: [k, n]`,
@@ -230,191 +229,6 @@ impl Rect {
             y1: self.y1.max(other.y1),
             x0: self.x0.min(other.x0),
             x1: self.x1.max(other.x1),
-        }
-    }
-}
-
-/// Direct (im2col-free) convolution of an output sub-rectangle: recomputes
-/// `out[oc, oy, ox]` for every `(oy, ox)` in `rect`, leaving all other
-/// output cells untouched. `weight` is the flattened kernel bank
-/// `[out_c, c·kh·kw]`, `bias` is `[out_c]`, and `out` is the full
-/// `[out_c, oh, ow]` buffer.
-///
-/// Each output element is accumulated in the exact tap order of the
-/// im2col row layout (`(ch, ky, kx)`-major) with the bias added last, and
-/// out-of-bounds (zero-padding) taps are skipped. Skipping is bit-exact:
-/// in IEEE-754 round-to-nearest an accumulator seeded with `+0.0` can
-/// never become `-0.0`, so adding `w · 0.0 = ±0.0` is always the
-/// identity. Results therefore match the im2col + [`matmul_into`] +
-/// bias-broadcast pipeline bit for bit (asserted in tests).
-///
-/// # Panics
-///
-/// Panics if a slice length disagrees with `geom` or the rectangle
-/// exceeds the output extents.
-pub fn conv2d_region_into(
-    image: &[f32],
-    weight: &[f32],
-    bias: &[f32],
-    geom: &Conv2dGeometry,
-    out_c: usize,
-    rect: Rect,
-    out: &mut [f32],
-) {
-    let (c, h, w) = (geom.in_channels, geom.in_h, geom.in_w);
-    assert_eq!(image.len(), c * h * w, "conv2d_region_into image length");
-    let (kh, kw) = (geom.kernel_h, geom.kernel_w);
-    let k = c * kh * kw;
-    assert_eq!(weight.len(), out_c * k, "conv2d_region_into weight length");
-    assert_eq!(bias.len(), out_c, "conv2d_region_into bias length");
-    let (oh, ow) = (geom.out_h(), geom.out_w());
-    assert_eq!(out.len(), out_c * oh * ow, "conv2d_region_into out length");
-    assert!(
-        rect.y1 <= oh && rect.x1 <= ow,
-        "rect {rect:?} exceeds output extents {oh}x{ow}"
-    );
-    if rect.is_empty() {
-        return;
-    }
-    let (s, p) = (geom.stride, geom.padding);
-    if s == 1 {
-        // Stride 1: cells whose receptive fields are fully in bounds
-        // (`oy, ox ∈ [p, extent + p - kernel + 1)`) have no per-tap
-        // clamping at all, so the bulk of the rectangle runs the SIMD
-        // interior-core kernel and only the padded edge strips take the
-        // scalar reference path. Strips and core partition the rect, and
-        // each cell computes the identical tap sequence either way.
-        let yl = rect.y0.max(p);
-        let yr = rect.y1.min((h + p).saturating_sub(kh - 1));
-        let xl = rect.x0.max(p);
-        let xr = rect.x1.min((w + p).saturating_sub(kw - 1));
-        if yl < yr && xl < xr {
-            let level = gemm::active_level();
-            for strip in [
-                Rect {
-                    y0: rect.y0,
-                    y1: yl,
-                    x0: rect.x0,
-                    x1: rect.x1,
-                },
-                Rect {
-                    y0: yr,
-                    y1: rect.y1,
-                    x0: rect.x0,
-                    x1: rect.x1,
-                },
-                Rect {
-                    y0: yl,
-                    y1: yr,
-                    x0: rect.x0,
-                    x1: xl,
-                },
-                Rect {
-                    y0: yl,
-                    y1: yr,
-                    x0: xr,
-                    x1: rect.x1,
-                },
-            ] {
-                if !strip.is_empty() {
-                    conv2d_region_scalar(image, weight, bias, geom, out_c, strip, out);
-                }
-            }
-            let span = xr - xl;
-            for oy in yl..yr {
-                gemm::conv_direct_core_into(
-                    level,
-                    image,
-                    c,
-                    h,
-                    w,
-                    kh,
-                    kw,
-                    weight,
-                    out_c,
-                    oy - p,
-                    xl - p,
-                    span,
-                    &mut out[oy * ow + xl..],
-                    oh * ow,
-                );
-                for (oc, &b) in bias[..out_c].iter().enumerate() {
-                    let obase = (oc * oh + oy) * ow;
-                    for o in &mut out[obase + xl..obase + xr] {
-                        *o += b;
-                    }
-                }
-            }
-            return;
-        }
-    }
-    conv2d_region_scalar(image, weight, bias, geom, out_c, rect, out);
-}
-
-/// The scalar reference path of [`conv2d_region_into`]: per-tap bounds
-/// clamping, valid-span accumulation, bias last. Kept as the fallback
-/// for strided convolutions, padded edge strips, and the
-/// `OPPSLA_NO_SIMD` escape hatch — and as the semantics the SIMD
-/// interior core is verified against.
-fn conv2d_region_scalar(
-    image: &[f32],
-    weight: &[f32],
-    bias: &[f32],
-    geom: &Conv2dGeometry,
-    out_c: usize,
-    rect: Rect,
-    out: &mut [f32],
-) {
-    let (c, h, w) = (geom.in_channels, geom.in_h, geom.in_w);
-    let (kh, kw) = (geom.kernel_h, geom.kernel_w);
-    let k = c * kh * kw;
-    let (oh, ow) = (geom.out_h(), geom.out_w());
-    let (s, p) = (geom.stride, geom.padding);
-    for oc in 0..out_c {
-        let wrow = &weight[oc * k..(oc + 1) * k];
-        for oy in rect.y0..rect.y1 {
-            let obase = (oc * oh + oy) * ow;
-            let orow = &mut out[obase + rect.x0..obase + rect.x1];
-            orow.fill(0.0);
-            for ch in 0..c {
-                for ky in 0..kh {
-                    let iy = (oy * s + ky) as isize - p as isize;
-                    if iy < 0 || iy as usize >= h {
-                        continue;
-                    }
-                    let irow = &image[(ch * h + iy as usize) * w..(ch * h + iy as usize + 1) * w];
-                    for kx in 0..kw {
-                        if kx >= w + p {
-                            continue;
-                        }
-                        let wt = wrow[(ch * kh + ky) * kw + kx];
-                        // Valid columns: 0 <= ox·s + kx − p < w, clamped
-                        // to the requested rectangle.
-                        let lo = if p > kx { (p - kx).div_ceil(s) } else { 0 }.max(rect.x0);
-                        let hi = (w + p - kx).div_ceil(s).min(rect.x1);
-                        if lo >= hi {
-                            continue;
-                        }
-                        let ibase = lo * s + kx - p;
-                        if s == 1 {
-                            for (o, &x) in orow[lo - rect.x0..hi - rect.x0]
-                                .iter_mut()
-                                .zip(&irow[ibase..ibase + (hi - lo)])
-                            {
-                                *o += wt * x;
-                            }
-                        } else {
-                            for (i, o) in orow[lo - rect.x0..hi - rect.x0].iter_mut().enumerate() {
-                                *o += wt * irow[ibase + i * s];
-                            }
-                        }
-                    }
-                }
-            }
-            let b = bias[oc];
-            for o in orow.iter_mut() {
-                *o += b;
-            }
         }
     }
 }
@@ -837,6 +651,7 @@ fn dims4(t: &Tensor, what: &str) -> (usize, usize, usize, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gemm::{available_levels, conv2d_region_batch_into_with, ConvLanes, SimdLevel};
 
     #[test]
     fn matmul_small() {
@@ -1012,7 +827,7 @@ mod tests {
         assert_eq!(gout, gap.data());
     }
 
-    /// The full engine's conv pipeline: im2col, matmul, bias broadcast.
+    /// The tape's conv pipeline: im2col, matmul, bias broadcast.
     fn conv_via_im2col(
         image: &[f32],
         weight: &[f32],
@@ -1035,6 +850,21 @@ mod tests {
         out
     }
 
+    /// The engine's conv kernel over one `rect` of one image, at `level`.
+    fn conv_region(
+        level: SimdLevel,
+        image: &[f32],
+        weight: &[f32],
+        bias: &[f32],
+        geom: &Conv2dGeometry,
+        rect: Rect,
+        out: &mut [f32],
+    ) {
+        let k = geom.in_channels * geom.kernel_h * geom.kernel_w;
+        let lanes = ConvLanes::new(weight, bias, bias.len(), k);
+        conv2d_region_batch_into_with(level, &lanes, geom, [(image, rect, out)]);
+    }
+
     #[test]
     fn conv_region_full_rect_is_bit_identical_to_im2col_pipeline() {
         for (kernel, padding, stride) in [(3, 1, 1), (5, 2, 1), (1, 0, 1), (3, 0, 2), (3, 2, 1)] {
@@ -1053,10 +883,17 @@ mod tests {
             let weight: Vec<f32> = (0..out_c * k).map(|i| (i as f32 * 0.19).cos()).collect();
             let bias: Vec<f32> = (0..out_c).map(|i| i as f32 * 0.3 - 0.5).collect();
             let expected = conv_via_im2col(&image, &weight, &bias, &geom, out_c);
-            let mut out = vec![f32::NAN; expected.len()];
             let full = Rect::full(geom.out_h(), geom.out_w());
-            conv2d_region_into(&image, &weight, &bias, &geom, out_c, full, &mut out);
-            assert_eq!(out, expected, "k={kernel} p={padding} s={stride}");
+            for level in available_levels() {
+                let mut out = vec![f32::NAN; expected.len()];
+                conv_region(level, &image, &weight, &bias, &geom, full, &mut out);
+                assert_eq!(
+                    out,
+                    expected,
+                    "k={kernel} p={padding} s={stride} level={}",
+                    level.as_str()
+                );
+            }
         }
     }
 
@@ -1083,17 +920,20 @@ mod tests {
             x0: 2,
             x1: 5,
         };
-        let mut out = vec![f32::NAN; expected.len()];
-        conv2d_region_into(&image, &weight, &bias, &geom, out_c, rect, &mut out);
-        for oc in 0..out_c {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let idx = (oc * oh + oy) * ow + ox;
-                    let inside = oy >= rect.y0 && oy < rect.y1 && ox >= rect.x0 && ox < rect.x1;
-                    if inside {
-                        assert_eq!(out[idx], expected[idx], "({oc},{oy},{ox})");
-                    } else {
-                        assert!(out[idx].is_nan(), "({oc},{oy},{ox}) was touched");
+        for level in available_levels() {
+            let mut out = vec![f32::NAN; expected.len()];
+            conv_region(level, &image, &weight, &bias, &geom, rect, &mut out);
+            for oc in 0..out_c {
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let idx = (oc * oh + oy) * ow + ox;
+                        let at = format!("({oc},{oy},{ox}) level={}", level.as_str());
+                        let inside = oy >= rect.y0 && oy < rect.y1 && ox >= rect.x0 && ox < rect.x1;
+                        if inside {
+                            assert_eq!(out[idx], expected[idx], "{at}");
+                        } else {
+                            assert!(out[idx].is_nan(), "{at} was touched");
+                        }
                     }
                 }
             }

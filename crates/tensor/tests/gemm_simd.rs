@@ -1,14 +1,13 @@
-//! The dispatch half of the GEMM determinism contract: every SIMD level
-//! the host can detect and every worker-thread count produce output
-//! **bit-identical** to the scalar single-threaded kernel — exact
-//! `to_bits` equality across ragged shapes, so lane tails, partial
-//! panels, and per-worker column partitions are all exercised.
+//! The dispatch half of the kernels' determinism contract: every SIMD
+//! level the host can detect produces output **bit-identical** to the
+//! naive reference — exact `to_bits` equality across ragged shapes, so
+//! lane tails, partial tiles and clipped convolution windows are all
+//! exercised.
 
 use oppsla_tensor::gemm::{
-    available_levels, conv2d_region_batch_into_with, linear_nt_rows_into_with,
-    matmul_packed_into_with, pack_a, ConvLanes, SimdLevel, KC, MC, NC, NR,
+    available_levels, conv2d_region_batch_into_with, linear_nt_rows_into_with, ConvLanes,
 };
-use oppsla_tensor::ops::{conv2d_region_into, matmul_into, matmul_nt_into, Conv2dGeometry, Rect};
+use oppsla_tensor::ops::{matmul_nt_into, Conv2dGeometry, Rect};
 use proptest::prelude::*;
 
 fn bits(v: &[f32]) -> Vec<u32> {
@@ -25,49 +24,8 @@ fn lcg_data(len: usize, seed: u32) -> Vec<f32> {
         .collect()
 }
 
-/// Runs one (level, threads) configuration and demands exact equality
-/// with the naive kernel.
-fn assert_config_matches_naive(
-    level: SimdLevel,
-    threads: usize,
-    a: &[f32],
-    b: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    let mut naive = vec![f32::NAN; m * n];
-    matmul_into(a, b, m, k, n, &mut naive);
-    let packed = pack_a(a, m, k);
-    let mut pack_buf = Vec::new();
-    let mut out = vec![f32::NAN; m * n];
-    matmul_packed_into_with(level, threads, &packed, b, n, &mut pack_buf, &mut out);
-    assert_eq!(
-        bits(&out),
-        bits(&naive),
-        "GEMM diverged from naive at level={} threads={threads} m={m} k={k} n={n}",
-        level.as_str()
-    );
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Every detected ISA level matches the naive kernel bit-for-bit on
-    /// odd shapes (lane tails: n % NR hits every partial-register path).
-    #[test]
-    fn simd_levels_match_naive_odd_shapes(
-        m in 1usize..24,
-        k in 1usize..48,
-        n in 1usize..40,
-        seed in any::<u32>(),
-    ) {
-        let a = lcg_data(m * k, seed);
-        let b = lcg_data(k * n, seed.wrapping_add(29));
-        for level in available_levels() {
-            assert_config_matches_naive(level, 1, &a, &b, m, k, n);
-        }
-    }
 
     /// The row-tiled Linear kernel matches the naive row-major-weights
     /// kernel bit-for-bit at every detected ISA level, for every row count
@@ -224,9 +182,6 @@ proptest! {
         let mut want = vec![blank.clone(); cands];
         for ((image, &rect), out) in images.iter().zip(&rects).zip(want.iter_mut()) {
             naive_region(image, &weight, &bias, &geom, rect, out);
-            let mut seq = blank.clone();
-            conv2d_region_into(image, &weight, &bias, &geom, out_c, rect, &mut seq);
-            prop_assert_eq!(bits(&seq), bits(out), "conv2d_region_into disagrees with the reference");
         }
         for level in available_levels() {
             let mut got = vec![blank.clone(); cands];
@@ -244,84 +199,6 @@ proptest! {
                     level.as_str(), i, cands, rects[i], geom
                 );
             }
-        }
-    }
-}
-
-/// Deterministic block-boundary shapes per level — multi-slab k (the
-/// C-tile f32 round trip under SIMD loads/stores) and multi-panel n.
-#[test]
-fn simd_levels_match_naive_across_block_boundaries() {
-    for (m, k, n) in [
-        (MC + 3, KC + 7, NC + 5),
-        (5, 2 * KC + 1, NR + 1),
-        (1, KC + 1, 1),
-    ] {
-        let a = lcg_data(m * k, (m * 31 + k * 7 + n) as u32);
-        let b = lcg_data(k * n, (m + k + n * 13) as u32);
-        for level in available_levels() {
-            assert_config_matches_naive(level, 1, &a, &b, m, k, n);
-        }
-    }
-}
-
-/// Threaded GEMM is byte-identical to single-threaded for every worker
-/// count, on a product large enough to actually fan out (several NC
-/// column blocks, above the parallel threshold) — including a ragged
-/// final column block and more workers than blocks.
-#[test]
-fn threaded_gemm_is_deterministic() {
-    let (m, k, n) = (2 * MC + 3, KC + 9, 3 * NC + 37);
-    let a = lcg_data(m * k, 0xfeed);
-    let b = lcg_data(k * n, 0xbeef);
-    let packed = pack_a(&a, m, k);
-    let level = *available_levels().last().unwrap();
-
-    let mut reference = vec![f32::NAN; m * n];
-    matmul_packed_into_with(level, 1, &packed, &b, n, &mut Vec::new(), &mut reference);
-    let mut naive = vec![f32::NAN; m * n];
-    matmul_into(&a, &b, m, k, n, &mut naive);
-    assert_eq!(bits(&reference), bits(&naive));
-
-    for threads in [2, 3, 4, 8, 64] {
-        let mut out = vec![f32::NAN; m * n];
-        matmul_packed_into_with(level, threads, &packed, &b, n, &mut Vec::new(), &mut out);
-        assert_eq!(
-            bits(&out),
-            bits(&reference),
-            "threaded GEMM diverged at threads={threads}"
-        );
-    }
-}
-
-/// The scalar level and the widest detected level agree even when run
-/// threaded — the combined SIMD × threading matrix holds.
-#[test]
-fn simd_and_threads_compose() {
-    let (m, k, n) = (MC + 1, KC + 3, 2 * NC + 11);
-    let a = lcg_data(m * k, 0x5eed);
-    let b = lcg_data(k * n, 0xd00d);
-    let packed = pack_a(&a, m, k);
-    let mut reference = vec![f32::NAN; m * n];
-    matmul_packed_into_with(
-        SimdLevel::Scalar,
-        1,
-        &packed,
-        &b,
-        n,
-        &mut Vec::new(),
-        &mut reference,
-    );
-    for level in available_levels() {
-        for threads in [1, 4] {
-            let mut out = vec![f32::NAN; m * n];
-            matmul_packed_into_with(level, threads, &packed, &b, n, &mut Vec::new(), &mut out);
-            assert_eq!(
-                bits(&out),
-                bits(&reference),
-                "level={} threads={threads} diverged",
-                level.as_str()
-            );
         }
     }
 }

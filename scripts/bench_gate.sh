@@ -22,9 +22,10 @@
 # pay for themselves rather than merely not regressing.
 #
 # Independently of mode, any `engine_speedup` row for densenet-small in
-# the NEW report must be >= 1.0: the compiled engine losing to the naive
-# tape on any architecture means a dispatch route picked the wrong
-# kernel, which no amount of run-to-run noise excuses.
+# the NEW report must be >= 1.0: the compiled engine runs one conv
+# kernel and one fully connected kernel with no route to choose, so an
+# engine slower than the naive tape means a kernel regressed, which no
+# amount of run-to-run noise excuses.
 #
 # Usage: scripts/bench_gate.sh [--require-improvement] [--max-regression PCT] \
 #            NEW.json BASELINE.json
@@ -137,7 +138,7 @@ BEGIN {
         }
     }
     # The engine must never lose to the naive tape: a sub-1.0
-    # engine_speedup on densenet-small is a routing bug, not noise.
+    # engine_speedup on densenet-small is a kernel regression, not noise.
     for (key in newvals) {
         if (key ~ /^densenet-small\|/ && key ~ /\|engine_speedup$/ && newvals[key] < 1.0) {
             printf "FAIL     %-60s %.3f < 1.0 (engine slower than tape)\n", key, newvals[key]

@@ -1,6 +1,7 @@
-//! A/B test for the `OPPSLA_NO_SIMD` escape hatch: the scalar micro-kernel
-//! and the widest detected SIMD level produce bit-identical scores through
-//! the full engine stack (full forward, incremental delta, threaded GEMM).
+//! A/B test for the `OPPSLA_NO_SIMD` escape hatch: the scalar kernels and
+//! every detected SIMD level produce bit-identical scores through the full
+//! engine stack (full forward and incremental delta, both through the one
+//! conv kernel and the fully connected kernel).
 //!
 //! The env var itself is resolved once per process, so this test drives
 //! the same switch through [`force_simd_level`] — the documented
@@ -9,9 +10,7 @@
 
 use oppsla::nn::infer::InferenceEngine;
 use oppsla::nn::models::{Arch, ConvNet, InputSpec};
-use oppsla::tensor::gemm::{
-    available_levels, force_simd_level, gemm_threads, set_gemm_threads, SimdLevel,
-};
+use oppsla::tensor::gemm::{available_levels, force_simd_level, SimdLevel};
 use oppsla::tensor::Tensor;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -55,22 +54,4 @@ fn scalar_and_simd_scores_are_bit_identical() {
     }
     // Leave the process on its detected default for other tests.
     force_simd_level(*available_levels().last().unwrap());
-}
-
-#[test]
-fn gemm_thread_count_does_not_change_scores() {
-    let image = test_image(InputSpec::RGB32);
-    let mut rng = ChaCha8Rng::seed_from_u64(43);
-    let net = ConvNet::build(Arch::VggSmall, InputSpec::RGB32, 5, &mut rng);
-    let before = gemm_threads();
-    set_gemm_threads(1);
-    let engine = InferenceEngine::new(&net);
-    let serial = engine.scores(&image);
-    set_gemm_threads(4);
-    let threaded = engine.scores(&image);
-    set_gemm_threads(before);
-    assert_eq!(
-        serial.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-        threaded.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-    );
 }
