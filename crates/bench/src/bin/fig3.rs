@@ -54,7 +54,21 @@ use std::time::Instant;
 type CurveRow = (String, String, Vec<(u64, f64)>);
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[
+        "budget",
+        "fresh",
+        "no-prefilter",
+        "prior",
+        "scale",
+        "seed",
+        "synth-budget",
+        "synth-iters",
+        "synth-train",
+        "telemetry",
+        "test-per-class",
+        "threads",
+        "trace",
+    ]);
     let scales: Vec<Scale> = match args.get_str("scale", "cifar").as_str() {
         "cifar" => vec![Scale::Cifar],
         "imagenet" => vec![Scale::ImageNetLike],

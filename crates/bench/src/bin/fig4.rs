@@ -36,7 +36,18 @@ use oppsla_nn::models::Arch;
 use std::time::Instant;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[
+        "budget",
+        "class",
+        "iters",
+        "no-prefilter",
+        "seed",
+        "synth-budget",
+        "telemetry",
+        "test",
+        "threads",
+        "train",
+    ]);
     let class = args.get_usize("class", 0);
     let train_n = args.get_usize("train", 4);
     let test_n = args.get_usize("test", 8);

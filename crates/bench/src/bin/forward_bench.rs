@@ -121,7 +121,15 @@ impl Row {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[
+        "batch",
+        "batch-k",
+        "batched-out",
+        "inc-out",
+        "iters",
+        "out",
+        "threads",
+    ]);
     let iters = args.get_usize("iters", 200).max(1);
     let batch = args.get_usize("batch", 64).max(1);
     let batch_k = args.get_usize("batch-k", 8).max(1);

@@ -33,7 +33,17 @@ use oppsla_eval::zoo::{attack_test_set, train_or_load, Scale, ZooConfig};
 use std::time::Instant;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[
+        "budget",
+        "no-prefilter",
+        "seed",
+        "synth-budget",
+        "synth-iters",
+        "synth-train",
+        "telemetry",
+        "test-per-class",
+        "threads",
+    ]);
     let test_per_class = args.get_usize("test-per-class", 2);
     let budget = args.get_u64("budget", 8192);
     let threads = threads_from(&args);

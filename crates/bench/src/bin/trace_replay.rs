@@ -377,7 +377,7 @@ impl Replayer {
 }
 
 fn main() -> ExitCode {
-    let args = Args::parse();
+    let args = Args::parse(&["max-mismatches", "trace"]);
     let path = args.get_str("trace", "");
     assert!(
         !path.is_empty(),

@@ -47,7 +47,7 @@ struct RunAgg {
 }
 
 fn main() -> ExitCode {
-    let args = Args::parse();
+    let args = Args::parse(&["canonical", "jsonl", "prior-grid", "prior-out", "trace"]);
     let path = args.get_str("trace", "");
     assert!(
         !path.is_empty(),

@@ -8,28 +8,52 @@ use std::collections::HashMap;
 pub struct Args {
     values: HashMap<String, String>,
     flags: Vec<String>,
+    /// Every key the binary reads; any other key is a usage error.
+    accepted: &'static [&'static str],
 }
 
 impl Args {
-    /// Parses `std::env::args()`. `--key value` populates values; a
-    /// trailing `--key` with no value (or followed by another `--…`) is a
-    /// boolean flag.
-    ///
-    /// # Panics
-    ///
-    /// Panics (with a usage hint) on a positional argument.
-    pub fn parse() -> Self {
-        Self::from_args(std::env::args().skip(1))
+    /// Parses `std::env::args()` for a binary that reads exactly the keys
+    /// in `accepted`. `--key value` populates values; a trailing `--key`
+    /// with no value (or followed by another `--…`) is a boolean flag. A
+    /// positional argument or a key outside `accepted` prints a usage
+    /// error and exits with status 2, so a flag the binary would ignore
+    /// is never taken silently.
+    pub fn parse(accepted: &'static [&'static str]) -> Self {
+        Self::from_args(accepted, std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        })
     }
 
     /// Parses an explicit argument list (for tests).
-    pub fn from_args(args: impl IntoIterator<Item = String>) -> Self {
-        let mut out = Args::default();
+    ///
+    /// # Errors
+    ///
+    /// Returns a usage message for a positional argument or a key outside
+    /// `accepted`.
+    pub fn from_args(
+        accepted: &'static [&'static str],
+        args: impl IntoIterator<Item = String>,
+    ) -> Result<Self, String> {
+        let mut out = Args {
+            accepted,
+            ..Args::default()
+        };
         let mut iter = args.into_iter().peekable();
         while let Some(arg) = iter.next() {
             let Some(key) = arg.strip_prefix("--") else {
-                panic!("unexpected positional argument {arg:?}; use --key value");
+                return Err(format!(
+                    "unexpected positional argument {arg:?}; use --key value"
+                ));
             };
+            if !accepted.contains(&key) {
+                let known: Vec<String> = accepted.iter().map(|k| format!("--{k}")).collect();
+                return Err(format!(
+                    "unknown flag --{key}; accepted: {}",
+                    known.join(" ")
+                ));
+            }
             match iter.peek() {
                 Some(v) if !v.starts_with("--") => {
                     let v = iter.next().expect("peeked");
@@ -38,7 +62,17 @@ impl Args {
                 _ => out.flags.push(key.to_owned()),
             }
         }
-        out
+        Ok(out)
+    }
+
+    /// The raw value of `--key`; reading a key the binary did not accept
+    /// is a bug (the flag could never be given), caught in debug builds.
+    fn value(&self, key: &str) -> Option<&String> {
+        debug_assert!(
+            self.accepted.contains(&key),
+            "--{key} is read but not in the binary's accepted keys"
+        );
+        self.values.get(key)
     }
 
     /// A `usize` value or `default`.
@@ -47,8 +81,7 @@ impl Args {
     ///
     /// Panics when the value is present but unparseable.
     pub fn get_usize(&self, key: &str, default: usize) -> usize {
-        self.values
-            .get(key)
+        self.value(key)
             .map(|v| {
                 v.parse()
                     .unwrap_or_else(|_| panic!("--{key} expects an integer, got {v:?}"))
@@ -62,8 +95,7 @@ impl Args {
     ///
     /// Panics when the value is present but unparseable.
     pub fn get_u64(&self, key: &str, default: u64) -> u64 {
-        self.values
-            .get(key)
+        self.value(key)
             .map(|v| {
                 v.parse()
                     .unwrap_or_else(|_| panic!("--{key} expects an integer, got {v:?}"))
@@ -73,19 +105,22 @@ impl Args {
 
     /// The raw value of `--key`, or `None` when the key is absent.
     pub fn get_opt_str(&self, key: &str) -> Option<&str> {
-        self.values.get(key).map(String::as_str)
+        self.value(key).map(String::as_str)
     }
 
     /// A string value or `default`.
     pub fn get_str(&self, key: &str, default: &str) -> String {
-        self.values
-            .get(key)
+        self.value(key)
             .cloned()
             .unwrap_or_else(|| default.to_owned())
     }
 
     /// True when `--key` appeared as a bare flag.
     pub fn has(&self, key: &str) -> bool {
+        debug_assert!(
+            self.accepted.contains(&key),
+            "--{key} is read but not in the binary's accepted keys"
+        );
         self.flags.iter().any(|f| f == key)
     }
 }
@@ -94,13 +129,15 @@ impl Args {
 mod tests {
     use super::*;
 
-    fn parse(s: &str) -> Args {
-        Args::from_args(s.split_whitespace().map(str::to_owned))
+    const KEYS: &[&str] = &["budget", "full", "scale", "missing", "retrain"];
+
+    fn parse(s: &str) -> Result<Args, String> {
+        Args::from_args(KEYS, s.split_whitespace().map(str::to_owned))
     }
 
     #[test]
     fn parses_values_and_flags() {
-        let a = parse("--budget 500 --full --scale cifar");
+        let a = parse("--budget 500 --full --scale cifar").unwrap();
         assert_eq!(a.get_u64("budget", 0), 500);
         assert!(a.has("full"));
         assert_eq!(a.get_str("scale", "x"), "cifar");
@@ -112,19 +149,28 @@ mod tests {
 
     #[test]
     fn trailing_flag_without_value() {
-        let a = parse("--retrain");
+        let a = parse("--retrain").unwrap();
         assert!(a.has("retrain"));
     }
 
     #[test]
-    #[should_panic(expected = "positional")]
     fn rejects_positional_arguments() {
-        parse("oops");
+        let err = parse("oops").unwrap_err();
+        assert!(err.contains("positional"), "{err}");
+    }
+
+    #[test]
+    fn rejects_flags_the_binary_never_reads() {
+        for line in ["--tune off", "--budget 500 --gemm-threads 2", "--fresh"] {
+            let err = parse(line).unwrap_err();
+            assert!(err.contains("unknown flag --"), "{line}: {err}");
+            assert!(err.contains("--budget"), "names the accepted keys: {err}");
+        }
     }
 
     #[test]
     #[should_panic(expected = "expects an integer")]
     fn rejects_bad_integers() {
-        parse("--budget lots").get_u64("budget", 0);
+        parse("--budget lots").unwrap().get_u64("budget", 0);
     }
 }

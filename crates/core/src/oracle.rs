@@ -238,11 +238,10 @@ impl<F> fmt::Debug for FnClassifier<F> {
 /// which candidate was submitted (`pixel`, or `None` for a full-image
 /// query), the resulting decision, and a hash over the exact score bit
 /// patterns. Two query streams are byte-equivalent iff their logs are
-/// equal — the comparison the scheduler equivalence tests run per
+/// equal — the comparison the serving equivalence tests run per
 /// tenant, without retaining every score vector.
-// No serde derive on purpose: the vendored serde models numbers as
-// `f64`, which would silently truncate `score_hash` (a full-range u64)
-// on a JSON round-trip. Wire protocols report hashes as hex strings.
+// No serde derive: nothing serializes a log entry. Wire protocols
+// report a log as its hex digest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueryLogEntry {
     /// 1-based ordinal of this query in the oracle's counted stream
@@ -452,7 +451,7 @@ impl<'a> Oracle<'a> {
     /// at *consume* time — where the query is counted — so the log is
     /// identical whether candidates are served sequentially, from a
     /// speculative prefetch, or through [`Oracle::query_batch`]: the
-    /// byte-equivalence witness the scheduler tests compare per tenant.
+    /// byte-equivalence witness the serving tests compare per tenant.
     pub fn enable_query_log(&mut self) {
         if self.log.is_none() {
             self.log = Some(Vec::new());
@@ -1392,7 +1391,7 @@ mod tests {
         // The log is recorded at the counted consume sites, so the same
         // query stream yields byte-equal logs whether it is served
         // sequentially, from a speculative prefetch, or via query_batch —
-        // the witness the scheduler equivalence tests compare per tenant.
+        // the witness the serving equivalence tests compare per tenant.
         let calls = std::cell::Cell::new(0);
         let clf = counting_mean_classifier(&calls);
         let base = Image::filled(3, 3, Pixel([0.35; 3]));

@@ -246,33 +246,18 @@ impl Classifier for ZooClassifier {
 
 impl BatchClassifier for ZooClassifier {
     fn session(&self) -> Box<dyn Classifier + '_> {
-        self.session_with_cache_capacity(1)
-    }
-}
-
-impl ZooClassifier {
-    /// A session whose delta cache keeps up to `capacity` base images
-    /// resident (LRU eviction) instead of the single-slot default — the
-    /// handle for callers that interleave queries against several bases
-    /// (the attack server's batch scheduler) and would otherwise
-    /// rebase-thrash a one-slot cache on every base switch.
-    pub fn session_with_cache_capacity(&self, capacity: usize) -> Box<dyn Classifier + '_> {
+        let plan = self.engine.plan();
+        let spec = plan.input_spec();
         Box::new(ZooSession {
-            plan: self.engine.plan(),
+            plan,
             delta: self.engine.delta_plan(),
-            state: RefCell::new(SessionState::new(self.engine.plan(), capacity)),
+            state: RefCell::new(SessionState {
+                ws: plan.workspace(),
+                input: Tensor::zeros([spec.channels, spec.height, spec.width]),
+                cache: None,
+                batch_candidates: Vec::new(),
+            }),
         })
-    }
-
-    /// An owned session over an `Arc`-shared classifier: the same
-    /// incremental machinery as [`BatchClassifier::session`], but with no
-    /// borrow of the classifier, so it can move into a long-lived worker
-    /// thread. Methods take `&mut self` (a worker owns its session).
-    pub fn owned_session(self: &std::sync::Arc<Self>, cache_capacity: usize) -> OwnedZooSession {
-        OwnedZooSession {
-            state: SessionState::new(self.engine.plan(), cache_capacity),
-            classifier: std::sync::Arc::clone(self),
-        }
     }
 }
 
@@ -284,74 +269,26 @@ impl ZooClassifier {
 /// served incrementally: the first query against a new base image
 /// captures a [`BaseActivations`] snapshot (one full forward), and every
 /// further candidate against that base recomputes only its dirty region.
-/// The session keeps an LRU of such snapshots (capacity 1 by default; see
-/// [`ZooClassifier::session_with_cache_capacity`]), so callers serving
-/// several interleaved bases don't pay a full recapture per switch.
+/// The session keeps one resident base: a query against another base
+/// recaptures it in place.
 pub struct ZooSession<'a> {
     plan: &'a InferencePlan,
     delta: &'a DeltaPlan,
     state: RefCell<SessionState>,
 }
 
-/// One candidate group of a cross-tenant grouped delta call: a base image
-/// and the one-pixel candidates perturbing it (see
-/// [`OwnedZooSession::scores_pixel_delta_grouped_into`]).
-#[derive(Debug)]
-pub struct DeltaGroup<'a> {
-    /// The base image every candidate of this group perturbs.
-    pub base: &'a Image,
-    /// The group's candidates.
-    pub candidates: &'a [(Location, Pixel)],
-}
-
 struct SessionState {
     ws: ForwardWorkspace,
     input: Tensor,
-    /// Resident base snapshots, most recently used first.
-    caches: Vec<SessionDeltaCache>,
-    /// Maximum resident snapshots before LRU eviction (≥ 1).
-    cache_capacity: usize,
-    /// Monotonic id generator for cache contents: bumped whenever a slot
-    /// captures or recaptures, so pooled grouped workspaces can tell
-    /// whether their buffers still track the snapshot they were seeded
-    /// from.
-    next_cache_gen: u64,
+    /// The resident base snapshot, once a delta query has captured one.
+    cache: Option<SessionDeltaCache>,
     /// Reusable candidate buffer for batched delta queries.
     batch_candidates: Vec<(usize, usize, [f32; 3])>,
-    /// Always-on LRU accounting (see [`SessionCacheStats`]): plain u64
-    /// bumps, read by the attack server's live metrics plane. Unlike the
-    /// feature-gated telemetry counts these exist in every build, so a
-    /// default-build daemon can still report its cache behavior.
-    cache_stats: SessionCacheStats,
-    /// Workspace pool for grouped (multi-base) delta calls, parallel to
-    /// `grouped_tags`.
-    grouped_dws: Vec<DeltaWorkspace>,
-    /// The cache generation each pooled workspace currently tracks.
-    grouped_tags: Vec<u64>,
-    /// Shared batched-route scratch for grouped delta calls.
-    grouped_scratch: DeltaBatchScratch,
-}
-
-/// Cumulative base-snapshot LRU accounting for one session: how many
-/// pixel-delta dispatches found their base resident (`hits`), recaptured
-/// the least-recently-used slot for a new base (`rebases` — the eviction
-/// path), or populated an empty slot (`colds`). Monotone totals; diff
-/// two readings for a per-interval rate.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SessionCacheStats {
-    /// Dispatches whose base snapshot was already resident.
-    pub hits: u64,
-    /// Dispatches that evicted (recaptured) the LRU slot.
-    pub rebases: u64,
-    /// Dispatches that filled a previously empty slot.
-    pub colds: u64,
 }
 
 struct SessionDeltaCache {
     base_image: Image,
     base: BaseActivations,
-    /// Content id (see `SessionState::next_cache_gen`).
-    gen: u64,
     dws: DeltaWorkspace,
     /// One workspace per in-flight batched candidate, grown on demand.
     batch_dws: Vec<DeltaWorkspace>,
@@ -360,70 +297,50 @@ struct SessionDeltaCache {
 }
 
 impl SessionState {
-    fn new(plan: &InferencePlan, cache_capacity: usize) -> Self {
-        let spec = plan.input_spec();
-        SessionState {
-            ws: plan.workspace(),
-            input: Tensor::zeros([spec.channels, spec.height, spec.width]),
-            caches: Vec::new(),
-            cache_capacity: cache_capacity.max(1),
-            next_cache_gen: 0,
-            batch_candidates: Vec::new(),
-            cache_stats: SessionCacheStats::default(),
-            grouped_dws: Vec::new(),
-            grouped_tags: Vec::new(),
-            grouped_scratch: DeltaBatchScratch::new(),
-        }
-    }
-
-    /// Ensures some resident cache tracks `base` (LRU hit / recapture of
-    /// the least recently used slot / cold capture, with telemetry) and
-    /// moves it to the front (`caches[0]`). Returns the front cache's
-    /// content generation. Batch workspaces are re-seeded on a rebase so
-    /// stale activations from the previous base can never leak into a
-    /// batched candidate.
-    fn ensure_cache(&mut self, plan: &InferencePlan, delta: &DeltaPlan, base: &Image) -> u64 {
-        if let Some(i) = self.caches.iter().position(|c| c.base_image == *base) {
-            self.cache_stats.hits += 1;
-            telemetry::count(Counter::DeltaCacheHit);
-            telemetry::trace::tag_cache(telemetry::trace::CacheTag::Hit);
-            self.caches[..=i].rotate_right(1);
-        } else if self.caches.len() < self.cache_capacity {
-            self.cache_stats.colds += 1;
-            telemetry::count(Counter::DeltaCacheCold);
-            telemetry::trace::tag_cache(telemetry::trace::CacheTag::Cold);
-            image_into_tensor(base, &mut self.input);
-            let acts = BaseActivations::capture(plan, &mut self.ws, &self.input);
-            let dws = delta.workspace(&acts);
-            self.next_cache_gen += 1;
-            self.caches.insert(
-                0,
-                SessionDeltaCache {
+    /// Makes the resident cache track `base` (hit / recapture / cold
+    /// capture, with telemetry) and returns it. Batch workspaces are
+    /// re-seeded on a recapture so stale activations from the previous
+    /// base can never leak into a batched candidate.
+    fn ensure_cache(
+        &mut self,
+        plan: &InferencePlan,
+        delta: &DeltaPlan,
+        base: &Image,
+    ) -> &mut SessionDeltaCache {
+        let SessionState {
+            ws, input, cache, ..
+        } = self;
+        match cache {
+            Some(c) if c.base_image == *base => {
+                telemetry::count(Counter::DeltaCacheHit);
+                telemetry::trace::tag_cache(telemetry::trace::CacheTag::Hit);
+            }
+            Some(c) => {
+                telemetry::count(Counter::DeltaCacheRebase);
+                telemetry::trace::tag_cache(telemetry::trace::CacheTag::Rebase);
+                image_into_tensor(base, input);
+                c.base.recapture(plan, ws, input);
+                c.dws.reset_from(&c.base);
+                for dws in &mut c.batch_dws {
+                    dws.reset_from(&c.base);
+                }
+                c.base_image.clone_from(base);
+            }
+            None => {
+                telemetry::count(Counter::DeltaCacheCold);
+                telemetry::trace::tag_cache(telemetry::trace::CacheTag::Cold);
+                image_into_tensor(base, input);
+                let acts = BaseActivations::capture(plan, ws, input);
+                *cache = Some(SessionDeltaCache {
                     base_image: base.clone(),
+                    dws: delta.workspace(&acts),
                     base: acts,
-                    gen: self.next_cache_gen,
-                    dws,
                     batch_dws: Vec::new(),
                     batch_scratch: DeltaBatchScratch::new(),
-                },
-            );
-        } else {
-            self.cache_stats.rebases += 1;
-            telemetry::count(Counter::DeltaCacheRebase);
-            telemetry::trace::tag_cache(telemetry::trace::CacheTag::Rebase);
-            image_into_tensor(base, &mut self.input);
-            let c = self.caches.last_mut().expect("capacity >= 1");
-            c.base.recapture(plan, &mut self.ws, &self.input);
-            c.dws.reset_from(&c.base);
-            for dws in &mut c.batch_dws {
-                dws.reset_from(&c.base);
+                });
             }
-            c.base_image.clone_from(base);
-            self.next_cache_gen += 1;
-            c.gen = self.next_cache_gen;
-            self.caches.rotate_right(1);
         }
-        self.caches[0].gen
+        cache.as_mut().expect("ensured above")
     }
 
     fn scores_into(&mut self, plan: &InferencePlan, image: &Image, out: &mut Vec<f32>) {
@@ -440,8 +357,7 @@ impl SessionState {
         pixel: Pixel,
         out: &mut Vec<f32>,
     ) {
-        self.ensure_cache(plan, delta, base);
-        let c = &mut self.caches[0];
+        let c = self.ensure_cache(plan, delta, base);
         delta.scores_pixel_delta_into(
             plan,
             &c.base,
@@ -467,11 +383,11 @@ impl SessionState {
         }
         self.ensure_cache(plan, delta, base);
         let SessionState {
-            caches,
+            cache,
             batch_candidates,
             ..
         } = self;
-        let c = &mut caches[0];
+        let c = cache.as_mut().expect("ensured above");
         while c.batch_dws.len() < candidates.len() {
             c.batch_dws.push(delta.workspace(&c.base));
         }
@@ -487,95 +403,6 @@ impl SessionState {
             &mut c.batch_dws[..candidates.len()],
             batch_candidates,
             &mut c.batch_scratch,
-            out,
-        );
-    }
-
-    /// Scores several groups of one-pixel candidates — each group against
-    /// its own base image — in **one** multi-base batched call, so
-    /// candidates from different groups (different tenants, in the attack
-    /// server) share conv pixel tiles and fully connected row tiles. Appends `num_classes` softmax
-    /// scores per candidate to `out` (cleared first), group by group in
-    /// order; each candidate's scores are bit-identical to a sequential
-    /// [`Classifier::scores_pixel_delta_into`] against its own base.
-    fn pixel_delta_grouped_into(
-        &mut self,
-        plan: &InferencePlan,
-        delta: &DeltaPlan,
-        groups: &[DeltaGroup<'_>],
-        out: &mut Vec<f32>,
-    ) {
-        out.clear();
-        if groups.is_empty() {
-            return;
-        }
-        let distinct = {
-            let mut n = 0;
-            for (i, g) in groups.iter().enumerate() {
-                if !groups[..i].iter().any(|h| h.base == g.base) {
-                    n += 1;
-                }
-            }
-            n
-        };
-        assert!(
-            distinct <= self.cache_capacity,
-            "a grouped call touches {distinct} distinct bases but the session \
-             holds at most {} — a larger cache capacity is required so the \
-             ensure pass cannot evict a base needed by the same call",
-            self.cache_capacity
-        );
-        // Pass 1: make every group's base resident and record which cache
-        // content (generation) each candidate needs.
-        let total: usize = groups.iter().map(|g| g.candidates.len()).sum();
-        self.batch_candidates.clear();
-        let mut gens = Vec::with_capacity(total);
-        for g in groups {
-            let gen = self.ensure_cache(plan, delta, g.base);
-            for &(location, pixel) in g.candidates {
-                self.batch_candidates
-                    .push((location.row as usize, location.col as usize, pixel.0));
-                gens.push(gen);
-            }
-        }
-        // Pass 2: assign pooled workspaces. A workspace whose tag differs
-        // from its candidate's generation is reseeded from that snapshot
-        // (full copy); matching tags only need the incremental restore
-        // `begin_candidate` already performs.
-        let SessionState {
-            caches,
-            grouped_dws,
-            grouped_tags,
-            grouped_scratch,
-            batch_candidates,
-            ..
-        } = self;
-        let find = |gen: u64| -> &SessionDeltaCache {
-            caches
-                .iter()
-                .find(|c| c.gen == gen)
-                .expect("resident: ensured above and capacity covers all groups")
-        };
-        while grouped_dws.len() < total {
-            // Seeding from any snapshot is fine — the tag mismatch below
-            // reseeds from the right one.
-            let c = &caches[0];
-            grouped_dws.push(delta.workspace(&c.base));
-            grouped_tags.push(c.gen);
-        }
-        for i in 0..total {
-            if grouped_tags[i] != gens[i] {
-                grouped_dws[i].reset_from(&find(gens[i]).base);
-                grouped_tags[i] = gens[i];
-            }
-        }
-        let bases: Vec<&BaseActivations> = gens.iter().map(|&g| &find(g).base).collect();
-        delta.scores_pixel_delta_multi_into(
-            plan,
-            &bases,
-            &mut grouped_dws[..total],
-            batch_candidates,
-            grouped_scratch,
             out,
         );
     }
@@ -617,79 +444,6 @@ impl Classifier for ZooSession<'_> {
         self.state
             .borrow_mut()
             .pixel_delta_batch_into(self.plan, self.delta, base, candidates, out);
-    }
-}
-
-/// An owned per-worker session over an `Arc`-shared [`ZooClassifier`]:
-/// the attack server's scheduler workers each hold one per model shard.
-/// Same incremental machinery as [`ZooSession`] (LRU of base snapshots,
-/// batched delta routes) plus the cross-tenant grouped entry point.
-pub struct OwnedZooSession {
-    classifier: std::sync::Arc<ZooClassifier>,
-    state: SessionState,
-}
-
-impl OwnedZooSession {
-    /// Class count of the underlying model.
-    pub fn num_classes(&self) -> usize {
-        self.classifier.num_classes()
-    }
-
-    /// Full forward scores for `image` (allocation-free steady state).
-    pub fn scores_into(&mut self, image: &Image, out: &mut Vec<f32>) {
-        self.state
-            .scores_into(self.classifier.engine.plan(), image, out);
-    }
-
-    /// Incremental scores for one one-pixel candidate against `base`.
-    pub fn scores_pixel_delta_into(
-        &mut self,
-        base: &Image,
-        location: Location,
-        pixel: Pixel,
-        out: &mut Vec<f32>,
-    ) {
-        self.state.pixel_delta_into(
-            self.classifier.engine.plan(),
-            self.classifier.engine.delta_plan(),
-            base,
-            location,
-            pixel,
-            out,
-        );
-    }
-
-    /// Cumulative LRU accounting for this session's base-snapshot cache
-    /// (always compiled; see [`SessionCacheStats`]). The attack server's
-    /// scheduler workers diff successive readings to publish per-shard
-    /// hit/eviction rates on their live metrics plane.
-    #[must_use]
-    pub fn cache_stats(&self) -> SessionCacheStats {
-        self.state.cache_stats
-    }
-
-    /// Scores several candidate groups — each against its own base — in
-    /// one multi-base batched call (see [`DeltaGroup`]): the cross-tenant
-    /// packing entry of the attack server's batch scheduler. Appends
-    /// `num_classes` softmax scores per candidate to `out` (cleared
-    /// first), group by group in order; every candidate is bit-identical
-    /// to its isolated sequential query.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the groups touch more distinct bases than the session's
-    /// cache capacity ([`ZooClassifier::owned_session`]).
-    pub fn scores_pixel_delta_grouped_into(
-        &mut self,
-        groups: &[DeltaGroup<'_>],
-        out: &mut Vec<f32>,
-    ) {
-        self.state.pixel_delta_grouped_into(
-            self.classifier.engine.plan(),
-            self.classifier.engine.delta_plan(),
-            groups,
-            out,
-        );
     }
 }
 
@@ -943,100 +697,6 @@ mod tests {
                     &want[..],
                     "candidate {i} diverged"
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn lru_session_avoids_rebase_thrash_and_stays_bit_identical() {
-        let model = train_or_load(Arch::VggSmall, Scale::Cifar, &fast_config(false));
-        let classifier = model.classifier();
-        let test = attack_test_set(Scale::Cifar, 1, 9);
-        let images: Vec<Image> = test.iter().take(3).map(|(img, _)| img.clone()).collect();
-        let location = Location { row: 11, col: 22 };
-        let pixel = Pixel([0.9, 0.2, 0.4]);
-
-        // Reference: per-image expected scores from the single-slot path.
-        let mut want = Vec::new();
-        let mut expected = Vec::new();
-        {
-            let single = classifier.session();
-            for img in &images {
-                single.scores_pixel_delta_into(img, location, pixel, &mut want);
-                expected.push(want.clone());
-            }
-        }
-
-        // A capacity-3 session interleaving three bases: every query after
-        // the three cold captures must be a cache hit (no rebases), and
-        // every score bit-identical. The counts come from the session's
-        // own accounting, so tests running alongside cannot disturb them.
-        let mut lru = std::sync::Arc::new(classifier).owned_session(3);
-        for round in 0..3 {
-            for (i, img) in images.iter().enumerate() {
-                lru.scores_pixel_delta_into(img, location, pixel, &mut want);
-                assert_eq!(want, expected[i], "round {round} image {i}");
-            }
-        }
-        assert_eq!(
-            lru.cache_stats(),
-            SessionCacheStats {
-                hits: 6,
-                rebases: 0,
-                colds: 3,
-            },
-            "one cold capture per base, no rebase thrash, the other rounds all hit"
-        );
-    }
-
-    #[test]
-    fn grouped_scores_match_isolated_sessions() {
-        let model = train_or_load(Arch::VggSmall, Scale::Cifar, &fast_config(false));
-        let classifier = std::sync::Arc::new(model.classifier());
-        let test = attack_test_set(Scale::Cifar, 1, 10);
-        let images: Vec<Image> = test.iter().take(3).map(|(img, _)| img.clone()).collect();
-        let candidates: Vec<Vec<(Location, Pixel)>> = (0..3u16)
-            .map(|g| {
-                (0..4u16)
-                    .map(|i| {
-                        (
-                            Location::new(2 + 7 * i, 30 - g * 5),
-                            Pixel([0.1 * i as f32, 0.9, 0.5]),
-                        )
-                    })
-                    .collect()
-            })
-            .collect();
-
-        let mut session = classifier.owned_session(4);
-        let groups: Vec<DeltaGroup<'_>> = images
-            .iter()
-            .zip(&candidates)
-            .map(|(base, cands)| DeltaGroup {
-                base,
-                candidates: cands,
-            })
-            .collect();
-        let mut got = Vec::new();
-        // Two rounds: the second exercises pooled-workspace reuse with
-        // matching tags (the scheduler's steady state).
-        for round in 0..2 {
-            session.scores_pixel_delta_grouped_into(&groups, &mut got);
-            let classes = session.num_classes();
-            let mut flat = 0;
-            let mut want = Vec::new();
-            for (base, cands) in images.iter().zip(&candidates) {
-                // Isolated reference: a fresh single-tenant session per group.
-                let isolated = classifier.session();
-                for &(location, pixel) in cands {
-                    isolated.scores_pixel_delta_into(base, location, pixel, &mut want);
-                    assert_eq!(
-                        &got[flat * classes..(flat + 1) * classes],
-                        &want[..],
-                        "round {round} flat candidate {flat} diverged"
-                    );
-                    flat += 1;
-                }
             }
         }
     }

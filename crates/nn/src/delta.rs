@@ -168,9 +168,8 @@ impl DeltaWorkspace {
     }
 }
 
-/// Reusable scratch for the batched routes of
-/// [`DeltaPlan::scores_pixel_delta_batch_into`] and
-/// [`DeltaPlan::scores_pixel_delta_multi_into`]: the output panel of one
+/// Reusable scratch for the batched route of
+/// [`DeltaPlan::scores_pixel_delta_batch_into`]: the output panel of one
 /// tile of candidates for fully connected layers. Convolutions need
 /// none: their kernel keeps its tiles on the stack and writes straight
 /// into each workspace. One scratch serves any batch size; after its
@@ -360,76 +359,11 @@ impl DeltaPlan {
         self.run_batch_steps(plan, workspaces, scratch, out);
     }
 
-    /// Scores a batch of one-pixel candidates that may each perturb a
-    /// **different base image**: `bases[i]` is the snapshot candidate `i`
-    /// perturbs, and `workspaces[i]` must currently track `bases[i]` (its
-    /// buffers were seeded from that snapshot via [`DeltaPlan::workspace`]
-    /// / [`DeltaWorkspace::reset_from`], or by earlier queries against the
-    /// same base — [`begin_candidate`](Self::scores_pixel_delta_into)
-    /// restores only the regions the *previous* candidate dirtied, so
-    /// buffers seeded from a different base would leak stale activations).
-    ///
-    /// This is the cross-session packing entry point of the attack
-    /// server's batch scheduler: candidates from different tenants
-    /// (different bases, same model) share the same convolution pixel
-    /// tiles and fully connected row tiles as the single-base batch.
-    /// Candidate results are bit-identical to their isolated sequential
-    /// runs for any group composition, because each pixel of a conv
-    /// tile and each row of the fully connected kernel is computed on
-    /// its own, reading only its own candidate's input, in the same
-    /// order as the sequential route (the same argument as
-    /// [`DeltaPlan::scores_pixel_delta_batch_into`], which this entry
-    /// generalizes — that entry is exactly this one with all `bases[i]`
-    /// equal).
-    ///
-    /// Appends `num_classes` softmax scores per candidate to `out`
-    /// (cleared first), in candidate order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bases`/`workspaces` are shorter than `candidates`, or
-    /// any plan/base/workspace disagrees with this delta plan, or a pixel
-    /// is out of range.
-    pub fn scores_pixel_delta_multi_into(
-        &self,
-        plan: &InferencePlan,
-        bases: &[&BaseActivations],
-        workspaces: &mut [DeltaWorkspace],
-        candidates: &[(usize, usize, [f32; 3])],
-        scratch: &mut DeltaBatchScratch,
-        out: &mut Vec<f32>,
-    ) {
-        assert_eq!(
-            plan.ops.len(),
-            self.num_ops,
-            "plan does not match delta plan"
-        );
-        assert_eq!(
-            bases.len(),
-            candidates.len(),
-            "one base snapshot per candidate"
-        );
-        assert!(
-            candidates.len() <= workspaces.len(),
-            "{} candidates need at least as many delta workspaces, got {}",
-            candidates.len(),
-            workspaces.len()
-        );
-        let workspaces = &mut workspaces[..candidates.len()];
-        for ((ws, &base), &(row, col, rgb)) in workspaces.iter_mut().zip(bases).zip(candidates) {
-            assert_eq!(base.bufs.len(), self.num_bufs, "base does not match");
-            assert_eq!(ws.bufs.len(), self.num_bufs, "workspace does not match");
-            oppsla_obs::count(oppsla_obs::Counter::DeltaQueries);
-            self.begin_candidate(base, ws, row, col, rgb);
-        }
-        self.run_batch_steps(plan, workspaces, scratch, out);
-    }
-
-    /// The layer-major step loop shared by the batched entry points:
-    /// every workspace advances through step `i` before any touches step
-    /// `i + 1`, convs route through `run_conv_batch` and fully connected
-    /// layers through `run_linear_batch`, and each candidate's softmax is
-    /// appended to `out` in order.
+    /// The layer-major step loop of the batched route: every workspace
+    /// advances through step `i` before any touches step `i + 1`, convs
+    /// route through `run_conv_batch` and fully connected layers through
+    /// `run_linear_batch`, and each candidate's softmax is appended to
+    /// `out` in order.
     fn run_batch_steps(
         &self,
         plan: &InferencePlan,
@@ -947,113 +881,6 @@ mod tests {
             }
             plan.scores_into(&mut ws, &poked, &mut want);
             assert_eq!(got, want, "{arch} pixel ({row}, {col}) diverged");
-        }
-    }
-
-    #[test]
-    fn multi_base_batch_matches_per_base_batches() {
-        // The cross-session packing entry: candidates against two
-        // different base images share one grouped call, and every
-        // candidate must stay bit-identical to a single-base batched
-        // call against its own base — for a conv family (conv pixel
-        // tiles span candidates of both bases) and the MLP (fully
-        // connected row tiles are the whole plan), with interleaved
-        // bases (exercises the per-candidate base restore).
-        for arch in [Arch::VggSmall, Arch::Mlp] {
-            check_multi_base(arch);
-        }
-    }
-
-    fn check_multi_base(arch: Arch) {
-        let spec = InputSpec::RGB32;
-        let mut rng = ChaCha8Rng::seed_from_u64(23);
-        let net = ConvNet::build(arch, spec, 6, &mut rng);
-        let plan = InferencePlan::compile(&net);
-        let delta = DeltaPlan::compile(&plan);
-        let mut ws = plan.workspace();
-        let image_a = test_image(spec);
-        let image_b = Tensor::from_fn([spec.channels, spec.height, spec.width], |i| {
-            ((i as f32) * 0.311).cos().abs()
-        });
-        let base_a = BaseActivations::capture(&plan, &mut ws, &image_a);
-        let base_b = BaseActivations::capture(&plan, &mut ws, &image_b);
-
-        let candidates: Vec<(usize, usize, [f32; 3])> = (0..6)
-            .map(|i| (5 * i, 31 - 3 * i, [0.9, 0.1 * i as f32, 0.3]))
-            .collect();
-        // Interleave: even candidates perturb A, odd perturb B.
-        let bases: Vec<&BaseActivations> = (0..6)
-            .map(|i| if i % 2 == 0 { &base_a } else { &base_b })
-            .collect();
-        let mut workspaces: Vec<DeltaWorkspace> =
-            bases.iter().map(|b| delta.workspace(b)).collect();
-        let mut scratch = DeltaBatchScratch::new();
-        let mut got = Vec::new();
-        delta.scores_pixel_delta_multi_into(
-            &plan,
-            &bases,
-            &mut workspaces,
-            &candidates,
-            &mut scratch,
-            &mut got,
-        );
-
-        let classes = plan.num_classes();
-        for (which, base) in [(0usize, &base_a), (1, &base_b)] {
-            let subset: Vec<_> = candidates
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| i % 2 == which)
-                .collect();
-            let cands: Vec<_> = subset.iter().map(|(_, &c)| c).collect();
-            let mut dws: Vec<DeltaWorkspace> =
-                cands.iter().map(|_| delta.workspace(base)).collect();
-            let mut want = Vec::new();
-            delta.scores_pixel_delta_batch_into(
-                &plan,
-                base,
-                &mut dws,
-                &cands,
-                &mut scratch,
-                &mut want,
-            );
-            for (j, (i, _)) in subset.iter().enumerate() {
-                assert_eq!(
-                    &got[i * classes..(i + 1) * classes],
-                    &want[j * classes..(j + 1) * classes],
-                    "{arch} candidate {i} diverged from its single-base batch"
-                );
-            }
-        }
-
-        // A second grouped call through the *same* workspaces (pending
-        // dirty regions restored per candidate from its own base) must
-        // also agree — the steady state of the server's scheduler.
-        let candidates2: Vec<(usize, usize, [f32; 3])> = (0..6)
-            .map(|i| (3 * i + 1, 2 + 4 * i, [0.2, 0.8, 0.05 * i as f32]))
-            .collect();
-        let mut got2 = Vec::new();
-        delta.scores_pixel_delta_multi_into(
-            &plan,
-            &bases,
-            &mut workspaces,
-            &candidates2,
-            &mut scratch,
-            &mut got2,
-        );
-        let mut want = Vec::new();
-        for (i, &(row, col, rgb)) in candidates2.iter().enumerate() {
-            let image = if i % 2 == 0 { &image_a } else { &image_b };
-            let mut poked = image.clone();
-            for (ch, v) in rgb.into_iter().enumerate() {
-                *poked.at_mut(&[ch, row, col]) = v;
-            }
-            plan.scores_into(&mut ws, &poked, &mut want);
-            assert_eq!(
-                &got2[i * classes..(i + 1) * classes],
-                &want[..],
-                "{arch} steady-state candidate {i} diverged from a full forward"
-            );
         }
     }
 

@@ -120,52 +120,35 @@ fn steady_state_queries_do_not_allocate() {
     );
     assert_eq!(scores.len(), 10);
 
-    // The batched routes keep that promise once their scratch has grown
-    // (`DeltaBatchScratch`): single-base batches (in-process attacks and
-    // synthesis) and multi-base batches (the server's grouped calls), for
-    // a conv family and for the MLP, whose plan is all fully connected
-    // layers, at every batch size up to a full fully connected row tile.
+    // The batched route keeps that promise once its scratch has grown
+    // (`DeltaBatchScratch`), for a conv family and for the MLP, whose
+    // plan is all fully connected layers, at every batch size up to a
+    // full fully connected row tile.
     for arch in [Arch::VggSmall, Arch::Mlp] {
         let net = ConvNet::build(arch, InputSpec::RGB32, 10, &mut rng);
         let plan = InferencePlan::compile(&net);
         let delta = DeltaPlan::compile(&plan);
         let mut ws = plan.workspace();
-        let other = Tensor::from_fn([3, 32, 32], |i| ((i as f32) * 0.173).cos().abs());
-        let base_a = BaseActivations::capture(&plan, &mut ws, &image);
-        let base_b = BaseActivations::capture(&plan, &mut ws, &other);
+        let base = BaseActivations::capture(&plan, &mut ws, &image);
         let candidates: Vec<(usize, usize, [f32; 3])> = (0..8)
             .map(|i| ((5 * i) % 32, (31 * i + 3) % 32, [0.9, 0.1 * i as f32, 0.4]))
             .collect();
-        let bases: Vec<&BaseActivations> = (0..8)
-            .map(|i| if i % 2 == 0 { &base_a } else { &base_b })
-            .collect();
-        let mut batch_ws: Vec<_> = (0..8).map(|_| delta.workspace(&base_a)).collect();
-        let mut multi_ws: Vec<_> = bases.iter().map(|b| delta.workspace(b)).collect();
-        let (mut batch_scratch, mut multi_scratch) =
-            (DeltaBatchScratch::new(), DeltaBatchScratch::new());
+        let mut batch_ws: Vec<_> = (0..8).map(|_| delta.workspace(&base)).collect();
+        let mut batch_scratch = DeltaBatchScratch::new();
         let mut run = |scores: &mut Vec<f32>| {
             for size in 1..=8 {
                 delta.scores_pixel_delta_batch_into(
                     &plan,
-                    &base_a,
+                    &base,
                     &mut batch_ws,
                     &candidates[..size],
                     &mut batch_scratch,
                     scores,
                 );
                 assert_eq!(scores.len(), size * 10);
-                delta.scores_pixel_delta_multi_into(
-                    &plan,
-                    &bases[..size],
-                    &mut multi_ws,
-                    &candidates[..size],
-                    &mut multi_scratch,
-                    scores,
-                );
-                assert_eq!(scores.len(), size * 10);
             }
         };
-        // Warm up: grows both scratches and `scores` to the largest batch.
+        // Warm up: grows the scratch and `scores` to the largest batch.
         run(&mut scores);
 
         ALLOCATIONS.store(0, Ordering::SeqCst);
@@ -178,7 +161,7 @@ fn steady_state_queries_do_not_allocate() {
         let count = ALLOCATIONS.load(Ordering::SeqCst);
         assert_eq!(
             count, 0,
-            "{arch} batched pixel-delta routes allocated {count} times over 5 sweeps"
+            "{arch} batched pixel-delta route allocated {count} times over 5 sweeps"
         );
     }
 }

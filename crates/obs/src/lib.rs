@@ -127,12 +127,6 @@ counters! {
     /// prefetch arrived against a different base image — counted per
     /// drop.
     BatchFlush => "batch_flush",
-    /// Cross-tenant grouped delta calls issued by the attack server's
-    /// batch scheduler (one per multi-base delta pass it dispatches).
-    SchedGroupedCalls => "sched_grouped_calls",
-    /// Tenant submissions merged into those grouped calls. Mean pack
-    /// density is `sched_grouped_submissions / sched_grouped_calls`.
-    SchedGroupedSubmissions => "sched_grouped_submissions",
 }
 
 /// Declares [`OpKind`] with stable wire names.

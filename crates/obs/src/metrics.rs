@@ -3,9 +3,9 @@
 //! Unlike the feature-gated offline telemetry in the crate root (flushed
 //! to JSONL after a run), these instruments are *always compiled* and
 //! meant to be read while the process serves traffic: the attack server
-//! threads them through its scheduler, admission gate, and sessions, and
-//! exposes the registry through a `Stats` protocol frame and a
-//! Prometheus-style `/metrics` text page.
+//! threads them through its admission gate and job path, and exposes
+//! the registry through a `Stats` protocol frame and a Prometheus-style
+//! `/metrics` text page.
 //!
 //! # Design
 //!

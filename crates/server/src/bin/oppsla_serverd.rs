@@ -4,12 +4,15 @@
 //! `Shutdown` frame (see `oppsla_server::protocol` for the wire format).
 //!
 //! ```text
-//! oppsla_serverd [--addr 127.0.0.1:7431] [--workers 2] [--max-merge 8]
-//!                [--max-active 16] [--max-waiting 64]
+//! oppsla_serverd [--addr 127.0.0.1:7431] [--max-active 16] [--max-waiting 64]
 //!                [--train-per-class 64] [--epochs N] [--test-per-class 4]
-//!                [--cache-dir PATH] [--seed 1]
+//!                [--test-seed 9] [--cache-dir PATH] [--seed 1]
 //!                [--metrics-addr 127.0.0.1:9431] [--no-metrics]
 //! ```
+//!
+//! Each admitted job runs on its connection's thread over a private
+//! classifier session; `--max-active` bounds how many run at once. An
+//! unknown flag is a usage error.
 //!
 //! The live metrics plane is on by default (it is passive and never
 //! changes job outcomes); `--metrics-addr` additionally serves the
@@ -19,11 +22,22 @@
 //! counters even if nothing scraped them.
 
 use oppsla_server::cli::Args;
-use oppsla_server::scheduler::SchedulerConfig;
 use oppsla_server::server::{Server, ServerConfig};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[
+        "addr",
+        "cache-dir",
+        "epochs",
+        "max-active",
+        "max-waiting",
+        "metrics-addr",
+        "no-metrics",
+        "seed",
+        "test-per-class",
+        "test-seed",
+        "train-per-class",
+    ]);
     let mut zoo = oppsla_eval::zoo::ZooConfig {
         train_per_class: args.get_usize("train-per-class", 64),
         seed: args.get_u64("seed", 1),
@@ -39,11 +53,6 @@ fn main() {
     }
     let cfg = ServerConfig {
         addr: args.get_str("addr", "127.0.0.1:7431"),
-        scheduler: SchedulerConfig {
-            workers: args.get_usize("workers", 2),
-            max_merge: args.get_usize("max-merge", 8),
-            coalesce: std::time::Duration::from_micros(args.get_u64("coalesce-us", 200)),
-        },
         zoo,
         test_per_class: args.get_usize("test-per-class", 4),
         test_seed: args.get_u64("test-seed", 9),
@@ -70,8 +79,8 @@ fn main() {
     let metrics = server.metrics();
     server.wait();
     // Final snapshot on the shutdown handshake path: the counters are
-    // settled (accept loop joined, connections drained, scheduler
-    // stopped), so this is the authoritative end-of-run accounting.
+    // settled (accept loop joined, connections drained), so this is the
+    // authoritative end-of-run accounting.
     if let Some(m) = metrics {
         let report = m.snapshot();
         eprintln!(
@@ -83,8 +92,17 @@ fn main() {
         }
         for j in &report.slow_jobs {
             eprintln!(
-                "  slow_job tenant={} shard={}/{} status={} queries={} wall_us={}",
-                j.tenant, j.arch, j.scale, j.status, j.queries, j.wall_us
+                "  slow_job tenant={} shard={}/{} status={} queries={} decode_us={} \
+                 admission_us={} compute_us={} wall_us={}",
+                j.tenant,
+                j.arch,
+                j.scale,
+                j.status,
+                j.queries,
+                j.decode_us,
+                j.admission_us,
+                j.compute_us,
+                j.wall_us
             );
         }
     }

@@ -7,18 +7,20 @@
 //! `--tenants` concurrent connections. The report's `server_speedup` is
 //! aggregate candidates/sec over the baseline's — the ratio the gate
 //! compares, since absolute ns depend on the machine. The run also
-//! *asserts determinism*: each job's query-log digest over the shared
-//! scheduler must equal its isolated baseline digest, or the process
-//! exits nonzero.
+//! *asserts determinism*: each served job's query-log digest must equal
+//! its isolated baseline digest, or the process exits nonzero.
 //!
 //! ```text
-//! server_loadtest [--tenants 8] [--workers 2] [--max-merge 8]
-//!                 [--jobs-per-tenant 2] [--budget 400]
+//! server_loadtest [--tenants 8] [--jobs-per-tenant 2] [--budget 400]
 //!                 [--archs mlp,vgg-small] [--scale shapes32]
 //!                 [--train-per-class 8] [--epochs 2] [--test-per-class 4]
+//!                 [--test-seed 9] [--cache-dir PATH] [--seed 1]
 //!                 [--trace SAMPLE_trace.jsonl] [--out BENCH_server.json]
 //!                 [--repeat 1] [--no-metrics]
 //! ```
+//!
+//! The daemon admits up to `max(tenants, 16)` concurrent jobs, each on
+//! its connection's thread. An unknown flag is a usage error.
 //!
 //! `--repeat N` measures each phase N times and reports the best
 //! throughput of each (the standard best-of-N bench discipline: the
@@ -42,7 +44,6 @@ use oppsla_server::cli::Args;
 use oppsla_server::protocol::{
     read_frame, write_frame, ImageSpec, JobOutcome, JobRequest, Request, Response,
 };
-use oppsla_server::scheduler::SchedulerConfig;
 use oppsla_server::server::{Server, ServerConfig};
 use oppsla_server::session::digest_query_log;
 use oppsla_server::zoo::ModelShard;
@@ -93,7 +94,7 @@ fn trace_images(path: Option<&str>) -> Option<Vec<u64>> {
     }
 }
 
-/// The isolated single-session reference: same job, no scheduler, no
+/// The isolated single-session reference: same job, no daemon, no
 /// sockets. Returns (queries, query-log digest hex).
 fn run_baseline(shard: &ModelShard, job: &JobRequest) -> (u64, String) {
     let index = job
@@ -189,10 +190,24 @@ struct ArchRow {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[
+        "archs",
+        "budget",
+        "cache-dir",
+        "epochs",
+        "jobs-per-tenant",
+        "no-metrics",
+        "out",
+        "repeat",
+        "scale",
+        "seed",
+        "tenants",
+        "test-per-class",
+        "test-seed",
+        "trace",
+        "train-per-class",
+    ]);
     let tenants = args.get_usize("tenants", 8).max(1);
-    let workers = args.get_usize("workers", 2);
-    let max_merge = args.get_usize("max-merge", 8);
     let jobs_per_tenant = args.get_usize("jobs-per-tenant", 2).max(1);
     let budget = args.get_u64("budget", 400);
     let archs = args.get_str("archs", "mlp,vgg-small");
@@ -215,11 +230,6 @@ fn main() {
 
     let server = Server::start(ServerConfig {
         addr: "127.0.0.1:0".into(),
-        scheduler: SchedulerConfig {
-            workers,
-            max_merge,
-            coalesce: std::time::Duration::from_micros(args.get_u64("coalesce-us", 200)),
-        },
         zoo: zoo_cfg,
         test_per_class: args.get_usize("test-per-class", 4),
         test_seed: args.get_u64("test-seed", 9),
@@ -330,9 +340,9 @@ fn main() {
             ground_jobs += pass.len() as u64;
             ground_queries += served_queries;
 
-            // Determinism gate: every pass through the shared scheduler
-            // must reproduce every isolated baseline byte-for-byte
-            // (queries and log digest).
+            // Determinism gate: every pass through the daemon must
+            // reproduce every isolated baseline byte-for-byte (queries
+            // and log digest).
             for (j, outcome, _) in &pass {
                 let (want_queries, want_digest) = &baselines[*j];
                 if outcome.queries != *want_queries || outcome.log_fnv != *want_digest {
@@ -414,8 +424,6 @@ fn main() {
     report.push_str("{\n");
     report.push_str("  \"benchmark\": \"attack_server\",\n");
     report.push_str(&format!("  \"tenants\": {tenants},\n"));
-    report.push_str(&format!("  \"workers\": {workers},\n"));
-    report.push_str(&format!("  \"max_merge\": {max_merge},\n"));
     report.push_str(&format!("  \"jobs_per_tenant\": {jobs_per_tenant},\n"));
     report.push_str(&format!("  \"budget\": {budget},\n"));
     report.push_str(&format!("  \"repeat\": {repeat},\n"));
@@ -429,7 +437,7 @@ fn main() {
     ));
     report.push_str(&format!("  \"jobs_fnv\": \"{jobs_fnv:016x}\",\n"));
     // Headline serving-capacity figure: the best per-arch aggregate the
-    // scheduler sustained in this run (compare against the batched
+    // daemon sustained in this run (compare against the batched
     // inference bench's candidates/sec geomean).
     let peak = rows.iter().map(|r| r.aggregate_cps).fold(0.0, f64::max);
     report.push_str(&format!(
@@ -508,11 +516,6 @@ fn main() {
     {
         let snap = oppsla_core::telemetry::snapshot();
         eprintln!("server_loadtest telemetry: {}", snap.summary());
-        eprintln!(
-            "server_loadtest scheduler: {} grouped calls, {} submissions merged",
-            snap.get(oppsla_core::telemetry::Counter::SchedGroupedCalls),
-            snap.get(oppsla_core::telemetry::Counter::SchedGroupedSubmissions),
-        );
     }
     if !determinism_ok {
         eprintln!("server_loadtest: determinism check FAILED");

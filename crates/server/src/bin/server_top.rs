@@ -1,7 +1,7 @@
 //! `server_top`: a refreshing console view of a running attack daemon.
 //!
 //! Polls the daemon's `Stats` frame (the framed protocol, not HTTP) and
-//! renders per-tenant and per-shard tables plus the slow-request log.
+//! renders a per-tenant table plus the slow-request log.
 //!
 //! ```text
 //! server_top [--addr 127.0.0.1:7431] [--interval-ms 1000]
@@ -30,7 +30,7 @@ fn poll(stream: &mut TcpStream) -> Result<StatsReport, String> {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["addr", "interval-ms", "iters", "no-clear", "once"]);
     let addr = args.get_str("addr", "127.0.0.1:7431");
     let interval = std::time::Duration::from_millis(args.get_u64("interval-ms", 1000));
     let iters = if args.flag("once") {

@@ -9,28 +9,52 @@ use std::collections::HashMap;
 pub struct Args {
     values: HashMap<String, String>,
     flags: Vec<String>,
+    /// Every key the binary reads; any other key is a usage error.
+    accepted: &'static [&'static str],
 }
 
 impl Args {
-    /// Parses `std::env::args()`. `--key value` populates values; a
-    /// trailing `--key` with no value (or followed by another `--…`) is
-    /// a boolean flag.
-    ///
-    /// # Panics
-    ///
-    /// Panics (with a usage hint) on a positional argument.
-    pub fn parse() -> Self {
-        Self::from_args(std::env::args().skip(1))
+    /// Parses `std::env::args()` for a binary that reads exactly the keys
+    /// in `accepted`. `--key value` populates values; a trailing `--key`
+    /// with no value (or followed by another `--…`) is a boolean flag. A
+    /// positional argument or a key outside `accepted` prints a usage
+    /// error and exits with status 2, so a flag the binary would ignore
+    /// is never taken silently.
+    pub fn parse(accepted: &'static [&'static str]) -> Self {
+        Self::from_args(accepted, std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        })
     }
 
     /// Parses an explicit argument list (for tests).
-    pub fn from_args(args: impl IntoIterator<Item = String>) -> Self {
-        let mut out = Args::default();
+    ///
+    /// # Errors
+    ///
+    /// Returns a usage message for a positional argument or a key outside
+    /// `accepted`.
+    pub fn from_args(
+        accepted: &'static [&'static str],
+        args: impl IntoIterator<Item = String>,
+    ) -> Result<Self, String> {
+        let mut out = Args {
+            accepted,
+            ..Args::default()
+        };
         let mut iter = args.into_iter().peekable();
         while let Some(arg) = iter.next() {
             let Some(key) = arg.strip_prefix("--") else {
-                panic!("unexpected positional argument {arg:?}; use --key value");
+                return Err(format!(
+                    "unexpected positional argument {arg:?}; use --key value"
+                ));
             };
+            if !accepted.contains(&key) {
+                let known: Vec<String> = accepted.iter().map(|k| format!("--{k}")).collect();
+                return Err(format!(
+                    "unknown flag --{key}; accepted: {}",
+                    known.join(" ")
+                ));
+            }
             match iter.peek() {
                 Some(v) if !v.starts_with("--") => {
                     let v = iter.next().expect("peeked");
@@ -39,7 +63,17 @@ impl Args {
                 _ => out.flags.push(key.to_owned()),
             }
         }
-        out
+        Ok(out)
+    }
+
+    /// The raw value of `--key`; reading a key the binary did not accept
+    /// is a bug (the flag could never be given), caught in debug builds.
+    fn value(&self, key: &str) -> Option<&String> {
+        debug_assert!(
+            self.accepted.contains(&key),
+            "--{key} is read but not in the binary's accepted keys"
+        );
+        self.values.get(key)
     }
 
     /// A `usize` value or `default`.
@@ -48,8 +82,7 @@ impl Args {
     ///
     /// Panics when the value is present but unparseable.
     pub fn get_usize(&self, key: &str, default: usize) -> usize {
-        self.values
-            .get(key)
+        self.value(key)
             .map(|v| {
                 v.parse()
                     .unwrap_or_else(|_| panic!("--{key} expects an integer, got {v:?}"))
@@ -63,8 +96,7 @@ impl Args {
     ///
     /// Panics when the value is present but unparseable.
     pub fn get_u64(&self, key: &str, default: u64) -> u64 {
-        self.values
-            .get(key)
+        self.value(key)
             .map(|v| {
                 v.parse()
                     .unwrap_or_else(|_| panic!("--{key} expects an integer, got {v:?}"))
@@ -74,19 +106,22 @@ impl Args {
 
     /// The raw value of `--key`, or `None` when the key is absent.
     pub fn get_opt_str(&self, key: &str) -> Option<&str> {
-        self.values.get(key).map(String::as_str)
+        self.value(key).map(String::as_str)
     }
 
     /// A string value or `default`.
     pub fn get_str(&self, key: &str, default: &str) -> String {
-        self.values
-            .get(key)
+        self.value(key)
             .cloned()
             .unwrap_or_else(|| default.to_owned())
     }
 
     /// True when `--key` was given as a bare flag.
     pub fn flag(&self, key: &str) -> bool {
+        debug_assert!(
+            self.accepted.contains(&key),
+            "--{key} is read but not in the binary's accepted keys"
+        );
         self.flags.iter().any(|f| f == key)
     }
 }
@@ -95,13 +130,15 @@ impl Args {
 mod tests {
     use super::*;
 
-    fn args(list: &[&str]) -> Args {
-        Args::from_args(list.iter().map(|s| (*s).to_owned()))
+    const KEYS: &[&str] = &["tenants", "out", "budget", "quiet", "verbose", "missing"];
+
+    fn args(list: &[&str]) -> Result<Args, String> {
+        Args::from_args(KEYS, list.iter().map(|s| (*s).to_owned()))
     }
 
     #[test]
     fn values_flags_and_defaults() {
-        let a = args(&["--tenants", "8", "--out", "x.json", "--quiet"]);
+        let a = args(&["--tenants", "8", "--out", "x.json", "--quiet"]).unwrap();
         assert_eq!(a.get_usize("tenants", 1), 8);
         assert_eq!(a.get_str("out", "def"), "x.json");
         assert_eq!(a.get_u64("budget", 400), 400);
@@ -111,8 +148,21 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "positional")]
     fn positional_arguments_are_rejected() {
-        let _ = args(&["oops"]);
+        let err = args(&["oops"]).unwrap_err();
+        assert!(err.contains("positional"), "{err}");
+    }
+
+    #[test]
+    fn flags_the_binary_never_reads_are_rejected() {
+        for list in [
+            &["--workers", "2"][..],
+            &["--tenants", "8", "--max-merge", "16"],
+            &["--coalesce-us"],
+        ] {
+            let err = args(list).unwrap_err();
+            assert!(err.contains("unknown flag --"), "{list:?}: {err}");
+            assert!(err.contains("--tenants"), "names the accepted keys: {err}");
+        }
     }
 }

@@ -1,12 +1,10 @@
 //! Attack-as-a-service: a long-running daemon running many OPPSLA attack
-//! sessions concurrently over one model zoo.
+//! sessions concurrently over one model zoo. Each job runs on its
+//! connection's thread over a private classifier session, so a served
+//! job is exactly the in-process attack on the same request.
 //!
 //! * [`protocol`] — length-prefixed JSON frames; job and response types.
 //! * [`zoo`] — lazily trained, concurrently shared model shards.
-//! * [`scheduler`] — the cross-session batch scheduler: all tenants'
-//!   candidate queries flow through one shared queue and are packed into
-//!   multi-base grouped delta calls, bit-identical per tenant to an
-//!   isolated sequential session.
 //! * [`metrics`] — the live metrics plane: lock-light registry handles
 //!   the hot paths bump, the slow-request log, and the snapshot the
 //!   `Stats` frame answers.
@@ -14,10 +12,10 @@
 //!   listener (its own thread, never on the job path).
 //! * [`top`] — rendering for `server_top`, the refreshing console view
 //!   over `Stats` snapshots.
-//! * [`session`] — per-job validation, budget enforcement, and the
-//!   query-log digest that witnesses determinism.
+//! * [`session`] — per-job validation, budget enforcement, the attack
+//!   itself, and the query-log digest that witnesses determinism.
 //! * [`server`] — the TCP daemon: accept loop, per-connection framing,
-//!   bounded admission control.
+//!   bounded admission control (the one bound on concurrent compute).
 //! * [`cli`] — the tiny `--key value` parser the binaries share.
 //!
 //! The `oppsla_serverd` binary runs the daemon; `server_loadtest` boots
@@ -30,7 +28,6 @@ pub mod cli;
 pub mod metrics;
 pub mod metrics_http;
 pub mod protocol;
-pub mod scheduler;
 pub mod server;
 pub mod session;
 pub mod top;

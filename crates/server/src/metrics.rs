@@ -11,9 +11,9 @@
 //!    update goes through a pre-registered [`Counter`]/[`Gauge`]/
 //!    [`Histogram`] handle — a handful of relaxed atomic adds, no locks,
 //!    no allocation. The registry's mutex is touched only at
-//!    registration (once per shard/tenant) and at readout.
-//! 2. **Passive by construction.** Nothing on the serving or scheduling
-//!    path ever *reads* a metric to make a decision, so enabling metrics
+//!    registration (once per tenant) and at readout.
+//! 2. **Passive by construction.** Nothing on the serving path ever
+//!    *reads* a metric to make a decision, so enabling metrics
 //!    cannot change job outcomes: the `log_fnv` determinism witness is
 //!    byte-identical metrics-on vs metrics-off (CI A/B-tests this).
 //! 3. **Bounded cardinality.** Tenants are server-assigned sequential
@@ -22,9 +22,7 @@
 //!    grow the registry without bound.
 
 use crate::protocol::{SlowJob, StatsMetric, StatsReport};
-use crate::zoo::ShardKey;
 use oppsla_obs::metrics::{Counter, Gauge, Histogram, Registry};
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -36,33 +34,11 @@ pub const MAX_TENANT_SERIES: u64 = 64;
 /// wall time since the server started).
 pub const SLOW_LOG_CAPACITY: usize = 8;
 
-/// Pre-registered handles for one scheduler shard (one `(arch, scale)`
-/// pair), labelled `shard="<arch>/<scale>"`.
-pub struct ShardMetrics {
-    /// Submissions sitting in the shared queue for this shard right now.
-    pub queue_depth: Arc<Gauge>,
-    /// Grouped delta dispatches packing two or more tenants' submissions.
-    pub grouped_calls: Arc<Counter>,
-    /// Delta dispatches that went out solo (no merge partner arrived).
-    pub solo_calls: Arc<Counter>,
-    /// Full-forward dispatches (baseline queries; never merged).
-    pub full_calls: Arc<Counter>,
-    /// Total delta submissions dispatched (across grouped and solo
-    /// calls; `merged_submissions / (grouped + solo)` is the mean fill).
-    pub merged_submissions: Arc<Counter>,
-    /// Batches that held the coalescing window open waiting for more
-    /// tenants (occupancy of the window, vs. immediate dispatch).
-    pub coalesce_waits: Arc<Counter>,
-    /// Delta batch sizes, in submissions (fill ratio = size/max_merge).
-    pub batch_size: Arc<Histogram>,
-    /// Session base-snapshot LRU hits (from the worker sessions).
-    pub lru_hits: Arc<Counter>,
-    /// LRU rebases: an evicted snapshot was recaptured (the eviction
-    /// counter — a rebase is exactly one eviction plus one recapture).
-    pub lru_rebases: Arc<Counter>,
-    /// LRU cold fills (capacity not yet reached; nothing evicted).
-    pub lru_colds: Arc<Counter>,
-}
+/// The stages of a served attack job, in order, as the `stage` label of
+/// `job_stage_us`: JSON request decode, the admission wait, the attack
+/// itself (validation, model work and query log), and reply encode plus
+/// write. A job's stage times add up to its `job_latency_us` wall time.
+pub const JOB_STAGES: [&str; 4] = ["decode", "admission", "compute", "reply"];
 
 /// Pre-registered handles for one tenant (a connection), labelled
 /// `tenant="t<seq>"` in connection-accept order.
@@ -109,7 +85,7 @@ impl SlowLog {
 
 /// The daemon's metric registry plus its server-wide handles and the
 /// slow-request log. Shared (`Arc`) between the accept loop, connection
-/// threads, scheduler workers, the `/metrics` listener, and the zoo.
+/// threads, the `/metrics` listener, and the zoo.
 pub struct ServerMetrics {
     registry: Registry,
     started: Instant,
@@ -130,11 +106,14 @@ pub struct ServerMetrics {
     /// Counted oracle queries across all completed jobs. CI cross-checks
     /// this against ground-truth client-side counts after a loadtest.
     pub queries_total: Arc<Counter>,
-    /// End-to-end job wall time (admission to response), microseconds.
+    /// End-to-end job wall time (request decode to reply written),
+    /// microseconds.
     pub job_latency_us: Arc<Histogram>,
+    /// Per-stage job wall time, microseconds, one histogram per entry of
+    /// [`JOB_STAGES`] (label `stage`).
+    pub job_stage_us: [Arc<Histogram>; 4],
     /// Zoo train-once latches fired (cold shards trained or loaded).
     pub zoo_shard_trains: Arc<Counter>,
-    shards: Mutex<HashMap<ShardKey, Arc<ShardMetrics>>>,
     tenant_series: Mutex<u64>,
     slow: Mutex<SlowLog>,
 }
@@ -154,39 +133,14 @@ impl ServerMetrics {
             jobs_errored: registry.counter("jobs_errored", &[]),
             queries_total: registry.counter("queries_total", &[]),
             job_latency_us: registry.histogram("job_latency_us", &[]),
+            job_stage_us: JOB_STAGES
+                .map(|stage| registry.histogram("job_stage_us", &[("stage", stage)])),
             zoo_shard_trains: registry.counter("zoo_shard_trains", &[]),
-            shards: Mutex::new(HashMap::new()),
             tenant_series: Mutex::new(0),
             slow: Mutex::new(SlowLog { worst: Vec::new() }),
             started: Instant::now(),
             registry,
         }
-    }
-
-    /// The handles for `shard`, registering them on first request.
-    /// Callers cache the returned `Arc` (per worker, per classifier) so
-    /// the registry lock is paid once per shard, not per query.
-    pub fn shard(&self, shard: ShardKey) -> Arc<ShardMetrics> {
-        let mut shards = self
-            .shards
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        Arc::clone(shards.entry(shard).or_insert_with(|| {
-            let value = format!("{}/{}", shard.0.id(), shard.1.id());
-            let labels: &[(&str, &str)] = &[("shard", &value)];
-            Arc::new(ShardMetrics {
-                queue_depth: self.registry.gauge("sched_queue_depth", labels),
-                grouped_calls: self.registry.counter("sched_grouped_calls", labels),
-                solo_calls: self.registry.counter("sched_solo_calls", labels),
-                full_calls: self.registry.counter("sched_full_calls", labels),
-                merged_submissions: self.registry.counter("sched_merged_submissions", labels),
-                coalesce_waits: self.registry.counter("sched_coalesce_waits", labels),
-                batch_size: self.registry.histogram("sched_batch_size", labels),
-                lru_hits: self.registry.counter("session_lru_hits", labels),
-                lru_rebases: self.registry.counter("session_lru_rebases", labels),
-                lru_colds: self.registry.counter("session_lru_colds", labels),
-            })
-        }))
     }
 
     /// Handles for the next tenant, labelled `t<seq>` in registration
@@ -273,8 +227,6 @@ impl Default for ServerMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oppsla_eval::zoo::Scale;
-    use oppsla_nn::models::Arch;
 
     fn slow(tenant: &str, wall_us: u64) -> SlowJob {
         SlowJob {
@@ -285,25 +237,12 @@ mod tests {
             queries: 10,
             full_queries: 1,
             delta_queries: 9,
+            decode_us: 0,
+            admission_us: 0,
+            compute_us: wall_us,
             wall_us,
             budget: 100,
         }
-    }
-
-    #[test]
-    fn shard_handles_are_shared_and_labelled() {
-        let m = ServerMetrics::new();
-        let a = m.shard((Arch::Mlp, Scale::Cifar));
-        let b = m.shard((Arch::Mlp, Scale::Cifar));
-        assert!(Arc::ptr_eq(&a, &b), "one ShardMetrics per shard");
-        a.queue_depth.inc();
-        let report = m.snapshot();
-        let depth = report
-            .metrics
-            .iter()
-            .find(|s| s.key == "sched_queue_depth{shard=\"mlp/shapes32\"}")
-            .expect("labelled queue depth sample");
-        assert!((depth.value - 1.0).abs() < f64::EPSILON);
     }
 
     #[test]

@@ -188,7 +188,7 @@ pub struct JobOutcome {
     /// FNV-1a 64 digest over the job's query log (seq, pixel, pred and
     /// per-query score hashes), as 16 hex digits. Two jobs interacted
     /// with the model identically iff their digests match — the
-    /// determinism witness CI compares across scheduler configurations.
+    /// determinism witness CI compares against in-process runs.
     pub log_fnv: String,
 }
 
@@ -200,7 +200,7 @@ pub struct JobOutcome {
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct StatsMetric {
     /// Fully-qualified metric key, e.g. `queries_total` or
-    /// `sched_queue_depth{shard="mlp/shapes32"}`.
+    /// `job_stage_us_p50{stage="compute"}`.
     pub key: String,
     /// Current value. Integral for counters/gauges/`_count`.
     pub value: f64,
@@ -208,7 +208,7 @@ pub struct StatsMetric {
 
 /// One entry of the slow-request log: a completed job that ranked among
 /// the N worst by wall time since the server started, with enough
-/// attribution (route split) to see *why* it was slow.
+/// attribution (route split, stage times) to see *why* it was slow.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct SlowJob {
     /// Server-assigned tenant id (`"t0"`, `"t1"`, … in connection order).
@@ -226,8 +226,16 @@ pub struct SlowJob {
     pub full_queries: u64,
     /// Queries that took the sparse delta route.
     pub delta_queries: u64,
-    /// End-to-end wall time of the job in microseconds (admission to
-    /// response, as observed by the serving thread).
+    /// Microseconds spent decoding the JSON request.
+    pub decode_us: u64,
+    /// Microseconds spent waiting for an admission slot.
+    pub admission_us: u64,
+    /// Microseconds spent running the attack (validation, model work and
+    /// the query log).
+    pub compute_us: u64,
+    /// End-to-end wall time of the job in microseconds, as observed by
+    /// the serving thread: request decode to reply written. The three
+    /// stages above plus the reply's encode and write add up to it.
     pub wall_us: u64,
     /// The job's query budget.
     pub budget: u64,
@@ -371,6 +379,9 @@ mod tests {
                 queries: 37,
                 full_queries: 5,
                 delta_queries: 32,
+                decode_us: 110,
+                admission_us: 3,
+                compute_us: 1050,
                 wall_us: 1234,
                 budget: 600,
             }],
@@ -384,6 +395,7 @@ mod tests {
                 "\"slow_jobs\":[{\"tenant\":\"t0\",\"arch\":\"mlp\",",
                 "\"scale\":\"shapes32\",\"status\":\"success\",",
                 "\"queries\":37,\"full_queries\":5,\"delta_queries\":32,",
+                "\"decode_us\":110,\"admission_us\":3,\"compute_us\":1050,",
                 "\"wall_us\":1234,\"budget\":600}]}}"
             )
         );

@@ -4,25 +4,29 @@
 //! Each connection gets its own thread reading [`Request`] frames and
 //! answering with exactly one [`Response`] frame per request. Attack
 //! jobs pass through an admission gate (bounded active + bounded
-//! waiting) before they may submit work to the shared scheduler, so a
-//! burst of tenants degrades into queueing and then *explicit* rejection
-//! — never into unbounded memory growth or a dead daemon.
+//! waiting), so a burst of tenants degrades into queueing and then
+//! *explicit* rejection — never into unbounded memory growth or a dead
+//! daemon.
 //!
-//! Compute never happens on connection threads: they block on the
-//! scheduler's reply channels while the worker pool does the model work,
-//! so a slow tenant costs one parked thread, not a core.
+//! An admitted job runs on its connection thread, over a private session
+//! of the shard's classifier (see [`crate::session::run_job`]): the
+//! admission gate's `max_active_jobs` is the one bound on concurrent
+//! compute. A job that panics answers an error frame; its admission slot
+//! and its connection's accounting are released by drop guards either
+//! way, so a panic can neither starve later jobs nor hang shutdown.
 
 use crate::metrics::{ServerMetrics, TenantMetrics};
 use crate::metrics_http::MetricsServer;
 use crate::protocol::{
     read_frame, write_frame, FrameError, JobRequest, Request, Response, SlowJob, StatsReport,
 };
-use crate::scheduler::{Scheduler, SchedulerConfig, SchedulerHandle};
+use crate::session::CompletedJob;
 use crate::zoo::ShardedZoo;
 use oppsla_eval::zoo::ZooConfig;
 use oppsla_obs::metrics::Gauge;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -34,15 +38,14 @@ pub struct ServerConfig {
     /// Bind address; port 0 picks a free port (see
     /// [`Server::local_addr`]).
     pub addr: String,
-    /// Scheduler sizing.
-    pub scheduler: SchedulerConfig,
     /// Zoo training/caching configuration.
     pub zoo: ZooConfig,
     /// Attack test set size per class, per shard.
     pub test_per_class: usize,
     /// Attack test set seed.
     pub test_seed: u64,
-    /// Jobs allowed to run concurrently; further jobs wait.
+    /// Jobs allowed to run concurrently (each on its connection thread);
+    /// further jobs wait.
     pub max_active_jobs: usize,
     /// Jobs allowed to wait for a slot; further jobs are rejected with
     /// an error response.
@@ -62,7 +65,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             addr: "127.0.0.1:0".into(),
-            scheduler: SchedulerConfig::default(),
             zoo: ZooConfig::default(),
             test_per_class: 4,
             test_seed: 9,
@@ -118,10 +120,10 @@ impl Admission {
     }
 
     /// Blocks until a slot is free, or rejects when the waiting room is
-    /// full. On `Ok` the caller holds a slot and must call
-    /// [`Admission::release`]; the `bool` reports whether the job had to
-    /// wait for it.
-    fn admit(&self) -> Result<bool, String> {
+    /// full. On `Ok` the caller holds the returned slot until it drops,
+    /// unwinding included; the `bool` reports whether the job had to wait
+    /// for it.
+    fn admit(&self) -> Result<(AdmissionSlot<'_>, bool), String> {
         let mut st = self
             .state
             .lock()
@@ -129,7 +131,7 @@ impl Admission {
         if st.active < self.max_active {
             st.active += 1;
             self.mirror(&st);
-            return Ok(false);
+            return Ok((AdmissionSlot(self), false));
         }
         if st.waiting >= self.max_waiting {
             return Err(format!(
@@ -148,7 +150,7 @@ impl Admission {
         st.waiting -= 1;
         st.active += 1;
         self.mirror(&st);
-        Ok(true)
+        Ok((AdmissionSlot(self), true))
     }
 
     fn release(&self) {
@@ -163,9 +165,17 @@ impl Admission {
     }
 }
 
+/// One held admission slot, released when dropped.
+struct AdmissionSlot<'a>(&'a Admission);
+
+impl Drop for AdmissionSlot<'_> {
+    fn drop(&mut self) {
+        self.0.release();
+    }
+}
+
 struct Shared {
     zoo: Arc<ShardedZoo>,
-    handle: SchedulerHandle,
     admission: Admission,
     /// The live metrics plane; `None` when the deployment disabled it.
     metrics: Option<Arc<ServerMetrics>>,
@@ -180,12 +190,11 @@ pub struct Server {
     local_addr: SocketAddr,
     shared: Arc<Shared>,
     accept_thread: Option<JoinHandle<()>>,
-    scheduler: Option<Scheduler>,
     metrics_http: Option<MetricsServer>,
 }
 
 impl Server {
-    /// Binds `cfg.addr` and starts the accept loop and scheduler.
+    /// Binds `cfg.addr` and starts the accept loop.
     ///
     /// # Errors
     ///
@@ -207,14 +216,11 @@ impl Server {
             (Some(m), Some(addr)) => Some(MetricsServer::start(addr, Arc::clone(m))?),
             _ => None,
         };
-        let scheduler =
-            Scheduler::start_with_metrics(Arc::clone(&zoo), cfg.scheduler.clone(), metrics.clone());
         let admission_gauges = metrics
             .as_ref()
             .map(|m| (Arc::clone(&m.jobs_active), Arc::clone(&m.jobs_waiting)));
         let shared = Arc::new(Shared {
             zoo,
-            handle: scheduler.handle(),
             admission: Admission::new(cfg.max_active_jobs, cfg.max_waiting_jobs, admission_gauges),
             metrics,
             shutdown: AtomicBool::new(false),
@@ -229,7 +235,6 @@ impl Server {
             local_addr,
             shared,
             accept_thread: Some(accept_thread),
-            scheduler: Some(scheduler),
             metrics_http,
         })
     }
@@ -239,8 +244,8 @@ impl Server {
         self.local_addr
     }
 
-    /// The server's model zoo (shared with the scheduler): lets
-    /// in-process harnesses (the load test's single-session baseline)
+    /// The server's model zoo (shared with every job): lets in-process
+    /// harnesses (the load test's single-session baseline)
     /// reuse the resident shards instead of retraining them.
     pub fn zoo(&self) -> Arc<ShardedZoo> {
         Arc::clone(&self.shared.zoo)
@@ -270,9 +275,9 @@ impl Server {
         self.shared.shutdown.store(true, Ordering::SeqCst);
     }
 
-    /// Blocks until shutdown is requested, then drains: stops accepting,
-    /// waits for connection threads to finish their in-flight requests,
-    /// and joins the scheduler workers.
+    /// Blocks until shutdown is requested, then drains: stops accepting
+    /// and waits for connection threads to finish their in-flight
+    /// requests.
     pub fn wait(mut self) {
         while !self.shutdown_requested() {
             std::thread::sleep(Duration::from_millis(20));
@@ -287,9 +292,6 @@ impl Server {
         }
         while self.shared.connections.load(Ordering::SeqCst) > 0 {
             std::thread::sleep(Duration::from_millis(5));
-        }
-        if let Some(s) = self.scheduler.take() {
-            s.shutdown();
         }
         // The exposition listener outlives the job path on purpose: a
         // scraper can still read the final counters while connections
@@ -306,6 +308,30 @@ impl Drop for Server {
     }
 }
 
+/// One live connection's share of the drain accounting: counted when
+/// accepted, uncounted when dropped — at a clean hang-up, when a panic
+/// unwinds the connection thread, or when the thread cannot be spawned.
+struct ConnectionGuard(Arc<Shared>);
+
+impl ConnectionGuard {
+    fn new(shared: &Arc<Shared>) -> Self {
+        shared.connections.fetch_add(1, Ordering::SeqCst);
+        if let Some(m) = &shared.metrics {
+            m.connections.inc();
+        }
+        ConnectionGuard(Arc::clone(shared))
+    }
+}
+
+impl Drop for ConnectionGuard {
+    fn drop(&mut self) {
+        if let Some(m) = &self.0.metrics {
+            m.connections.dec();
+        }
+        self.0.connections.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     while !shared.shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
@@ -313,27 +339,13 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
                 // Responses are small request-reply frames; waiting for
                 // ACKs to batch them only adds delayed-ACK latency.
                 stream.set_nodelay(true).ok();
-                shared.connections.fetch_add(1, Ordering::SeqCst);
-                if let Some(m) = &shared.metrics {
-                    m.connections.inc();
-                }
-                let conn_shared = Arc::clone(shared);
-                let spawned = std::thread::Builder::new()
+                let connection = ConnectionGuard::new(shared);
+                // On thread exhaustion the closure, and the guard with
+                // it, is dropped: the connection is shed, the daemon
+                // keeps serving.
+                let _ = std::thread::Builder::new()
                     .name("server-conn".into())
-                    .spawn(move || {
-                        serve_connection(stream, &conn_shared);
-                        if let Some(m) = &conn_shared.metrics {
-                            m.connections.dec();
-                        }
-                        conn_shared.connections.fetch_sub(1, Ordering::SeqCst);
-                    });
-                if spawned.is_err() {
-                    // Thread exhaustion: shed the connection, keep serving.
-                    if let Some(m) = &shared.metrics {
-                        m.connections.dec();
-                    }
-                    shared.connections.fetch_sub(1, Ordering::SeqCst);
-                }
+                    .spawn(move || serve_connection(stream, &connection.0));
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(10));
@@ -362,6 +374,7 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
             }
             Err(FrameError::Io(_)) => return,
         };
+        let received = Instant::now();
         let request: Request = match serde_json::from_str(&payload) {
             Ok(r) => r,
             Err(e) => {
@@ -394,7 +407,19 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
                 if tenant.is_none() {
                     tenant = shared.metrics.as_ref().map(|m| m.tenant());
                 }
-                serve_attack(shared, tenant.as_ref(), &job)
+                let decoded = Instant::now();
+                let served = serve_attack(
+                    &mut stream,
+                    shared,
+                    tenant.as_ref(),
+                    &job,
+                    received,
+                    decoded,
+                );
+                if served.is_err() {
+                    return;
+                }
+                continue;
             }
         };
         if respond(&mut stream, &response).is_err() {
@@ -403,66 +428,109 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
     }
 }
 
-/// Admission, the job itself, and — purely passively — the metrics
-/// plane's accounting around it: counters, the end-to-end latency
-/// histogram, and the slow-request log. Every metrics touch is
-/// write-only, after the corresponding decision was already made.
-fn serve_attack(shared: &Shared, tenant: Option<&TenantMetrics>, job: &JobRequest) -> Response {
-    match shared.admission.admit() {
+/// Runs `job`, turning a panic into an error the client is answered with.
+fn run_caught(job: impl FnOnce() -> Result<CompletedJob, String>) -> Result<CompletedJob, String> {
+    catch_unwind(AssertUnwindSafe(job)).unwrap_or_else(|panic| {
+        let what = panic
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("unknown cause");
+        Err(format!("internal error: the job panicked ({what})"))
+    })
+}
+
+/// Serves one attack request whose frame was read at `received` and
+/// decoded by `decoded`: admission, the job, the reply, and — purely
+/// passively — the metrics plane's accounting around them:
+/// counters, the stage and end-to-end latency histograms, and the
+/// slow-request log. Every metrics touch is write-only, after the
+/// corresponding decision was already made. Counters move before the
+/// reply is written, so a client that has its answer sees them in any
+/// later scrape; the timings that include the reply are recorded after.
+///
+/// # Errors
+///
+/// Returns the write error when the reply cannot be sent.
+fn serve_attack(
+    stream: &mut TcpStream,
+    shared: &Shared,
+    tenant: Option<&TenantMetrics>,
+    job: &JobRequest,
+    received: Instant,
+    decoded: Instant,
+) -> io::Result<()> {
+    let admission = shared.admission.admit();
+    let admitted = Instant::now();
+    let (slot, waited) = match admission {
+        Ok(held) => held,
         Err(reason) => {
             if let (Some(m), Some(t)) = (&shared.metrics, tenant) {
                 m.jobs_rejected.inc();
                 t.jobs_rejected.inc();
             }
-            Response::Error(reason)
+            return respond(stream, &Response::Error(reason));
         }
-        Ok(waited) => {
-            let started = Instant::now();
-            if let (Some(m), Some(t)) = (&shared.metrics, tenant) {
-                m.jobs_admitted.inc();
-                t.jobs_admitted.inc();
-                if waited {
-                    t.jobs_waited.inc();
-                }
-                t.budget_granted.add(job.budget);
-            }
-            let result = crate::session::run_job(&shared.handle, &shared.zoo, job);
-            shared.admission.release();
-            let wall_us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-            match result {
-                Ok(done) => {
-                    if let (Some(m), Some(t)) = (&shared.metrics, tenant) {
-                        m.jobs_done.inc();
-                        m.queries_total.add(done.outcome.queries);
-                        m.job_latency_us.observe(wall_us);
-                        t.jobs_done.inc();
-                        t.queries.add(done.outcome.queries);
-                        t.budget_unspent
-                            .add(job.budget.saturating_sub(done.outcome.queries));
-                        m.record_slow(SlowJob {
-                            tenant: t.id.clone(),
-                            arch: job.arch.clone(),
-                            scale: job.scale.clone(),
-                            status: done.outcome.status.clone(),
-                            queries: done.outcome.queries,
-                            full_queries: done.full_queries,
-                            delta_queries: done.delta_queries,
-                            wall_us,
-                            budget: job.budget,
-                        });
-                    }
-                    Response::Done(done.outcome)
-                }
-                Err(e) => {
-                    if let (Some(m), Some(t)) = (&shared.metrics, tenant) {
-                        m.jobs_errored.inc();
-                        t.jobs_errored.inc();
-                    }
-                    Response::Error(e)
-                }
-            }
+    };
+    if let (Some(m), Some(t)) = (&shared.metrics, tenant) {
+        m.jobs_admitted.inc();
+        t.jobs_admitted.inc();
+        if waited {
+            t.jobs_waited.inc();
         }
+        t.budget_granted.add(job.budget);
     }
+    let result = run_caught(|| crate::session::run_job(&shared.zoo, job));
+    let computed = Instant::now();
+    drop(slot);
+    let done = match result {
+        Ok(done) => done,
+        Err(e) => {
+            if let (Some(m), Some(t)) = (&shared.metrics, tenant) {
+                m.jobs_errored.inc();
+                t.jobs_errored.inc();
+            }
+            return respond(stream, &Response::Error(e));
+        }
+    };
+    let (status, queries) = (done.outcome.status.clone(), done.outcome.queries);
+    if let (Some(m), Some(t)) = (&shared.metrics, tenant) {
+        m.jobs_done.inc();
+        m.queries_total.add(queries);
+        t.jobs_done.inc();
+        t.queries.add(queries);
+        t.budget_unspent.add(job.budget.saturating_sub(queries));
+    }
+    respond(stream, &Response::Done(done.outcome))?;
+    let written = Instant::now();
+    if let (Some(m), Some(t)) = (&shared.metrics, tenant) {
+        // Stage boundaries as offsets from one origin, so the stage
+        // times add up to the wall time exactly.
+        let at =
+            |t: Instant| u64::try_from(t.duration_since(received).as_micros()).unwrap_or(u64::MAX);
+        let bounds = [at(decoded), at(admitted), at(computed), at(written)];
+        let mut start = 0;
+        for (hist, &end) in m.job_stage_us.iter().zip(&bounds) {
+            hist.observe(end - start);
+            start = end;
+        }
+        m.job_latency_us.observe(bounds[3]);
+        m.record_slow(SlowJob {
+            tenant: t.id.clone(),
+            arch: job.arch.clone(),
+            scale: job.scale.clone(),
+            status,
+            queries,
+            full_queries: done.full_queries,
+            delta_queries: done.delta_queries,
+            decode_us: bounds[0],
+            admission_us: bounds[1] - bounds[0],
+            compute_us: bounds[2] - bounds[1],
+            wall_us: bounds[3],
+            budget: job.budget,
+        });
+    }
+    Ok(())
 }
 
 fn respond(stream: &mut TcpStream, response: &Response) -> io::Result<()> {
@@ -477,12 +545,12 @@ mod tests {
 
     #[test]
     fn admission_runs_then_queues_then_rejects() {
-        let adm = Admission::new(1, 1, None);
-        assert!(!adm.admit().unwrap(), "free slot: no wait"); // active
-        let adm = Arc::new(adm);
+        let adm = Arc::new(Admission::new(1, 1, None));
+        let (first, waited) = adm.admit().unwrap();
+        assert!(!waited, "free slot: no wait");
         let waiter = {
             let adm = Arc::clone(&adm);
-            std::thread::spawn(move || adm.admit())
+            std::thread::spawn(move || adm.admit().map(|(_slot, waited)| waited))
         };
         // Give the waiter time to enter the waiting room, then a third
         // job must be rejected outright.
@@ -498,14 +566,15 @@ mod tests {
             assert!(std::time::Instant::now() < deadline, "waiter never queued");
             std::thread::sleep(Duration::from_millis(1));
         }
-        let err = adm.admit().unwrap_err();
+        let Err(err) = adm.admit() else {
+            panic!("a full waiting room must reject");
+        };
         assert!(err.contains("capacity"), "{err}");
-        adm.release();
+        drop(first);
         assert!(
             waiter.join().unwrap().unwrap(),
             "the queued job reports that it waited"
         );
-        adm.release();
         assert!(adm.admit().is_ok(), "slots free again after releases");
     }
 
@@ -515,13 +584,57 @@ mod tests {
         let active = registry.gauge("jobs_active", &[]);
         let waiting = registry.gauge("jobs_waiting", &[]);
         let adm = Admission::new(2, 4, Some((Arc::clone(&active), Arc::clone(&waiting))));
-        adm.admit().unwrap();
-        adm.admit().unwrap();
+        let a = adm.admit().unwrap();
+        let b = adm.admit().unwrap();
         assert_eq!(active.get(), 2);
         assert_eq!(waiting.get(), 0);
-        adm.release();
+        drop(a);
         assert_eq!(active.get(), 1);
-        adm.release();
+        drop(b);
         assert_eq!(active.get(), 0, "gauge drains to zero with the jobs");
+    }
+
+    /// A daemon's shared state with nothing trained and no metrics.
+    fn idle_shared(max_active: usize, max_waiting: usize) -> Arc<Shared> {
+        Arc::new(Shared {
+            zoo: Arc::new(ShardedZoo::new(ZooConfig::default(), 1, 9)),
+            admission: Admission::new(max_active, max_waiting, None),
+            metrics: None,
+            shutdown: AtomicBool::new(false),
+            connections: AtomicUsize::new(0),
+        })
+    }
+
+    #[test]
+    fn a_panicking_job_frees_its_slot_and_its_connection() {
+        let shared = idle_shared(1, 0);
+        let conn_shared = Arc::clone(&shared);
+        let joined = std::thread::spawn(move || {
+            let connection = ConnectionGuard::new(&conn_shared);
+            let _slot = connection.0.admission.admit().expect("a free slot");
+            assert_eq!(connection.0.connections.load(Ordering::SeqCst), 1);
+            panic!("a kernel assert fired mid-job");
+        })
+        .join();
+        assert!(joined.is_err(), "the job thread panicked");
+        assert_eq!(
+            shared.connections.load(Ordering::SeqCst),
+            0,
+            "the unwound connection left the drain count"
+        );
+        // No waiting room: a leaked slot would reject this job outright,
+        // and with one it would wait forever.
+        let (_slot, waited) = shared.admission.admit().expect("the slot was released");
+        assert!(!waited, "the next job does not wait");
+    }
+
+    #[test]
+    fn a_panic_inside_a_job_becomes_an_error_answer() {
+        let err = run_caught(|| panic!("pixel (40, 2) out of range")).unwrap_err();
+        assert!(err.contains("panicked"), "{err}");
+        assert!(err.contains("out of range"), "{err}");
+        let n = 7;
+        let err = run_caught(|| panic!("formatted {n}")).unwrap_err();
+        assert!(err.contains("formatted 7"), "{err}");
     }
 }

@@ -2,26 +2,25 @@
 //! deterministic outcome report.
 //!
 //! A session is one tenant's attack job end to end: resolve the request
-//! against a model shard, wrap a scheduler-routed classifier in a
-//! budget-enforcing [`Oracle`] with the query log enabled, run the
-//! sketch-program attack, and fold the log into a digest the client (and
-//! CI) can compare across scheduler configurations. All request
-//! validation happens here, *before* any model work, and every failure
-//! is a recoverable error string — never a panic that could take a
-//! worker down.
+//! against a model shard, wrap a private session of the shard's
+//! classifier in a budget-enforcing [`Oracle`] with the query log
+//! enabled, run the sketch-program attack, and fold the log into a
+//! digest the client (and CI) can compare against an in-process run of
+//! the same job. All request validation happens here, *before* any model
+//! work, and every failure is a recoverable error string.
 
 use crate::protocol::{ImageSpec, JobOutcome, JobRequest};
-use crate::scheduler::SchedulerHandle;
-use crate::zoo::ShardedZoo;
+use crate::zoo::{ModelShard, ShardedZoo};
 use oppsla_attacks::{Attack, AttackOutcome, SketchProgramAttack};
 use oppsla_core::dsl::{parse_program, Program};
 use oppsla_core::image::Image;
-use oppsla_core::oracle::{Classifier, Oracle, QueryLogEntry};
+use oppsla_core::oracle::{BatchClassifier, Classifier, Oracle, QueryLogEntry};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::sync::Arc;
 
 /// Budgets above this are rejected at admission: one tenant must not be
-/// able to park a worker on a near-infinite attack.
+/// able to hold an admission slot on a near-infinite attack.
 pub const MAX_JOB_BUDGET: u64 = 10_000_000;
 
 /// FNV-1a 64 digest over a query log: seq, candidate, prediction and
@@ -59,6 +58,7 @@ pub fn digest_query_log(log: &[QueryLogEntry]) -> u64 {
 
 /// A validated job, ready to run.
 struct ResolvedJob {
+    shard: Arc<ModelShard>,
     image: Image,
     true_class: usize,
     program: Program,
@@ -145,6 +145,7 @@ fn resolve(zoo: &ShardedZoo, req: &JobRequest) -> Result<ResolvedJob, String> {
         }
     };
     Ok(ResolvedJob {
+        shard,
         image,
         true_class,
         program,
@@ -166,7 +167,10 @@ pub struct CompletedJob {
     pub delta_queries: u64,
 }
 
-/// Runs one attack job through the scheduler.
+/// Runs one attack job on the calling thread, over a private session of
+/// the shard's classifier: the same path an in-process attack takes, so
+/// a served job's outcome, query count and log digest are those of a
+/// private-session run of the same request.
 ///
 /// # Errors
 ///
@@ -174,16 +178,10 @@ pub struct CompletedJob {
 /// model, bad image spec, bad program, out-of-range budget). Valid jobs
 /// always produce an outcome — budget exhaustion is a `"failure"`
 /// outcome, not an error.
-pub fn run_job(
-    scheduler: &SchedulerHandle,
-    zoo: &ShardedZoo,
-    req: &JobRequest,
-) -> Result<CompletedJob, String> {
+pub fn run_job(zoo: &ShardedZoo, req: &JobRequest) -> Result<CompletedJob, String> {
     let job = resolve(zoo, req)?;
-    let arch = crate::protocol::parse_arch(&req.arch).expect("validated");
-    let scale = crate::protocol::parse_scale(&req.scale).expect("validated");
-    let classifier = scheduler.classifier((arch, scale));
-    let mut oracle = Oracle::with_budget(&classifier, job.budget);
+    let session = job.shard.classifier.session();
+    let mut oracle = Oracle::with_budget(&*session, job.budget);
     oracle.enable_query_log();
     let attack = SketchProgramAttack::new(job.program);
     let mut rng = ChaCha8Rng::seed_from_u64(job.seed);
@@ -220,9 +218,7 @@ pub fn run_job(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::{Scheduler, SchedulerConfig};
     use oppsla_eval::zoo::ZooConfig;
-    use std::sync::Arc;
 
     fn fast_zoo() -> Arc<ShardedZoo> {
         Arc::new(ShardedZoo::new(
@@ -255,14 +251,9 @@ mod tests {
     #[test]
     fn jobs_are_deterministic_given_the_request() {
         let zoo = fast_zoo();
-        let scheduler = Scheduler::start(Arc::clone(&zoo), SchedulerConfig::default());
-        let handle = scheduler.handle();
-        let a = run_job(&handle, &zoo, &mlp_request()).unwrap();
-        let b = run_job(&handle, &zoo, &mlp_request()).unwrap();
-        assert_eq!(
-            a.outcome, b.outcome,
-            "same request, same scheduler => same outcome"
-        );
+        let a = run_job(&zoo, &mlp_request()).unwrap();
+        let b = run_job(&zoo, &mlp_request()).unwrap();
+        assert_eq!(a.outcome, b.outcome, "same request => same outcome");
         assert!(a.outcome.queries <= 300);
         assert_eq!(
             a.outcome.log_len, a.outcome.queries,
@@ -274,14 +265,11 @@ mod tests {
             "route attribution partitions the counted queries"
         );
         assert!(a.full_queries >= 1, "the baseline forward is a full query");
-        scheduler.shutdown();
     }
 
     #[test]
     fn invalid_requests_are_rejected_before_model_work() {
         let zoo = fast_zoo();
-        let scheduler = Scheduler::start(Arc::clone(&zoo), SchedulerConfig::default());
-        let handle = scheduler.handle();
         let cases: Vec<(JobRequest, &str)> = vec![
             (
                 JobRequest {
@@ -340,10 +328,9 @@ mod tests {
             ),
         ];
         for (req, want) in cases {
-            let err = run_job(&handle, &zoo, &req).unwrap_err();
+            let err = run_job(&zoo, &req).unwrap_err();
             assert!(err.contains(want), "{req:?}: {err:?} missing {want:?}");
         }
-        scheduler.shutdown();
     }
 
     #[test]

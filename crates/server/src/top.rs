@@ -81,8 +81,8 @@ fn rate(report: &StatsReport, prev: Option<&StatsReport>, key: &str) -> Option<f
     Some(delta * 1000.0 / dt_ms as f64)
 }
 
-/// Renders one full console frame: header, per-tenant table, per-shard
-/// table, and the slow-request log. `prev` (the previous poll's report)
+/// Renders one full console frame: header, per-tenant table, and the
+/// slow-request log with each job's admission and compute time. `prev` (the previous poll's report)
 /// adds rate columns when available.
 #[must_use]
 pub fn render(report: &StatsReport, prev: Option<&StatsReport>) -> String {
@@ -137,56 +137,31 @@ pub fn render(report: &StatsReport, prev: Option<&StatsReport>) -> String {
         }
     }
 
-    let shards = rows_by_label(report, "shard");
-    if !shards.is_empty() {
-        let _ = writeln!(
-            out,
-            "\n{:<24} {:>6} {:>8} {:>6} {:>6} {:>8} {:>6} {:>8} {:>8} {:>6}",
-            "SHARD",
-            "DEPTH",
-            "GROUPED",
-            "SOLO",
-            "FULL",
-            "BATCHp90",
-            "WAITS",
-            "LRU-HIT",
-            "REBASE",
-            "COLD"
-        );
-        for (id, row) in &shards {
-            let get = |name: &str| row.get(name).copied().unwrap_or(0.0);
-            let _ = writeln!(
-                out,
-                "{:<24} {:>6} {:>8} {:>6} {:>6} {:>8} {:>6} {:>8} {:>8} {:>6}",
-                id,
-                get("sched_queue_depth"),
-                get("sched_grouped_calls"),
-                get("sched_solo_calls"),
-                get("sched_full_calls"),
-                get("sched_batch_size_p90"),
-                get("sched_coalesce_waits"),
-                get("session_lru_hits"),
-                get("session_lru_rebases"),
-                get("session_lru_colds"),
-            );
-        }
-    }
-
     if !report.slow_jobs.is_empty() {
         let _ = writeln!(
             out,
-            "\nslowest jobs\n{:<10} {:<22} {:<22} {:>10} {:>12} {:>10} {:>8}",
-            "TENANT", "SHARD", "STATUS", "QUERIES", "FULL/DELTA", "WALL", "BUDGET"
+            "\nslowest jobs\n{:<10} {:<22} {:<22} {:>10} {:>12} {:>10} {:>10} {:>10} {:>8}",
+            "TENANT",
+            "SHARD",
+            "STATUS",
+            "QUERIES",
+            "FULL/DELTA",
+            "ADMISSION",
+            "COMPUTE",
+            "WALL",
+            "BUDGET"
         );
         for j in &report.slow_jobs {
             let _ = writeln!(
                 out,
-                "{:<10} {:<22} {:<22} {:>10} {:>12} {:>9}us {:>8}",
+                "{:<10} {:<22} {:<22} {:>10} {:>12} {:>8}us {:>8}us {:>8}us {:>8}",
                 j.tenant,
                 format!("{}/{}", j.arch, j.scale),
                 j.status,
                 j.queries,
                 format!("{}/{}", j.full_queries, j.delta_queries),
+                j.admission_us,
+                j.compute_us,
                 j.wall_us,
                 j.budget,
             );
@@ -219,8 +194,6 @@ mod tests {
                 sample("tenant_jobs_done{tenant=\"t10\"}", 3.0),
                 sample("tenant_jobs_done{tenant=\"t2\"}", 4.0),
                 sample("tenant_jobs_done{tenant=\"overflow\"}", 1.0),
-                sample("sched_queue_depth{shard=\"mlp/shapes32\"}", 2.0),
-                sample("sched_grouped_calls{shard=\"mlp/shapes32\"}", 40.0),
             ],
             slow_jobs: vec![SlowJob {
                 tenant: "t2".into(),
@@ -230,6 +203,9 @@ mod tests {
                 queries: 321,
                 full_queries: 1,
                 delta_queries: 320,
+                decode_us: 900,
+                admission_us: 4,
+                compute_us: 86_000,
                 wall_us: 88_000,
                 budget: 600,
             }],
@@ -256,11 +232,12 @@ mod tests {
     }
 
     #[test]
-    fn renders_header_shards_and_slow_log() {
+    fn renders_header_and_slow_log() {
         let page = render(&report(), None);
         assert!(page.contains("uptime 2.5s"), "{page}");
         assert!(page.contains("queries 5000"), "{page}");
         assert!(page.contains("mlp/shapes32"), "{page}");
+        assert!(page.contains("86000us"), "compute stage shown: {page}");
         assert!(page.contains("slowest jobs"), "{page}");
         assert!(page.contains("1/320"), "full/delta split shown: {page}");
     }

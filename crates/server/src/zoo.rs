@@ -8,9 +8,11 @@
 //! *different* shards proceed in parallel (the global map lock is only
 //! held to look up or insert the per-shard cell, never during training).
 //!
-//! The per-session `BaseActivations` LRU lives below this layer, in the
-//! scheduler workers' [`ZooClassifier::owned_session`] handles: the zoo
-//! shares immutable weights, the workers own the mutable caches.
+//! Mutable inference state lives below this layer, in the private
+//! session each job opens with [`BatchClassifier::session`]: the zoo
+//! shares immutable weights, the jobs own their caches.
+//!
+//! [`BatchClassifier::session`]: oppsla_core::oracle::BatchClassifier::session
 
 use oppsla_core::image::Image;
 use oppsla_eval::zoo::{attack_test_set, train_or_load, Scale, ZooClassifier, ZooConfig};
@@ -24,7 +26,7 @@ pub type ShardKey = (Arch, Scale);
 
 /// One resident model: shared compiled weights plus its attack test set.
 pub struct ModelShard {
-    /// The compiled classifier; scheduler workers derive owned sessions.
+    /// The compiled classifier; each job opens a private session on it.
     pub classifier: Arc<ZooClassifier>,
     /// Deterministic labelled attack images, indexed by job requests.
     pub test_set: Arc<Vec<(Image, usize)>>,

@@ -1,165 +1,185 @@
-//! The scheduler equivalence guarantee, asserted byte-for-byte: N
-//! tenants running concurrently through the shared cross-session batch
-//! scheduler observe *exactly* the oracle interaction stream they would
-//! have observed in private, isolated, sequential sessions — same
-//! outcomes, same query counts, and identical per-query logs (candidate,
-//! prediction, and score-bit hashes), at 1 and at 4 worker threads.
+//! The serving equivalence guarantee, asserted against a live daemon: N
+//! tenants submitting concurrently over their own sockets each get
+//! *exactly* the answer a private, in-process session gives the same job
+//! — same outcome, same query count, and the same query-log digest
+//! (candidate, prediction and score-bit hash of every counted query) —
+//! whether admission lets one job run at a time or four.
 
 use oppsla_attacks::{Attack, AttackOutcome, SketchProgramAttack};
 use oppsla_core::dsl::Program;
-use oppsla_core::oracle::{BatchClassifier, Classifier, Oracle, QueryLogEntry};
+use oppsla_core::oracle::{BatchClassifier, Oracle};
 use oppsla_eval::zoo::{Scale, ZooConfig};
 use oppsla_nn::models::Arch;
-use oppsla_server::scheduler::{Scheduler, SchedulerConfig};
-use oppsla_server::zoo::{ShardKey, ShardedZoo};
-use std::sync::Arc;
+use oppsla_server::protocol::{
+    read_frame, write_frame, ImageSpec, JobOutcome, JobRequest, Request, Response,
+};
+use oppsla_server::server::{Server, ServerConfig};
+use oppsla_server::session::digest_query_log;
+use oppsla_server::zoo::ShardedZoo;
+use std::net::{SocketAddr, TcpStream};
+use std::sync::{Arc, Barrier};
 
 const BUDGET: u64 = 150;
 
-fn fast_zoo() -> Arc<ShardedZoo> {
-    Arc::new(ShardedZoo::new(
-        ZooConfig {
+fn start_server(max_active_jobs: usize) -> Server {
+    Server::start(ServerConfig {
+        zoo: ZooConfig {
             train_per_class: 8,
             epochs: Some(2),
             learning_rate: 2e-3,
             seed: 1,
             cache_dir: None,
         },
-        3,
-        9,
-    ))
+        test_per_class: 3,
+        test_seed: 9,
+        max_active_jobs,
+        ..ServerConfig::default()
+    })
+    .expect("bind port 0")
 }
 
 struct Tenant {
-    shard: ShardKey,
-    image_index: usize,
+    arch: Arch,
+    image_index: u64,
     seed: u64,
 }
 
-struct RunRecord {
-    outcome: AttackOutcome,
-    queries: u64,
-    log: Vec<QueryLogEntry>,
+impl Tenant {
+    fn request(&self) -> JobRequest {
+        JobRequest {
+            arch: self.arch.id().to_owned(),
+            scale: Scale::Cifar.id().to_owned(),
+            image: ImageSpec {
+                test_index: Some(self.image_index),
+                inline: None,
+            },
+            budget: BUDGET,
+            program: None,
+            seed: self.seed,
+        }
+    }
 }
 
-fn run_with(classifier: &dyn Classifier, zoo: &ShardedZoo, tenant: &Tenant) -> RunRecord {
-    let shard = zoo.shard(tenant.shard.0, tenant.shard.1);
-    let (image, true_class) = shard.test_set[tenant.image_index].clone();
-    let mut oracle = Oracle::with_budget(classifier, BUDGET);
+/// The reference: the same job in a private in-process session over the
+/// daemon's own resident shard, reported the way the daemon reports it.
+fn private_run(zoo: &ShardedZoo, tenant: &Tenant) -> JobOutcome {
+    let shard = zoo.shard(tenant.arch, Scale::Cifar);
+    let index = usize::try_from(tenant.image_index).expect("small index");
+    let (image, true_class) = shard.test_set[index].clone();
+    let session = shard.classifier.session();
+    let mut oracle = Oracle::with_budget(&*session, BUDGET);
     oracle.enable_query_log();
     let attack = SketchProgramAttack::new(Program::paper_example());
     let mut rng = <rand_chacha::ChaCha8Rng as rand::SeedableRng>::seed_from_u64(tenant.seed);
     let outcome = attack.attack(&mut oracle, &image, true_class, &mut rng);
-    RunRecord {
+    let log = oracle.take_query_log();
+    let (status, location, pixel) = match &outcome {
+        AttackOutcome::Success {
+            location, pixel, ..
+        } => (
+            "success",
+            Some([u64::from(location.row), u64::from(location.col)]),
+            Some(pixel.0),
+        ),
+        AttackOutcome::Failure { .. } => ("failure", None, None),
+        AttackOutcome::AlreadyMisclassified { .. } => ("already_misclassified", None, None),
+    };
+    JobOutcome {
+        status: status.into(),
         queries: outcome.queries(),
-        outcome,
-        log: oracle.take_query_log(),
+        location,
+        pixel,
+        log_len: log.len() as u64,
+        log_fnv: format!("{:016x}", digest_query_log(&log)),
     }
 }
 
-fn assert_shared_matches_isolated(tenants: &[Tenant], workers: usize) {
-    let zoo = fast_zoo();
+fn submit(addr: SocketAddr, job: &JobRequest) -> JobOutcome {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let json = serde_json::to_string(&Request::Attack(job.clone())).expect("serialize");
+    write_frame(&mut stream, &json).expect("send job");
+    let reply = read_frame(&mut stream)
+        .expect("read reply")
+        .expect("daemon closed before replying");
+    match serde_json::from_str::<Response>(&reply).expect("parse reply") {
+        Response::Done(outcome) => outcome,
+        other => panic!("job not served: {other:?}"),
+    }
+}
 
-    // Reference: each tenant in a private sequential session.
-    let isolated: Vec<RunRecord> = tenants
-        .iter()
-        .map(|t| {
-            let shard = zoo.shard(t.shard.0, t.shard.1);
-            let session = shard.classifier.session();
-            run_with(&*session, &zoo, t)
-        })
-        .collect();
-
-    // Shared: all tenants concurrently through one scheduler.
-    let scheduler = Scheduler::start(
-        Arc::clone(&zoo),
-        SchedulerConfig {
-            workers,
-            max_merge: 8,
-            ..SchedulerConfig::default()
-        },
-    );
-    let handle = scheduler.handle();
-    let threads: Vec<_> = tenants
-        .iter()
-        .enumerate()
-        .map(|(i, t)| {
-            let handle = handle.clone();
-            let zoo = Arc::clone(&zoo);
-            let tenant = Tenant {
-                shard: t.shard,
-                image_index: t.image_index,
-                seed: t.seed,
-            };
+fn assert_served_matches_private(tenants: Vec<Tenant>, max_active_jobs: usize) {
+    let server = start_server(max_active_jobs);
+    let addr = server.local_addr();
+    let zoo = server.zoo();
+    // Train every shard before the tenants race, so they contend for
+    // admission and compute rather than for a training latch.
+    for t in &tenants {
+        zoo.shard(t.arch, Scale::Cifar);
+    }
+    let tenants = Arc::new(tenants);
+    let barrier = Arc::new(Barrier::new(tenants.len()));
+    let threads: Vec<_> = (0..tenants.len())
+        .map(|i| {
+            let tenants = Arc::clone(&tenants);
+            let barrier = Arc::clone(&barrier);
             std::thread::spawn(move || {
-                let classifier = handle.classifier(tenant.shard);
-                (i, run_with(&classifier, &zoo, &tenant))
+                let job = tenants[i].request();
+                barrier.wait();
+                submit(addr, &job)
             })
         })
         .collect();
-    let mut shared: Vec<Option<RunRecord>> = tenants.iter().map(|_| None).collect();
-    for th in threads {
-        let (i, rec) = th.join().expect("tenant thread");
-        shared[i] = Some(rec);
+    let served: Vec<JobOutcome> = threads
+        .into_iter()
+        .map(|t| t.join().expect("tenant thread"))
+        .collect();
+    for (i, (tenant, got)) in tenants.iter().zip(&served).enumerate() {
+        let want = private_run(&zoo, tenant);
+        assert_eq!(
+            got, &want,
+            "tenant {i} ({}) diverged from its private run at max_active_jobs {max_active_jobs}",
+            tenant.arch
+        );
+        assert_eq!(got.log_len, got.queries, "every counted query is logged");
     }
-    scheduler.shutdown();
-
-    for (i, (want, got)) in isolated.iter().zip(&shared).enumerate() {
-        let got = got.as_ref().expect("every tenant ran");
-        assert_eq!(
-            got.outcome, want.outcome,
-            "tenant {i} outcome diverged at {workers} workers"
-        );
-        assert_eq!(
-            got.queries, want.queries,
-            "tenant {i} query count diverged at {workers} workers"
-        );
-        assert_eq!(
-            got.log, want.log,
-            "tenant {i} query log diverged at {workers} workers"
-        );
-        assert_eq!(
-            got.log.len() as u64,
-            got.queries,
-            "tenant {i}: every counted query must be logged"
-        );
-    }
+    server.request_shutdown();
+    server.wait();
 }
 
-fn mlp_tenants(n: usize) -> Vec<Tenant> {
+fn mlp_tenants(n: u64) -> Vec<Tenant> {
     (0..n)
         .map(|i| Tenant {
-            shard: (Arch::Mlp, Scale::Cifar),
+            arch: Arch::Mlp,
             image_index: i % 6,
-            seed: 40 + i as u64,
+            seed: 40 + i,
         })
         .collect()
 }
 
 #[test]
-fn shared_scheduler_is_bit_identical_to_isolated_sessions_single_worker() {
-    assert_shared_matches_isolated(&mlp_tenants(5), 1);
+fn served_jobs_match_private_sessions_one_at_a_time() {
+    assert_served_matches_private(mlp_tenants(5), 1);
 }
 
 #[test]
-fn shared_scheduler_is_bit_identical_to_isolated_sessions_four_workers() {
-    assert_shared_matches_isolated(&mlp_tenants(5), 4);
+fn served_jobs_match_private_sessions_four_at_a_time() {
+    assert_served_matches_private(mlp_tenants(5), 4);
 }
 
 #[test]
-fn cross_shard_tenants_stay_bit_identical() {
-    // Two model shards in flight at once: packing happens per shard, and
-    // neither shard's tenants may observe the other's existence.
+fn cross_shard_tenants_match_private_sessions() {
+    // Two model shards in flight at once: neither shard's tenants may
+    // observe the other's existence.
     let mut tenants = mlp_tenants(3);
     tenants.push(Tenant {
-        shard: (Arch::VggSmall, Scale::Cifar),
+        arch: Arch::VggSmall,
         image_index: 1,
         seed: 77,
     });
     tenants.push(Tenant {
-        shard: (Arch::VggSmall, Scale::Cifar),
+        arch: Arch::VggSmall,
         image_index: 2,
         seed: 78,
     });
-    assert_shared_matches_isolated(&tenants, 4);
+    assert_served_matches_private(tenants, 4);
 }

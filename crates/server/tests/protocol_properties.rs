@@ -4,12 +4,14 @@
 //! any client, so neither may panic on any input, and whatever either
 //! accepts must encode back to what it read: a decoded frame re-encodes
 //! to the bytes it consumed, and an accepted request serializes to JSON
-//! that parses and serializes to the same string.
+//! that parses and serializes to the same string and holds the numbers
+//! the client sent — integers exactly, image channels as `f32`.
 
 use oppsla_server::protocol::{
     read_frame, write_frame, ImageSpec, InlineImage, JobRequest, Request,
 };
 use proptest::prelude::*;
+use serde::Value;
 
 /// A valid `Request::Attack` payload with an inline image: the frame the
 /// truncation and byte-flip checks start from.
@@ -33,8 +35,53 @@ fn attack_json() -> String {
     .expect("a valid request serializes")
 }
 
+/// A JSON document as the vendored data model, numbers as parsed.
+struct Doc(Value);
+
+impl serde::Deserialize for Doc {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        Ok(Doc(v.clone()))
+    }
+}
+
+fn number(v: &Value) -> Option<f64> {
+    match v {
+        Value::Int(i) => Some(*i as f64),
+        Value::Num(n) => Some(*n),
+        _ => None,
+    }
+}
+
+/// Whether every number in `out` is the number `sent` held at the same
+/// place (objects matched by key, as the derive looks fields up):
+/// integers exactly, and the channels of an inline image's `data` as the
+/// `f32` they parse to.
+fn same_numbers(sent: &Value, out: &Value, in_data: bool) -> bool {
+    match (sent, out) {
+        (Value::Obj(sent), Value::Obj(out)) => out.iter().all(|(key, o)| {
+            sent.iter()
+                .find(|(k, _)| k == key)
+                .is_some_and(|(_, s)| same_numbers(s, o, key == "data"))
+        }),
+        (Value::Arr(sent), Value::Arr(out)) => {
+            sent.len() == out.len()
+                && sent
+                    .iter()
+                    .zip(out)
+                    .all(|(s, o)| same_numbers(s, o, in_data))
+        }
+        _ => match (number(sent), number(out)) {
+            (Some(s), Some(o)) if in_data => f64::from(s as f32) == o,
+            (Some(_), Some(_)) => sent == out,
+            (None, None) => true,
+            _ => false,
+        },
+    }
+}
+
 /// Parses `text` as a request. Rejection is fine; an accepted request
-/// must serialize, parse back, and serialize to the same string.
+/// must serialize to JSON holding the numbers `text` sent, which parses
+/// back and serializes to the same string.
 fn check_request(text: &str) -> Result<(), TestCaseError> {
     let Ok(request) = serde_json::from_str::<Request>(text) else {
         return Ok(());
@@ -47,6 +94,14 @@ fn check_request(text: &str) -> Result<(), TestCaseError> {
         json
     );
     let json = json.unwrap();
+    let sent = serde_json::from_str::<Doc>(text).expect("an accepted request is JSON");
+    let out = serde_json::from_str::<Doc>(&json).expect("serialized JSON parses");
+    prop_assert!(
+        same_numbers(&sent.0, &out.0, false),
+        "{:?} re-serialized to other numbers: {:?}",
+        text,
+        json
+    );
     let back = serde_json::from_str::<Request>(&json);
     prop_assert!(back.is_ok(), "{:?} does not parse back: {:?}", json, back);
     let again = serde_json::to_string(&back.unwrap());
@@ -66,8 +121,59 @@ fn token() -> impl Strategy<Value = &'static str> {
     (0..count).prop_map(|i| TOKENS.split_whitespace().nth(i).expect("index below count"))
 }
 
+/// The integer fields of [`attack_json`]'s request, each with the text
+/// its value is spelled as there.
+const INTEGER_FIELDS: [(&str, &str); 6] = [
+    ("budget", "\"budget\":600"),
+    ("seed", "\"seed\":7"),
+    ("test_index", "\"test_index\":null"),
+    ("height", "\"height\":1"),
+    ("width", "\"width\":2"),
+    ("true_class", "\"true_class\":3"),
+];
+
+/// Number spellings a client might send for an integer: integer text
+/// across `u64` and around 2^53, negatives, fractions, exponents and the
+/// first integer past `u64::MAX`.
+fn number_text() -> impl Strategy<Value = String> {
+    prop_oneof![
+        any::<u64>().prop_map(|n| n.to_string()),
+        ((1u64 << 53) - 4..(1u64 << 53) + 4).prop_map(|n| n.to_string()),
+        any::<i64>().prop_map(|n| n.to_string()),
+        (any::<u32>(), 1u32..10).prop_map(|(n, d)| format!("{n}.{d}")),
+        (0u32..1000, 0u32..40).prop_map(|(m, e)| format!("{m}e{e}")),
+        Just("18446744073709551616".to_owned()),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// Each number spelling in each integer field: the request is
+    /// accepted exactly when the text is an integer a `u64` holds, and
+    /// then re-serializes to that same integer text.
+    #[test]
+    fn integer_fields_keep_the_integer_sent(
+        field in 0usize..INTEGER_FIELDS.len(),
+        text in number_text(),
+    ) {
+        let (key, spelled) = INTEGER_FIELDS[field];
+        let request = attack_json().replace(spelled, &format!("\"{key}\":{text}"));
+        let parsed = serde_json::from_str::<Request>(&request);
+        prop_assert_eq!(
+            parsed.is_ok(),
+            text.parse::<u64>().is_ok(),
+            "{} = {}: {:?}",
+            key,
+            text,
+            parsed
+        );
+        if let Ok(parsed) = parsed {
+            let json = serde_json::to_string(&parsed).expect("an accepted request serializes");
+            prop_assert!(json.contains(&format!("\"{key}\":{text}")), "{}", json);
+            check_request(&request)?;
+        }
+    }
 
     /// Arbitrary byte strings (0–256 bytes, any bytes or ASCII only), raw
     /// or behind a small length prefix so whole frames, truncated ones and
@@ -135,4 +241,25 @@ fn out_of_range_numbers_are_rejected() {
         assert!(text.contains(data));
         assert!(serde_json::from_str::<Request>(&text).is_err(), "{data}");
     }
+}
+
+/// Integers the parser must not bend: cast from an `f64`, `-5` would run
+/// as 0, `1.5` as 1, `1e30` as `u64::MAX` and the seed 2^53 + 1 as 2^53.
+/// The first three are errors and the seed arrives exact.
+#[test]
+fn integer_fields_are_never_cast() {
+    for (key, text) in [("budget", "-5"), ("budget", "1.5"), ("budget", "1e30")] {
+        let (_, spelled) = INTEGER_FIELDS.iter().find(|(k, _)| *k == key).unwrap();
+        let request = attack_json().replace(spelled, &format!("\"{key}\":{text}"));
+        assert!(
+            serde_json::from_str::<Request>(&request).is_err(),
+            "{key} = {text}"
+        );
+    }
+    let request = attack_json().replace("\"seed\":7", "\"seed\":9007199254740993");
+    match serde_json::from_str::<Request>(&request).expect("an exact u64 seed") {
+        Request::Attack(job) => assert_eq!(job.seed, 9_007_199_254_740_993),
+        other => panic!("wrong variant {other:?}"),
+    }
+    check_request(&request).unwrap();
 }

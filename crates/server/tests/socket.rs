@@ -3,6 +3,7 @@
 //! handshake. One server instance is shared across the whole file so the
 //! (fast) zoo trains once.
 
+use oppsla_server::metrics::JOB_STAGES;
 use oppsla_server::protocol::{
     read_frame, write_frame, ImageSpec, InlineImage, JobRequest, Request, Response,
 };
@@ -137,6 +138,22 @@ fn stats_frame_reflects_served_jobs_and_metrics_scrape_agrees() {
         served.queries,
         "route attribution partitions the counted queries"
     );
+    // Where the job's time went: its four stages add up to its wall time
+    // exactly, and the slow log carries the same split.
+    let stage = |stat: &str, name: &str| value(&format!("job_stage_us_{stat}{{stage=\"{name}\"}}"));
+    let wall = value("job_latency_us_sum");
+    assert_eq!(value("job_latency_us_count"), 1.0);
+    for name in JOB_STAGES {
+        assert_eq!(stage("count", name), 1.0, "one {name} observation");
+    }
+    let stage_sum: f64 = JOB_STAGES.iter().map(|name| stage("sum", name)).sum();
+    assert_eq!(stage_sum, wall, "stages add up to the wall time");
+    let slow = &report.slow_jobs[0];
+    assert_eq!(slow.wall_us as f64, wall);
+    assert_eq!(slow.decode_us as f64, stage("sum", "decode"));
+    assert_eq!(slow.admission_us as f64, stage("sum", "admission"));
+    assert_eq!(slow.compute_us as f64, stage("sum", "compute"));
+    assert!(slow.compute_us > 0, "the attack took time: {slow:?}");
     // The HTTP exposition must agree with the Stats frame exactly.
     let http_addr = server.metrics_addr().expect("metrics listener");
     let mut scrape = TcpStream::connect(http_addr).expect("connect /metrics");
@@ -313,4 +330,20 @@ fn shutdown_frame_flips_the_server_flag() {
     assert!(server.shutdown_requested());
     // wait() must now return promptly (drain, join, done).
     server.wait();
+}
+
+#[test]
+fn unknown_flags_are_usage_errors() {
+    // A flag the daemon does not read stops it before it binds, rather
+    // than being accepted without effect.
+    for flag in ["--workers", "--max-merge", "--coalesce-us"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_oppsla_serverd"))
+            .args(["--addr", "127.0.0.1:0", flag, "2"])
+            .output()
+            .expect("run oppsla_serverd");
+        assert_eq!(out.status.code(), Some(2), "{flag}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&format!("unknown flag {flag}")), "{stderr}");
+        assert!(out.stdout.is_empty(), "never reached listening: {out:?}");
+    }
 }
