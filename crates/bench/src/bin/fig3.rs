@@ -17,22 +17,19 @@
 //!     [--prior PATH]                 (mined saliency prior JSON reordering the
 //!                                     OPPSLA initial queue; see oppsla_eval::prior)
 //!     [--telemetry PATH]             (append per-phase telemetry events as JSONL)
-//!     [--trace PATH]                 (record per-query trace records as JSONL;
-//!                                     build with --features trace)
+//!     [--trace PATH]                 (record per-query trace records as JSONL)
 //! ```
 //!
 //! Results are bit-identical for any `--threads` value; the knob only
-//! changes wall-clock time. `--telemetry` writes only to `PATH` and
-//! stderr, never stdout — table and chart output stays byte-identical
-//! with or without it (build with `--features telemetry` for non-zero
-//! counters).
+//! changes wall-clock time. `--telemetry` and `--trace` write only to
+//! `PATH` and stderr, never stdout — table and chart output stays
+//! byte-identical with or without them.
 //!
 //! Defaults are scaled down to finish in minutes on a laptop; the paper's
 //! full setting is `--test-per-class 100 --budget 10000 --synth-train 50
 //! --synth-iters 210`.
 
 use oppsla_attacks::{Attack, DeepSearch, SparseRs, SparseRsConfig, SuOpa, SuOpaConfig};
-use oppsla_bench::cli::Args;
 use oppsla_bench::{
     cifar_archs, finish_trace, imagenet_archs, print_telemetry_summary, reports_dir, start_trace,
     suites_dir, telemetry_sink, threads_from,
@@ -41,6 +38,7 @@ use oppsla_core::dsl::GrammarConfig;
 use oppsla_core::oracle::Classifier;
 use oppsla_core::synth::SynthConfig;
 use oppsla_core::telemetry::{trace, FieldValue};
+use oppsla_eval::cli::Args;
 use oppsla_eval::curves::evaluate_attack_parallel_with_sink;
 use oppsla_eval::obs::with_phase;
 use oppsla_eval::plot::{render_chart, ChartConfig, Series};
@@ -84,7 +82,7 @@ fn main() {
         beta: 0.01,
         seed: args.get_u64("seed", 0),
         per_image_budget: Some(args.get_u64("synth-budget", 1500)),
-        prefilter: !args.has("no-prefilter"),
+        prefilter: !args.flag("no-prefilter"),
         grammar: GrammarConfig::paper(),
         threads,
     };
@@ -132,7 +130,7 @@ fn main() {
             );
 
             let train = attack_test_set(scale, synth_train_per_class, seed.wrapping_add(10));
-            let cache = (!args.has("fresh")).then(|| {
+            let cache = (!args.flag("fresh")).then(|| {
                 suites_dir().join(format!(
                     "{}-{}-i{}-t{}-s{}.json",
                     arch.id(),

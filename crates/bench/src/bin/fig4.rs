@@ -24,10 +24,10 @@
 //! Results are bit-identical for any `--threads` value and with or
 //! without `--telemetry` (which writes only to `PATH` and stderr).
 
-use oppsla_bench::cli::Args;
 use oppsla_bench::{print_telemetry_summary, reports_dir, telemetry_sink, threads_from};
 use oppsla_core::dsl::GrammarConfig;
 use oppsla_core::synth::SynthConfig;
+use oppsla_eval::cli::Args;
 use oppsla_eval::plot::{render_chart, ChartConfig, Series};
 use oppsla_eval::report::Table;
 use oppsla_eval::trajectory::{run_trajectory_parallel_with_sink, trajectory_table};
@@ -59,7 +59,7 @@ fn main() {
         beta: 0.01,
         seed: args.get_u64("seed", 0),
         per_image_budget: Some(args.get_u64("synth-budget", 1500)),
-        prefilter: !args.has("no-prefilter"),
+        prefilter: !args.flag("no-prefilter"),
         grammar: GrammarConfig::paper(),
         threads,
     };

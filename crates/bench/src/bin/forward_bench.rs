@@ -34,9 +34,9 @@
 //! steal, a neighbour's burst) lands on every path of a row alike instead
 //! of on whichever path happened to run during it.
 
-use oppsla_bench::cli::Args;
 use oppsla_bench::threads_from;
 use oppsla_core::parallel::parallel_map_with;
+use oppsla_eval::cli::Args;
 use oppsla_nn::delta::BaseActivations;
 use oppsla_nn::infer::InferenceEngine;
 use oppsla_nn::models::{Arch, ConvNet, InputSpec};
@@ -314,19 +314,16 @@ fn main() {
     }
 
     // Hand-rolled JSON: flat schema, stable key order, no serde needed.
-    // Telemetry instrumentation adds per-op timer reads to the full
-    // forward path, so reports must state whether it was compiled in —
-    // only `telemetry_enabled: false` numbers are comparable baselines.
-    let telemetry_enabled = oppsla_core::telemetry::enabled();
-
-    // Cost of one op-timer hook (a no-op without the feature): two clock
-    // reads plus a thread-local add. Per-query telemetry overhead is this
-    // times the plan's op count (tens of ops, so microseconds against
-    // forwards costing hundreds) — measured in-process because wall-clock
-    // A/B diffs between separately compiled binaries drown in
+    //
+    // Cost of the disarmed observability hooks, which every build carries
+    // on the query path: an op timer (one per forward op) and a trace
+    // query record (route tag plus record, one per query). Disarmed, each
+    // is one relaxed load and a branch; CI fails a report where either
+    // exceeds 0.1% of the cheapest forward. Measured in-process because
+    // wall-clock A/B diffs between separately compiled binaries drown in
     // code-layout noise.
+    let hook_iters = 200_000u32;
     let hook_ns = {
-        let hook_iters = 200_000u32;
         let th = Instant::now();
         for _ in 0..hook_iters {
             let t = oppsla_core::telemetry::op_timer(oppsla_core::telemetry::OpKind::Conv);
@@ -334,18 +331,8 @@ fn main() {
         }
         th.elapsed().as_nanos() as f64 / f64::from(hook_iters)
     };
-    // Cost of one disarmed trace hook (route tag + query record): the
-    // trace recorder's hot-path sites each start with one relaxed atomic
-    // load, so with the feature compiled in but no `--trace` given the
-    // per-query cost must stay in single-digit nanoseconds — and with the
-    // feature off the hooks are `const false` branches, reported as an
-    // exact 0.0 so the CI gate can assert zero-cost-when-off.
-    let trace_enabled = oppsla_core::telemetry::trace::enabled();
-    let trace_hook_ns = if !trace_enabled {
-        0.0
-    } else {
+    let trace_hook_ns = {
         use oppsla_core::telemetry::trace;
-        let hook_iters = 200_000u32;
         let th = Instant::now();
         for i in 0..hook_iters {
             trace::tag_route(trace::RouteTag::Delta);
@@ -361,8 +348,7 @@ fn main() {
         th.elapsed().as_nanos() as f64 / f64::from(hook_iters)
     };
     eprintln!(
-        "telemetry enabled: {telemetry_enabled}, op-timer hook ~{hook_ns:.0} ns; \
-         trace enabled: {trace_enabled}, disarmed query hook ~{trace_hook_ns:.1} ns"
+        "disarmed hooks: op timer ~{hook_ns:.1} ns, trace query record ~{trace_hook_ns:.1} ns"
     );
 
     let mut json = String::from("{\n");
@@ -371,9 +357,7 @@ fn main() {
     json.push_str(&format!("  \"batch\": {batch},\n"));
     json.push_str(&format!("  \"threads\": {threads},\n"));
     json.push_str(&format!("  \"simd_isa\": \"{simd_isa}\",\n"));
-    json.push_str(&format!("  \"telemetry_enabled\": {telemetry_enabled},\n"));
     json.push_str(&format!("  \"telemetry_hook_ns_per_op\": {hook_ns:.1},\n"));
-    json.push_str(&format!("  \"trace_enabled\": {trace_enabled},\n"));
     json.push_str(&format!(
         "  \"trace_hook_ns_per_op\": {trace_hook_ns:.1},\n"
     ));
@@ -412,7 +396,6 @@ fn main() {
     inc.push_str("  \"benchmark\": \"incremental_pixel_delta\",\n");
     inc.push_str(&format!("  \"iters\": {iters},\n"));
     inc.push_str(&format!("  \"simd_isa\": \"{simd_isa}\",\n"));
-    inc.push_str(&format!("  \"telemetry_enabled\": {telemetry_enabled},\n"));
     inc.push_str("  \"results\": [\n");
     for (i, row) in rows.iter().enumerate() {
         inc.push_str(&format!(
@@ -447,7 +430,6 @@ fn main() {
     bat.push_str(&format!("  \"iters\": {iters},\n"));
     bat.push_str(&format!("  \"batch_k\": {batch_k},\n"));
     bat.push_str(&format!("  \"simd_isa\": \"{simd_isa}\",\n"));
-    bat.push_str(&format!("  \"telemetry_enabled\": {telemetry_enabled},\n"));
     bat.push_str("  \"results\": [\n");
     for (i, row) in rows.iter().enumerate() {
         bat.push_str(&format!(

@@ -13,14 +13,13 @@
 //!     [--fresh]
 //!     [--threads N]          (worker threads; 0 = auto, default 0)
 //!     [--telemetry PATH]     (append per-phase telemetry events as JSONL)
-//!     [--trace PATH]         (record per-query trace records as JSONL;
-//!                             build with --features trace)
+//!     [--trace PATH]         (record per-query trace records as JSONL)
 //! ```
 //!
 //! Results are bit-identical for any `--threads` value and with or
-//! without `--telemetry` (which writes only to `PATH` and stderr).
+//! without `--telemetry` and `--trace` (which write only to `PATH` and
+//! stderr).
 
-use oppsla_bench::cli::Args;
 use oppsla_bench::{
     cifar_archs, finish_trace, print_telemetry_summary, reports_dir, start_trace, suites_dir,
     telemetry_sink, threads_from,
@@ -29,6 +28,7 @@ use oppsla_core::dsl::GrammarConfig;
 use oppsla_core::oracle::{BatchClassifier, Classifier};
 use oppsla_core::synth::SynthConfig;
 use oppsla_core::telemetry::{trace, FieldValue};
+use oppsla_eval::cli::Args;
 use oppsla_eval::obs::with_phase;
 use oppsla_eval::suite::{synthesize_suite_cached_parallel, ProgramSuite};
 use oppsla_eval::transfer::{run_transfer_parallel_traced, transfer_table};
@@ -58,7 +58,7 @@ fn main() {
         beta: 0.01,
         seed: args.get_u64("seed", 0),
         per_image_budget: Some(args.get_u64("synth-budget", 1500)),
-        prefilter: !args.has("no-prefilter"),
+        prefilter: !args.flag("no-prefilter"),
         grammar: GrammarConfig::paper(),
         threads,
     };
@@ -80,7 +80,7 @@ fn main() {
             model.test_accuracy
         );
         let train = attack_test_set(scale, synth_train_per_class, seed.wrapping_add(10));
-        let cache = (!args.has("fresh")).then(|| {
+        let cache = (!args.flag("fresh")).then(|| {
             suites_dir().join(format!(
                 "{}-{}-i{}-t{}-s{}.json",
                 arch.id(),

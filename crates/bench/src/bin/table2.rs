@@ -22,13 +22,13 @@
 //! here is scaled down — pass `--synth-iters 210` for the full setting.
 
 use oppsla_attacks::SparseRsConfig;
-use oppsla_bench::cli::Args;
 use oppsla_bench::{
     cifar_archs, print_telemetry_summary, reports_dir, telemetry_sink, threads_from,
 };
 use oppsla_core::dsl::GrammarConfig;
 use oppsla_core::synth::SynthConfig;
 use oppsla_eval::ablation::{ablation_table, run_ablation_parallel_with_sink, AblationConfig};
+use oppsla_eval::cli::Args;
 use oppsla_eval::zoo::{attack_test_set, train_or_load, Scale, ZooConfig};
 use std::time::Instant;
 
@@ -54,7 +54,7 @@ fn main() {
             beta: 0.01,
             seed: args.get_u64("seed", 0),
             per_image_budget: Some(args.get_u64("synth-budget", 1500)),
-            prefilter: !args.has("no-prefilter"),
+            prefilter: !args.flag("no-prefilter"),
             grammar: GrammarConfig::paper(),
             threads,
         },

@@ -39,12 +39,12 @@
 //! Exits 0 when everything verifies, 1 on any mismatch (or a trace whose
 //! recorder dropped records).
 
-use oppsla_bench::cli::Args;
 use oppsla_core::goal::AttackGoal;
 use oppsla_core::image::Image;
 use oppsla_core::oracle::{argmax, BatchClassifier, Oracle};
 use oppsla_core::pair::{Location, Pixel};
 use oppsla_core::telemetry::trace::{Body, Record, END_SECTION, NO_PIXEL};
+use oppsla_eval::cli::Args;
 use oppsla_eval::zoo::{attack_test_set, train_or_load, Scale, ZooClassifier, ZooConfig};
 use oppsla_nn::models::Arch;
 use std::collections::{BTreeMap, HashMap};

@@ -21,8 +21,8 @@
 //! inputs, so two runs of the same experiment — at *any* `--threads`
 //! values — must produce byte-identical canonical files. CI diffs them.
 
-use oppsla_bench::cli::Args;
 use oppsla_core::telemetry::trace::{canonical_sort, push_json_string, Body, Record, END_SECTION};
+use oppsla_eval::cli::Args;
 use oppsla_eval::report::Table;
 use std::collections::BTreeMap;
 use std::io::Write;

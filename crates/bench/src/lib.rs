@@ -1,12 +1,12 @@
-//! Shared plumbing for the OPPSLA experiment binaries: a tiny `--key
-//! value` argument parser and the architecture rosters of the paper's two
-//! evaluation scales.
+//! Shared plumbing for the OPPSLA experiment binaries: the
+//! `--telemetry`/`--trace`/`--threads` knobs and the architecture rosters
+//! of the paper's two evaluation scales. The binaries parse their flags
+//! with [`oppsla_eval::cli::Args`].
 
 #![warn(missing_docs)]
 
-pub mod cli;
-
 use oppsla_core::telemetry::{JsonlSink, MetricsSink, NoopSink};
+use oppsla_eval::cli::Args;
 use oppsla_nn::models::Arch;
 use std::path::{Path, PathBuf};
 
@@ -31,23 +31,20 @@ pub fn suites_dir() -> PathBuf {
     PathBuf::from("target/oppsla-programs")
 }
 
-/// Resolves the shared `--telemetry PATH` knob: a JSONL sink writing one
-/// event per instrumented phase to `PATH`, or a [`NoopSink`] when the flag
-/// is absent. Telemetry never writes to stdout, so experiment results stay
-/// byte-identical with or without the flag (and with or without the
-/// `telemetry` feature — without it, events carry all-zero counters).
-pub fn telemetry_sink(args: &cli::Args) -> Box<dyn MetricsSink> {
+/// Resolves the shared `--telemetry PATH` knob: arms the telemetry
+/// recorder and returns a JSONL sink writing one event per instrumented
+/// phase to `PATH`, or a [`NoopSink`] (recorder left disarmed) when the
+/// flag is absent. Telemetry never writes to stdout, so experiment
+/// results stay byte-identical with or without the flag.
+pub fn telemetry_sink(args: &Args) -> Box<dyn MetricsSink> {
     let Some(path) = args.get_opt_str("telemetry") else {
         return Box::new(NoopSink);
     };
-    if !oppsla_core::telemetry::enabled() {
-        eprintln!(
-            "warning: --telemetry given but this binary was built without the `telemetry` \
-             feature; events will carry zero counters (rebuild with --features telemetry)"
-        );
-    }
     match JsonlSink::create(Path::new(path)) {
-        Ok(sink) => Box::new(sink),
+        Ok(sink) => {
+            oppsla_core::telemetry::arm();
+            Box::new(sink)
+        }
         Err(e) => {
             eprintln!("warning: could not create telemetry file {path}: {e}; telemetry disabled");
             Box::new(NoopSink)
@@ -56,22 +53,16 @@ pub fn telemetry_sink(args: &cli::Args) -> Box<dyn MetricsSink> {
 }
 
 /// Resolves the shared `--trace PATH` knob: arms the per-query trace
-/// recorder spilling JSONL records to `PATH`. Returns whether a trace was
+/// recorder (and the telemetry recorder, whose op totals close the
+/// trace) spilling JSONL records to `PATH`. Returns whether a trace was
 /// armed, so the binary knows to call [`finish_trace`] at the end of the
 /// run. Tracing writes only to `PATH` and stderr, never stdout, so
 /// experiment results stay byte-identical with or without the flag.
-pub fn start_trace(args: &cli::Args) -> bool {
+pub fn start_trace(args: &Args) -> bool {
     use oppsla_core::telemetry::trace;
     let Some(path) = args.get_opt_str("trace") else {
         return false;
     };
-    if !trace::enabled() {
-        eprintln!(
-            "warning: --trace given but this binary was built without the `trace` feature; \
-             no records will be written (rebuild with --features trace)"
-        );
-        return false;
-    }
     match trace::start(trace::TraceConfig {
         path: Some(PathBuf::from(path)),
         mem_cap: 0,
@@ -110,7 +101,7 @@ pub fn print_telemetry_summary() {
 /// the host's parallelism; any other value is used as given. Every
 /// experiment binary produces bit-identical results for any thread count —
 /// the knob only changes wall-clock time.
-pub fn threads_from(args: &cli::Args) -> usize {
+pub fn threads_from(args: &Args) -> usize {
     match args.get_usize("threads", 0) {
         0 => oppsla_core::parallel::available_threads(),
         n => n,

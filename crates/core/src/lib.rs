@@ -52,6 +52,8 @@ pub mod synth;
 pub mod tracing;
 
 /// Query-path telemetry (re-export of [`oppsla_obs`]): phase counters,
-/// per-image query histograms, and metric sinks. Recording is inert
-/// unless the `telemetry` cargo feature is enabled.
+/// per-image query histograms, metric sinks, and the per-query trace.
+/// Every hook is one relaxed load and a branch until
+/// [`telemetry::arm`](oppsla_obs::arm) (or [`trace::start`](oppsla_obs::trace::start))
+/// arms its recorder.
 pub use oppsla_obs as telemetry;

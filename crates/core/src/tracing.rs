@@ -1,7 +1,7 @@
 //! Glue between oracle-query sites and [`telemetry::trace`]: a helper
 //! that derives the margin, predicted class, and label flip from one
-//! query's scores and records the trace event. Inert (one branch) unless
-//! a trace is armed; compiles to a no-op without the `trace` feature.
+//! query's scores and records the trace event. One relaxed load and a
+//! branch unless a trace is armed.
 
 use crate::goal::AttackGoal;
 use crate::oracle::argmax;
@@ -15,7 +15,7 @@ use crate::telemetry::trace;
 /// pixel, or `None` for a full-image (baseline) query. Routing and
 /// delta-cache tags are joined in from the thread-local pending tags the
 /// oracle and inference engine set during the call.
-#[inline]
+#[inline(always)]
 pub fn record_oracle_query(
     phase: &'static str,
     seq: u64,
@@ -24,9 +24,21 @@ pub fn record_oracle_query(
     true_class: usize,
     goal: AttackGoal,
 ) {
-    if !trace::armed() {
-        return;
+    if trace::armed() {
+        record_armed(phase, seq, pixel, scores, true_class, goal);
     }
+}
+
+#[cold]
+#[inline(never)]
+fn record_armed(
+    phase: &'static str,
+    seq: u64,
+    pixel: Option<(Location, Pixel)>,
+    scores: &[f32],
+    true_class: usize,
+    goal: AttackGoal,
+) {
     let pred = argmax(scores);
     trace::record_query(trace::QueryInfo {
         phase,

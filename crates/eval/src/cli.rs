@@ -1,6 +1,5 @@
-//! A minimal `--key value` / `--flag` argument parser for the server
-//! binaries (same conventions as the experiment binaries; no external
-//! CLI dependency).
+//! A minimal `--key value` / `--flag` argument parser shared by the
+//! experiment and server binaries (no external CLI dependency).
 
 use std::collections::HashMap;
 
@@ -13,6 +12,12 @@ pub struct Args {
     accepted: &'static [&'static str],
 }
 
+/// Prints a usage error and exits with status 2.
+fn usage_error(message: &str) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(2);
+}
+
 impl Args {
     /// Parses `std::env::args()` for a binary that reads exactly the keys
     /// in `accepted`. `--key value` populates values; a trailing `--key`
@@ -21,10 +26,7 @@ impl Args {
     /// error and exits with status 2, so a flag the binary would ignore
     /// is never taken silently.
     pub fn parse(accepted: &'static [&'static str]) -> Self {
-        Self::from_args(accepted, std::env::args().skip(1)).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        })
+        Self::from_args(accepted, std::env::args().skip(1)).unwrap_or_else(|e| usage_error(&e))
     }
 
     /// Parses an explicit argument list (for tests).
@@ -66,14 +68,29 @@ impl Args {
         Ok(out)
     }
 
-    /// The raw value of `--key`; reading a key the binary did not accept
-    /// is a bug (the flag could never be given), caught in debug builds.
-    fn value(&self, key: &str) -> Option<&String> {
+    /// The raw value of `--key`, `None` when the key is absent. Reading a
+    /// key the binary did not accept is a bug (the flag could never be
+    /// given), caught in debug builds.
+    ///
+    /// # Errors
+    ///
+    /// A usage message naming the key when `--key` was given without a
+    /// value: a default in its place would run what was not asked for.
+    fn value(&self, key: &str) -> Result<Option<&String>, String> {
         debug_assert!(
             self.accepted.contains(&key),
             "--{key} is read but not in the binary's accepted keys"
         );
-        self.values.get(key)
+        if self.flags.iter().any(|f| f == key) {
+            return Err(format!("--{key} expects a value"));
+        }
+        Ok(self.values.get(key))
+    }
+
+    /// [`Args::value`], exiting with a usage error when the value is
+    /// missing.
+    fn value_or_exit(&self, key: &str) -> Option<&String> {
+        self.value(key).unwrap_or_else(|e| usage_error(&e))
     }
 
     /// A `usize` value or `default`.
@@ -82,7 +99,7 @@ impl Args {
     ///
     /// Panics when the value is present but unparseable.
     pub fn get_usize(&self, key: &str, default: usize) -> usize {
-        self.value(key)
+        self.value_or_exit(key)
             .map(|v| {
                 v.parse()
                     .unwrap_or_else(|_| panic!("--{key} expects an integer, got {v:?}"))
@@ -96,7 +113,7 @@ impl Args {
     ///
     /// Panics when the value is present but unparseable.
     pub fn get_u64(&self, key: &str, default: u64) -> u64 {
-        self.value(key)
+        self.value_or_exit(key)
             .map(|v| {
                 v.parse()
                     .unwrap_or_else(|_| panic!("--{key} expects an integer, got {v:?}"))
@@ -106,12 +123,12 @@ impl Args {
 
     /// The raw value of `--key`, or `None` when the key is absent.
     pub fn get_opt_str(&self, key: &str) -> Option<&str> {
-        self.value(key).map(String::as_str)
+        self.value_or_exit(key).map(String::as_str)
     }
 
     /// A string value or `default`.
     pub fn get_str(&self, key: &str, default: &str) -> String {
-        self.value(key)
+        self.value_or_exit(key)
             .cloned()
             .unwrap_or_else(|| default.to_owned())
     }
@@ -130,39 +147,69 @@ impl Args {
 mod tests {
     use super::*;
 
-    const KEYS: &[&str] = &["tenants", "out", "budget", "quiet", "verbose", "missing"];
+    const KEYS: &[&str] = &["budget", "full", "scale", "missing", "retrain", "trace"];
 
-    fn args(list: &[&str]) -> Result<Args, String> {
-        Args::from_args(KEYS, list.iter().map(|s| (*s).to_owned()))
+    fn parse(s: &str) -> Result<Args, String> {
+        Args::from_args(KEYS, s.split_whitespace().map(str::to_owned))
     }
 
     #[test]
-    fn values_flags_and_defaults() {
-        let a = args(&["--tenants", "8", "--out", "x.json", "--quiet"]).unwrap();
-        assert_eq!(a.get_usize("tenants", 1), 8);
-        assert_eq!(a.get_str("out", "def"), "x.json");
-        assert_eq!(a.get_u64("budget", 400), 400);
-        assert!(a.flag("quiet"));
-        assert!(!a.flag("verbose"));
+    fn parses_values_and_flags() {
+        let a = parse("--budget 500 --full --scale cifar").unwrap();
+        assert_eq!(a.get_u64("budget", 0), 500);
+        assert!(a.flag("full"));
+        assert_eq!(a.get_str("scale", "x"), "cifar");
+        assert_eq!(a.get_opt_str("scale"), Some("cifar"));
+        assert_eq!(a.get_usize("missing", 7), 7);
         assert_eq!(a.get_opt_str("missing"), None);
+        assert!(!a.flag("missing"));
     }
 
     #[test]
-    fn positional_arguments_are_rejected() {
-        let err = args(&["oops"]).unwrap_err();
+    fn trailing_flag_without_value() {
+        let a = parse("--retrain").unwrap();
+        assert!(a.flag("retrain"));
+    }
+
+    #[test]
+    fn a_value_key_followed_by_another_flag_has_no_value() {
+        let a = parse("--budget --trace t.jsonl").unwrap();
+        assert_eq!(a.get_opt_str("trace"), Some("t.jsonl"));
+        let err = a.value("budget").unwrap_err();
+        assert!(err.contains("--budget expects a value"), "{err}");
+    }
+
+    #[test]
+    fn a_value_key_at_the_end_of_the_line_has_no_value() {
+        let a = parse("--scale cifar --budget").unwrap();
+        assert_eq!(a.get_opt_str("scale"), Some("cifar"));
+        let err = a.value("budget").unwrap_err();
+        assert!(err.contains("--budget expects a value"), "{err}");
+    }
+
+    #[test]
+    fn rejects_positional_arguments() {
+        let err = parse("oops").unwrap_err();
         assert!(err.contains("positional"), "{err}");
     }
 
     #[test]
-    fn flags_the_binary_never_reads_are_rejected() {
-        for list in [
-            &["--workers", "2"][..],
-            &["--tenants", "8", "--max-merge", "16"],
-            &["--coalesce-us"],
+    fn rejects_flags_the_binary_never_reads() {
+        for line in [
+            "--tune off",
+            "--budget 500 --gemm-threads 2",
+            "--fresh",
+            "--workers 2",
         ] {
-            let err = args(list).unwrap_err();
-            assert!(err.contains("unknown flag --"), "{list:?}: {err}");
-            assert!(err.contains("--tenants"), "names the accepted keys: {err}");
+            let err = parse(line).unwrap_err();
+            assert!(err.contains("unknown flag --"), "{line}: {err}");
+            assert!(err.contains("--budget"), "names the accepted keys: {err}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "expects an integer")]
+    fn rejects_bad_integers() {
+        parse("--budget lots").unwrap().get_u64("budget", 0);
     }
 }

@@ -15,7 +15,9 @@
 //! * [`report`] — ASCII tables and CSV export.
 //! * [`convert`] — tensor ↔ attack-image conversions.
 //! * [`obs`] — telemetry plumbing: phase-scoped metric emission and
-//!   summary tables (active when built with the `telemetry` feature).
+//!   summary tables (non-zero once the recorder is armed).
+//! * [`cli`] — the `--key value` parser every experiment and server
+//!   binary uses.
 //!
 //! The experiment binaries in `oppsla-bench` are thin CLI wrappers around
 //! these modules.
@@ -23,6 +25,7 @@
 #![warn(missing_docs)]
 
 pub mod ablation;
+pub mod cli;
 pub mod convert;
 pub mod curves;
 pub mod obs;

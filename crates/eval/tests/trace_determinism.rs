@@ -1,9 +1,7 @@
 //! Thread-count invariance of the observability streams through the real
 //! parallel code paths: synthesis and attack evaluation must leave the
 //! telemetry counters *and* the canonical-sorted trace byte-identical for
-//! any worker count.
-
-#![cfg(feature = "trace")]
+//! any worker count. Starting the trace arms the telemetry recorder too.
 
 use oppsla_attacks::SketchProgramAttack;
 use oppsla_core::dsl::{GrammarConfig, Program};

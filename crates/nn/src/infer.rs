@@ -483,8 +483,8 @@ impl InferencePlan {
         bufs[0].copy_from_slice(image.data());
         for op in &self.ops {
             // Per-layer timing hook: the guard records call count and
-            // elapsed nanoseconds on drop. With telemetry off both the
-            // guard and this call compile to nothing.
+            // elapsed nanoseconds on drop. With the recorder disarmed it
+            // reads no clock: one load and a branch.
             let _op_timing = oppsla_obs::op_timer(match op {
                 InferOp::Conv2d { .. } => oppsla_obs::OpKind::Conv,
                 InferOp::Linear { .. } => oppsla_obs::OpKind::Linear,

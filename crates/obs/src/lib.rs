@@ -9,24 +9,25 @@
 //!
 //! # Design
 //!
-//! * **Feature-gated.** Everything records through free functions
-//!   ([`count`], [`observe_image_queries`], [`op_timer`], …) that are inert
-//!   inline no-ops unless the `telemetry` cargo feature is enabled. The
-//!   query hot path therefore pays nothing — not even an `Instant::now()`
-//!   — in a default build, which the counting-allocator and A/B-diff
-//!   harnesses verify.
-//! * **Lock-free thread-local recorder.** With `telemetry` on, increments
-//!   go to plain thread-local cells (no atomics, no locks on the hot
-//!   path). Each thread's cells are merged into global atomic totals when
-//!   the thread exits — before a scoped-thread join returns — or on an
+//! * **Compiled in, armed at run time.** Everything records through free
+//!   functions ([`count`], [`observe_image_queries`], [`op_timer`], …)
+//!   that do nothing until [`arm`] is called. A disarmed hook is one
+//!   relaxed atomic load and a branch — no clock read, no thread-local
+//!   access — and the armed work sits in cold out-of-line functions, so
+//!   the query hot loops keep their code. `forward_bench` measures the
+//!   disarmed hook cost and CI gates it. The experiment binaries arm the
+//!   recorder for `--telemetry PATH`, and [`trace::start`] arms it too.
+//! * **Lock-free thread-local recorder.** Once armed, increments go to
+//!   plain thread-local cells (no atomics, no locks on the hot path).
+//!   Each thread's cells are merged into global atomic totals when the
+//!   thread exits — before a scoped-thread join returns — or on an
 //!   explicit [`flush`]. Totals are sums of non-negative integers, so the
 //!   merged [`Snapshot`] is identical for any thread count and schedule;
 //!   only the (stderr/JSONL-only) wall-clock timings are nondeterministic.
 //! * **Sinks.** A [`Snapshot`] can be rendered as a human summary or
 //!   emitted as one JSONL event through a [`MetricsSink`] (the experiment
-//!   binaries' `--telemetry out.jsonl`). [`Snapshot`] and the sinks exist
-//!   in both builds, so binaries need no `cfg` at call sites: with the
-//!   feature off they simply observe zeros and `telemetry_enabled: false`.
+//!   binaries' `--telemetry out.jsonl`). While disarmed, snapshots stay
+//!   all-zero.
 
 #![warn(missing_docs)]
 
@@ -34,6 +35,7 @@ use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
+use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 
 pub mod metrics;
 pub mod trace;
@@ -194,16 +196,34 @@ pub fn query_hist_bounds(bucket: usize) -> (u64, u64) {
     }
 }
 
-/// Whether this build records telemetry (`telemetry` cargo feature).
-pub const fn enabled() -> bool {
-    cfg!(feature = "telemetry")
+/// Whether the recorder is armed: while it is not, every recording hook
+/// returns after one relaxed load.
+static ARMED: AtomicBool = AtomicBool::new(false);
+
+/// Arms the recorder: from now on the hooks record on every thread.
+pub fn arm() {
+    ARMED.store(true, Relaxed);
 }
 
-#[cfg(feature = "telemetry")]
+/// Disarms the recorder. Totals recorded so far are kept.
+pub fn disarm() {
+    ARMED.store(false, Relaxed);
+}
+
+/// Whether the recorder is armed ([`arm`] without a later [`disarm`]).
+#[inline(always)]
+pub fn armed() -> bool {
+    ARMED.load(Relaxed)
+}
+
+/// The recorder's buffers and totals, and the armed half of every hook,
+/// out of line: a disarmed hook inlines to a load and a branch over a
+/// call.
 mod recorder {
-    use super::{Counter, OpKind, Snapshot, QUERY_HIST_BUCKETS};
+    use super::{query_hist_bucket, Counter, OpKind, Snapshot, QUERY_HIST_BUCKETS};
     use std::cell::Cell;
     use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+    use std::time::Instant;
 
     /// Global totals, merged from per-thread recorders.
     struct Globals {
@@ -265,7 +285,8 @@ mod recorder {
         };
     }
 
-    #[inline]
+    #[cold]
+    #[inline(never)]
     pub(super) fn count_n(c: Counter, n: u64) {
         TLS.with(|t| {
             let cell = &t.counters[c as usize];
@@ -273,8 +294,16 @@ mod recorder {
         });
     }
 
-    #[inline]
-    pub(super) fn record_op(kind: OpKind, ns: u64) {
+    #[cold]
+    #[inline(never)]
+    pub(super) fn start_op() -> Instant {
+        Instant::now()
+    }
+
+    #[cold]
+    #[inline(never)]
+    pub(super) fn record_op(kind: OpKind, start: Instant) {
+        let ns = start.elapsed().as_nanos() as u64;
         TLS.with(|t| {
             let sum = &t.op_ns[kind as usize];
             sum.set(sum.get() + ns);
@@ -283,10 +312,11 @@ mod recorder {
         });
     }
 
-    #[inline]
-    pub(super) fn observe_hist(bucket: usize) {
+    #[cold]
+    #[inline(never)]
+    pub(super) fn observe_image_queries(queries: u64) {
         TLS.with(|t| {
-            let cell = &t.hist[bucket];
+            let cell = &t.hist[query_hist_bucket(queries)];
             cell.set(cell.get() + 1);
         });
     }
@@ -351,51 +381,44 @@ pub fn count(c: Counter) {
 /// Increments `c` by `n`.
 #[inline(always)]
 pub fn count_n(c: Counter, n: u64) {
-    #[cfg(feature = "telemetry")]
-    recorder::count_n(c, n);
-    #[cfg(not(feature = "telemetry"))]
-    let _ = (c, n);
+    if armed() {
+        recorder::count_n(c, n);
+    }
 }
 
 /// Records one finished attack run's per-image query count into the
 /// distribution histogram.
 #[inline(always)]
 pub fn observe_image_queries(queries: u64) {
-    #[cfg(feature = "telemetry")]
-    recorder::observe_hist(query_hist_bucket(queries));
-    #[cfg(not(feature = "telemetry"))]
-    let _ = queries;
+    if armed() {
+        recorder::observe_image_queries(queries);
+    }
 }
 
 /// A timing guard for one forward-pass op: records elapsed nanoseconds
-/// (and one call) against its [`OpKind`] when dropped. With telemetry off
-/// it is a zero-sized no-op — no clock is read.
+/// (and one call) against its [`OpKind`] when dropped. Started while the
+/// recorder is disarmed it reads no clock and records nothing.
 #[must_use = "the timer records on drop; bind it for the op's duration"]
 pub struct OpTimer {
-    #[cfg(feature = "telemetry")]
     kind: OpKind,
-    #[cfg(feature = "telemetry")]
-    start: std::time::Instant,
+    start: Option<std::time::Instant>,
 }
 
 /// Starts an [`OpTimer`] for `kind`.
 #[inline(always)]
 pub fn op_timer(kind: OpKind) -> OpTimer {
-    #[cfg(not(feature = "telemetry"))]
-    let _ = kind;
     OpTimer {
-        #[cfg(feature = "telemetry")]
         kind,
-        #[cfg(feature = "telemetry")]
-        start: std::time::Instant::now(),
+        start: armed().then(recorder::start_op),
     }
 }
 
 impl Drop for OpTimer {
     #[inline(always)]
     fn drop(&mut self) {
-        #[cfg(feature = "telemetry")]
-        recorder::record_op(self.kind, self.start.elapsed().as_nanos() as u64);
+        if let Some(start) = self.start {
+            recorder::record_op(self.kind, start);
+        }
     }
 }
 
@@ -403,24 +426,19 @@ impl Drop for OpTimer {
 /// Worker threads flush automatically on exit; call this on long-lived
 /// threads before reading a [`snapshot`] elsewhere.
 pub fn flush() {
-    #[cfg(feature = "telemetry")]
     recorder::flush();
 }
 
 /// Flushes the calling thread and returns the current global totals.
-/// All-zero when telemetry is off.
+/// All-zero when the recorder was never armed.
 pub fn snapshot() -> Snapshot {
-    #[cfg(feature = "telemetry")]
-    return recorder::snapshot();
-    #[cfg(not(feature = "telemetry"))]
-    Snapshot::zero()
+    recorder::snapshot()
 }
 
 /// Zeroes the calling thread's buffers and the global totals. Meant for
 /// single-threaded harnesses; concurrent recorders on other threads are
 /// not reset. Prefer [`Snapshot::since`] deltas where possible.
 pub fn reset() {
-    #[cfg(feature = "telemetry")]
     recorder::reset();
 }
 
@@ -509,7 +527,7 @@ impl Snapshot {
         self.query_hist.iter().sum()
     }
 
-    /// True when nothing was recorded (e.g. telemetry is off).
+    /// True when nothing was recorded (e.g. the recorder was never armed).
     pub fn is_zero(&self) -> bool {
         *self == Snapshot::zero()
     }
@@ -519,7 +537,7 @@ impl Snapshot {
     /// are wall-clock and vary run to run — keep this off stdout).
     pub fn summary(&self) -> String {
         let mut s = String::new();
-        let _ = writeln!(s, "telemetry (enabled: {})", enabled());
+        let _ = writeln!(s, "telemetry");
         for c in Counter::ALL {
             if self.get(c) != 0 {
                 let _ = writeln!(s, "  {:<24} {}", c.name(), self.get(c));
@@ -767,8 +785,8 @@ impl<W: Write> MetricsSink for JsonlSink<W> {
     }
 }
 
-/// Emits `snap` as one event: `labels` first, then `telemetry_enabled`,
-/// every non-zero counter by name, the delta-cache hit rate, non-empty
+/// Emits `snap` as one event: `labels` first, then every non-zero
+/// counter by name, the delta-cache hit rate, non-empty
 /// histogram buckets (`qhist_<lo>`), and per-op timing sums.
 pub fn emit_snapshot(
     sink: &mut dyn MetricsSink,
@@ -777,7 +795,6 @@ pub fn emit_snapshot(
     snap: &Snapshot,
 ) {
     let mut fields: Vec<(&str, FieldValue)> = labels.to_vec();
-    fields.push(("telemetry_enabled", FieldValue::Bool(enabled())));
     for c in Counter::ALL {
         if snap.get(c) != 0 {
             fields.push((c.name(), FieldValue::U64(snap.get(c))));
@@ -1063,24 +1080,34 @@ mod tests {
         assert!(snap.summary().contains("[4, 8)  1"));
     }
 
-    #[cfg(not(feature = "telemetry"))]
+    /// The recorder is process-global: tests that arm or disarm it (here
+    /// and in [`trace`]'s tests) hold this lock.
+    pub(crate) fn lock() -> std::sync::MutexGuard<'static, ()> {
+        static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        GATE.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
-    fn disabled_build_records_nothing() {
+    fn disarmed_recorder_records_nothing() {
+        let _g = lock();
+        disarm();
+        let before = snapshot();
         count(Counter::QueryBaseline);
         count_n(Counter::QueryRefine, 10);
         observe_image_queries(7);
-        let _t = op_timer(OpKind::Conv);
-        drop(_t);
+        let t = op_timer(OpKind::Conv);
+        assert!(t.start.is_none(), "a disarmed timer reads no clock");
+        drop(t);
         flush();
-        assert!(snapshot().is_zero());
-        assert!(!enabled());
+        assert_eq!(snapshot(), before);
+        assert!(!armed());
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
-    fn enabled_build_counts_and_flushes() {
-        // Other tests in this process may record concurrently; assert on
-        // deltas of counters this test owns exclusively.
+    fn armed_recorder_counts_and_flushes() {
+        let _g = lock();
+        arm();
+        // Assert on deltas of counters this test owns exclusively.
         let before = snapshot();
         count(Counter::WeightCacheCorrupt);
         count_n(Counter::WeightCacheCorrupt, 4);
@@ -1089,13 +1116,12 @@ mod tests {
             let _t = op_timer(OpKind::CopySeg);
         }
         let delta = snapshot().since(&before);
+        disarm();
         assert_eq!(delta.get(Counter::WeightCacheCorrupt), 5);
         assert_eq!(delta.query_hist[4], 1);
         assert_eq!(delta.op_calls[OpKind::CopySeg as usize], 1);
-        assert!(enabled());
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn worker_threads_merge_on_join() {
         // Native join waits for full thread termination, TLS destructors
@@ -1103,6 +1129,8 @@ mod tests {
         // completion signal fires when the closure returns, possibly
         // before destructors — which is why `parallel_map_with` workers
         // flush explicitly instead of relying on the Drop merge.)
+        let _g = lock();
+        arm();
         let before = snapshot();
         let workers: Vec<_> = (0..4)
             .map(|_| {
@@ -1117,6 +1145,7 @@ mod tests {
             worker.join().unwrap();
         }
         let delta = snapshot().since(&before);
+        disarm();
         assert_eq!(delta.get(Counter::SynthAccepted), 400);
     }
 }

@@ -1,7 +1,7 @@
 //! A lock-light live metrics registry for long-running processes.
 //!
-//! Unlike the feature-gated offline telemetry in the crate root (flushed
-//! to JSONL after a run), these instruments are *always compiled* and
+//! Unlike the run-time-armed offline telemetry in the crate root (flushed
+//! to JSONL after a run), these instruments *always record* and are
 //! meant to be read while the process serves traffic: the attack server
 //! threads them through its admission gate and job path, and exposes
 //! the registry through a `Stats` protocol frame and a Prometheus-style

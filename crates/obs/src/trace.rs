@@ -12,11 +12,12 @@
 //!
 //! # Design
 //!
-//! * **Feature-gated and runtime-armed.** The hooks compile to inert
-//!   inline no-ops without the `trace` cargo feature (0 ns on the query
-//!   hot path, verified by `forward_bench`). With the feature on they
-//!   still cost one relaxed atomic load until [`start`] arms the
-//!   recorder.
+//! * **Compiled in, armed at run time.** Until [`start`] arms the
+//!   recorder, each hook is one relaxed atomic load and a branch; the
+//!   recording itself is out of line and cold, so the query hot loops
+//!   keep their code (`forward_bench` measures the disarmed cost, CI
+//!   gates it). [`start`] also arms the telemetry recorder (the crate
+//!   root), whose op totals the trace's closing `ops` records read.
 //! * **TLS buffers, global merge.** Like the counters, records accumulate
 //!   in a per-thread buffer (no locks on the hot path beyond an amortized
 //!   flush every [`TLS_BUF_CAP`] records) and merge into a process-global
@@ -35,19 +36,10 @@
 //!   carry a global emission sequence. File line order depends on worker
 //!   scheduling, but sorting by [`Record::canonical_key`] yields a
 //!   byte-identical stream for any `--threads` value.
-//!
-//! The record types and JSONL codec below are compiled unconditionally so
-//! `trace_replay` / `trace_report` work in any build; only the recorder
-//! statics are feature-gated.
 
 use std::fmt::Write as _;
 use std::io;
 use std::path::PathBuf;
-
-/// Whether this build can record traces (`trace` cargo feature).
-pub const fn enabled() -> bool {
-    cfg!(feature = "trace")
-}
 
 /// Records flushed from a thread-local buffer to the global sink per
 /// batch; bounds per-thread memory and amortizes the sink lock.
@@ -61,7 +53,7 @@ pub const NO_PIXEL: u32 = u32::MAX;
 pub const END_SECTION: u32 = u32::MAX;
 
 // ---------------------------------------------------------------------------
-// Record types (compiled unconditionally).
+// Record types.
 // ---------------------------------------------------------------------------
 
 /// One trace record: a canonical address plus a kind-specific body.
@@ -814,7 +806,8 @@ pub struct SectionMeta {
     pub attack_seed: u64,
 }
 
-#[cfg(feature = "trace")]
+/// The recorder's state, and the armed half of every per-query hook, out
+/// of line: a disarmed hook inlines to a load and a branch over a call.
 mod rec {
     use super::{Body, Record, TraceStats, TLS_BUF_CAP};
     use std::cell::{Cell, RefCell};
@@ -945,6 +938,8 @@ mod rec {
     }
 
     /// Appends a per-image (lane 1) record on the calling worker.
+    #[cold]
+    #[inline(never)]
     pub(super) fn push_image_event(body: Body) {
         let _ = TLS.try_with(|t| {
             let rec = Record {
@@ -973,6 +968,8 @@ mod rec {
         });
     }
 
+    #[cold]
+    #[inline(never)]
     pub(super) fn set_image(image: u32) {
         let _ = TLS.try_with(|t| {
             t.image.set(image);
@@ -980,6 +977,8 @@ mod rec {
         });
     }
 
+    #[cold]
+    #[inline(never)]
     pub(super) fn set_route(route: u8) {
         let _ = TLS.try_with(|t| {
             t.route.set(route);
@@ -987,6 +986,8 @@ mod rec {
         });
     }
 
+    #[cold]
+    #[inline(never)]
     pub(super) fn set_cache(cache: u8) {
         let _ = TLS.try_with(|t| t.cache.set(cache));
     }
@@ -998,130 +999,111 @@ mod rec {
 }
 
 /// Whether a trace is currently being recorded ([`start`] without a
-/// matching [`finish`]). Always `false` without the `trace` feature.
+/// matching [`finish`]).
 #[inline(always)]
 pub fn armed() -> bool {
-    #[cfg(feature = "trace")]
-    return rec::ARMED.load(std::sync::atomic::Ordering::Relaxed);
-    #[cfg(not(feature = "trace"))]
-    false
+    rec::ARMED.load(std::sync::atomic::Ordering::Relaxed)
 }
 
-/// Arms the recorder. Any trace already being recorded is discarded.
-///
-/// With the `trace` feature off this is a no-op returning `Ok(())`;
-/// callers that need to surface the dead switch check [`enabled`].
+/// Arms the recorder, and the telemetry recorder with it: the closing
+/// `ops` records [`finish`] writes are its op totals. Any trace already
+/// being recorded is discarded.
 ///
 /// # Errors
 ///
 /// Propagates creation of the spill file.
 pub fn start(config: TraceConfig) -> io::Result<()> {
-    #[cfg(feature = "trace")]
-    {
-        use std::sync::atomic::Ordering::Relaxed;
-        let mode = match &config.path {
-            Some(path) => {
-                rec::SinkMode::File(std::io::BufWriter::new(std::fs::File::create(path)?))
-            }
-            None => rec::SinkMode::Mem(Vec::new()),
-        };
-        let mem_cap = if config.mem_cap == 0 {
-            1 << 20
-        } else {
-            config.mem_cap
-        };
-        *rec::lock_sink() = Some(rec::SinkState {
-            mode,
-            records: 0,
-            dropped: 0,
-            io_errors: 0,
-            mem_cap,
-        });
-        rec::SECTION.store(u32::MAX, Relaxed);
-        rec::ROUND.store(0, Relaxed);
-        rec::MAIN_SEQ.store(0, Relaxed);
-        rec::ARMED.store(true, Relaxed);
-    }
-    #[cfg(not(feature = "trace"))]
-    let _ = config;
+    use std::sync::atomic::Ordering::Relaxed;
+    let mode = match &config.path {
+        Some(path) => rec::SinkMode::File(std::io::BufWriter::new(std::fs::File::create(path)?)),
+        None => rec::SinkMode::Mem(Vec::new()),
+    };
+    let mem_cap = if config.mem_cap == 0 {
+        1 << 20
+    } else {
+        config.mem_cap
+    };
+    *rec::lock_sink() = Some(rec::SinkState {
+        mode,
+        records: 0,
+        dropped: 0,
+        io_errors: 0,
+        mem_cap,
+    });
+    rec::SECTION.store(u32::MAX, Relaxed);
+    rec::ROUND.store(0, Relaxed);
+    rec::MAIN_SEQ.store(0, Relaxed);
+    crate::arm();
+    rec::ARMED.store(true, Relaxed);
     Ok(())
 }
 
 /// Disarms the recorder, appends per-op timing records (from the
 /// telemetry totals) and a trailing [`Body::Summary`], flushes the spill
 /// file, and returns the final accounting. Worker threads must have
-/// joined (they flush their buffers on exit).
+/// joined (they flush their buffers on exit). The telemetry recorder
+/// stays armed.
 pub fn finish() -> TraceStats {
-    #[cfg(feature = "trace")]
-    {
-        use std::io::Write as _;
-        use std::sync::atomic::Ordering::Relaxed;
-        if !rec::ARMED.swap(false, Relaxed) {
-            return TraceStats::default();
-        }
-        rec::flush_tls();
-        let snap = crate::snapshot();
-        let mut guard = rec::lock_sink();
-        let Some(state) = guard.as_mut() else {
-            return TraceStats::default();
-        };
-        let mut end_sub = 0u64;
-        for kind in crate::OpKind::ALL {
-            let i = kind as usize;
-            if snap.op_calls[i] != 0 {
-                state.write(Record {
-                    section: END_SECTION,
-                    round: 0,
-                    lane: 0,
-                    image: 0,
-                    sub: end_sub,
-                    body: Body::Ops {
-                        op: kind.name().to_owned(),
-                        ns: snap.op_ns[i],
-                        calls: snap.op_calls[i],
-                    },
-                });
-                end_sub += 1;
-            }
-        }
-        let summary = Body::Summary {
-            records: state.records,
-            dropped: state.dropped,
-        };
-        state.write(Record {
-            section: END_SECTION,
-            round: 0,
-            lane: 0,
-            image: 0,
-            sub: end_sub,
-            body: summary,
-        });
-        if let rec::SinkMode::File(out) = &mut state.mode {
-            if out.flush().is_err() {
-                state.io_errors += 1;
-            }
-        }
-        state.stats()
+    use std::io::Write as _;
+    use std::sync::atomic::Ordering::Relaxed;
+    if !rec::ARMED.swap(false, Relaxed) {
+        return TraceStats::default();
     }
-    #[cfg(not(feature = "trace"))]
-    TraceStats::default()
+    rec::flush_tls();
+    let snap = crate::snapshot();
+    let mut guard = rec::lock_sink();
+    let Some(state) = guard.as_mut() else {
+        return TraceStats::default();
+    };
+    let mut end_sub = 0u64;
+    for kind in crate::OpKind::ALL {
+        let i = kind as usize;
+        if snap.op_calls[i] != 0 {
+            state.write(Record {
+                section: END_SECTION,
+                round: 0,
+                lane: 0,
+                image: 0,
+                sub: end_sub,
+                body: Body::Ops {
+                    op: kind.name().to_owned(),
+                    ns: snap.op_ns[i],
+                    calls: snap.op_calls[i],
+                },
+            });
+            end_sub += 1;
+        }
+    }
+    let summary = Body::Summary {
+        records: state.records,
+        dropped: state.dropped,
+    };
+    state.write(Record {
+        section: END_SECTION,
+        round: 0,
+        lane: 0,
+        image: 0,
+        sub: end_sub,
+        body: summary,
+    });
+    if let rec::SinkMode::File(out) = &mut state.mode {
+        if out.flush().is_err() {
+            state.io_errors += 1;
+        }
+    }
+    state.stats()
 }
 
 /// Takes the in-memory record stream (for tests; empty when [`start`]
 /// spilled to a file or was never called).
 pub fn drain_records() -> Vec<Record> {
-    #[cfg(feature = "trace")]
-    {
-        rec::flush_tls();
-        let mut guard = rec::lock_sink();
-        if let Some(state) = guard.as_mut() {
-            if let rec::SinkMode::Mem(buf) = &mut state.mode {
-                return std::mem::take(buf);
-            }
+    rec::flush_tls();
+    let mut guard = rec::lock_sink();
+    if let Some(state) = guard.as_mut() {
+        if let rec::SinkMode::Mem(buf) = &mut state.mode {
+            return std::mem::take(buf);
         }
-        Vec::new()
     }
-    #[cfg(not(feature = "trace"))]
     Vec::new()
 }
 
@@ -1131,7 +1113,6 @@ pub fn drain_records() -> Vec<Record> {
 #[inline]
 pub fn flush() {
     // Flush even when disarmed mid-run so buffers never go stale.
-    #[cfg(feature = "trace")]
     rec::flush_tls();
 }
 
@@ -1141,51 +1122,38 @@ pub fn begin_section(meta: SectionMeta) {
     if !armed() {
         return;
     }
-    #[cfg(feature = "trace")]
-    {
-        use std::sync::atomic::Ordering::Relaxed;
-        rec::SECTION.fetch_add(1, Relaxed); // u32::MAX wraps to 0 first.
-        rec::ROUND.store(0, Relaxed);
-        rec::push_meta(Body::Section {
-            label: meta.label,
-            scale: meta.scale,
-            arch: meta.arch,
-            set: meta.set,
-            per_class: meta.per_class,
-            set_seed: meta.set_seed,
-            budget: meta.budget,
-            attack: meta.attack,
-            attack_seed: meta.attack_seed,
-        });
-    }
-    #[cfg(not(feature = "trace"))]
-    let _ = meta;
+    use std::sync::atomic::Ordering::Relaxed;
+    rec::SECTION.fetch_add(1, Relaxed); // u32::MAX wraps to 0 first.
+    rec::ROUND.store(0, Relaxed);
+    rec::push_meta(Body::Section {
+        label: meta.label,
+        scale: meta.scale,
+        arch: meta.arch,
+        set: meta.set,
+        per_class: meta.per_class,
+        set_seed: meta.set_seed,
+        budget: meta.budget,
+        attack: meta.attack,
+        attack_seed: meta.attack_seed,
+    });
 }
 
 /// Narrows the current section's image set to one class (on the
 /// coordinating thread).
 pub fn begin_class(class: u32) {
-    if !armed() {
-        return;
+    if armed() {
+        rec::push_meta(Body::Class { class });
     }
-    #[cfg(feature = "trace")]
-    rec::push_meta(Body::Class { class });
-    #[cfg(not(feature = "trace"))]
-    let _ = class;
 }
 
 /// Records a prefilter narrowing: subsequent sweeps index into `kept`
 /// (on the coordinating thread).
 pub fn record_filter(kept: &[usize]) {
-    if !armed() {
-        return;
+    if armed() {
+        rec::push_meta(Body::Filter {
+            kept: kept.iter().map(|&k| k as u32).collect(),
+        });
     }
-    #[cfg(feature = "trace")]
-    rec::push_meta(Body::Filter {
-        kept: kept.iter().map(|&k| k as u32).collect(),
-    });
-    #[cfg(not(feature = "trace"))]
-    let _ = kept;
 }
 
 /// Starts an evaluation sweep (on the coordinating thread, before the
@@ -1194,78 +1162,55 @@ pub fn begin_sweep(sweep: &str, n: usize, program: &str) {
     if !armed() {
         return;
     }
-    #[cfg(feature = "trace")]
-    {
-        use std::sync::atomic::Ordering::Relaxed;
-        rec::ROUND.fetch_add(1, Relaxed);
-        rec::push_meta(Body::Sweep {
-            sweep: sweep.to_owned(),
-            n: n as u32,
-            program: program.to_owned(),
-        });
-    }
-    #[cfg(not(feature = "trace"))]
-    let _ = (sweep, n, program);
+    rec::ROUND.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    rec::push_meta(Body::Sweep {
+        sweep: sweep.to_owned(),
+        n: n as u32,
+        program: program.to_owned(),
+    });
 }
 
 /// Records one Metropolis–Hastings step (on the coordinating thread,
 /// after the proposal's evaluation sweep).
 pub fn record_synth(step: usize, program: &str, score: f64, accepted: bool) {
-    if !armed() {
-        return;
+    if armed() {
+        rec::push_meta(Body::Synth {
+            step: step as u32,
+            program: program.to_owned(),
+            score,
+            accepted,
+        });
     }
-    #[cfg(feature = "trace")]
-    rec::push_meta(Body::Synth {
-        step: step as u32,
-        program: program.to_owned(),
-        score,
-        accepted,
-    });
-    #[cfg(not(feature = "trace"))]
-    let _ = (step, program, score, accepted);
 }
 
 /// Binds the calling worker to image `image` of the current sweep and
 /// resets its per-run record counter. Call at the top of each per-item
 /// closure.
-#[inline]
+#[inline(always)]
 pub fn set_image(image: usize) {
-    if !armed() {
-        return;
+    if armed() {
+        rec::set_image(image as u32);
     }
-    #[cfg(feature = "trace")]
-    rec::set_image(image as u32);
-    #[cfg(not(feature = "trace"))]
-    let _ = image;
 }
 
 /// Tags the in-flight query's oracle routing (clears any stale cache
 /// tag). Called by `core::oracle` at the top of each counted query.
-#[inline]
+#[inline(always)]
 pub fn tag_route(route: RouteTag) {
-    if !armed() {
-        return;
+    if armed() {
+        rec::set_route(route as u8 + 1);
     }
-    #[cfg(feature = "trace")]
-    rec::set_route(route as u8 + 1);
-    #[cfg(not(feature = "trace"))]
-    let _ = route;
 }
 
 /// Tags the in-flight query's delta-cache classification. Called by the
 /// inference engine when a single-image incremental forward runs.
-#[inline]
+#[inline(always)]
 pub fn tag_cache(cache: CacheTag) {
-    if !armed() {
-        return;
+    if armed() {
+        rec::set_cache(cache as u8 + 1);
     }
-    #[cfg(feature = "trace")]
-    rec::set_cache(cache as u8 + 1);
-    #[cfg(not(feature = "trace"))]
-    let _ = cache;
 }
 
-#[cfg(feature = "trace")]
 fn route_name(tag: u8) -> &'static str {
     match tag {
         0 => "none",
@@ -1279,7 +1224,6 @@ fn route_name(tag: u8) -> &'static str {
     }
 }
 
-#[cfg(feature = "trace")]
 fn cache_name(tag: u8) -> &'static str {
     match tag {
         0 => "none",
@@ -1291,61 +1235,59 @@ fn cache_name(tag: u8) -> &'static str {
 
 /// Records one oracle query (on the worker that issued it), joining in
 /// the pending route/cache tags.
-#[inline]
+#[inline(always)]
 pub fn record_query(info: QueryInfo) {
-    if !armed() {
-        return;
+    if armed() {
+        push_query(info);
     }
-    #[cfg(feature = "trace")]
-    {
-        let (route, cache) = rec::take_tags();
-        let (row, col, rgb) = match info.pixel {
-            Some((row, col, rgb)) => (row, col, rgb),
-            None => (NO_PIXEL, NO_PIXEL, [0.0, 0.0, 0.0]),
-        };
-        rec::push_image_event(Body::Query {
-            phase: info.phase.to_owned(),
-            route: route_name(route).to_owned(),
-            cache: cache_name(cache).to_owned(),
-            seq: info.seq,
-            row,
-            col,
-            r: rgb[0],
-            g: rgb[1],
-            b: rgb[2],
-            margin: info.margin,
-            pred: info.pred,
-            flip: info.flip,
-        });
-    }
-    #[cfg(not(feature = "trace"))]
-    let _ = info;
+}
+
+#[cold]
+#[inline(never)]
+fn push_query(info: QueryInfo) {
+    let (route, cache) = rec::take_tags();
+    let (row, col, rgb) = match info.pixel {
+        Some((row, col, rgb)) => (row, col, rgb),
+        None => (NO_PIXEL, NO_PIXEL, [0.0, 0.0, 0.0]),
+    };
+    rec::push_image_event(Body::Query {
+        phase: info.phase.to_owned(),
+        route: route_name(route).to_owned(),
+        cache: cache_name(cache).to_owned(),
+        seq: info.seq,
+        row,
+        col,
+        r: rgb[0],
+        g: rgb[1],
+        b: rgb[2],
+        margin: info.margin,
+        pred: info.pred,
+        flip: info.flip,
+    });
 }
 
 /// Records a synthesized-condition firing (`b1`..`b4`) on the worker.
-#[inline]
+#[inline(always)]
 pub fn record_cond(cond: &'static str) {
-    if !armed() {
-        return;
+    if armed() {
+        push_cond(cond);
     }
-    #[cfg(feature = "trace")]
+}
+
+#[cold]
+#[inline(never)]
+fn push_cond(cond: &'static str) {
     rec::push_image_event(Body::Cond {
         cond: cond.to_owned(),
     });
-    #[cfg(not(feature = "trace"))]
-    let _ = cond;
 }
 
 /// Records a finished per-image attack run (on the worker).
-#[inline]
+#[inline(always)]
 pub fn record_run(queries: u64, success: bool) {
-    if !armed() {
-        return;
+    if armed() {
+        rec::push_image_event(Body::Run { queries, success });
     }
-    #[cfg(feature = "trace")]
-    rec::push_image_event(Body::Run { queries, success });
-    #[cfg(not(feature = "trace"))]
-    let _ = (queries, success);
 }
 
 #[cfg(test)]
@@ -1582,11 +1524,11 @@ mod tests {
         );
     }
 
-    #[cfg(not(feature = "trace"))]
     #[test]
-    fn disabled_build_is_inert() {
-        assert!(!enabled());
-        start(TraceConfig::default()).unwrap();
+    fn disarmed_trace_is_inert() {
+        let _g = crate::tests::lock();
+        finish();
+        drain_records();
         assert!(!armed());
         begin_section(SectionMeta::default());
         begin_sweep("eval", 3, "");
@@ -1605,18 +1547,9 @@ mod tests {
         assert!(drain_records().is_empty());
     }
 
-    #[cfg(feature = "trace")]
     mod armed {
         use super::super::*;
-        use std::sync::{Mutex, OnceLock};
-
-        /// The recorder is process-global; serialize tests that arm it.
-        fn lock() -> std::sync::MutexGuard<'static, ()> {
-            static GATE: OnceLock<Mutex<()>> = OnceLock::new();
-            GATE.get_or_init(|| Mutex::new(()))
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-        }
+        use crate::tests::lock;
 
         fn record_one_run(image: usize, queries: u64) {
             set_image(image);

@@ -21,7 +21,7 @@
 //! final metrics snapshot to stderr, so a scripted run keeps the closing
 //! counters even if nothing scraped them.
 
-use oppsla_server::cli::Args;
+use oppsla_eval::cli::Args;
 use oppsla_server::server::{Server, ServerConfig};
 
 fn main() {

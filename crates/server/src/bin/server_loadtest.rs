@@ -40,7 +40,7 @@
 use oppsla_attacks::{Attack, SketchProgramAttack};
 use oppsla_core::dsl::Program;
 use oppsla_core::oracle::{BatchClassifier, Oracle};
-use oppsla_server::cli::Args;
+use oppsla_eval::cli::Args;
 use oppsla_server::protocol::{
     read_frame, write_frame, ImageSpec, JobOutcome, JobRequest, Request, Response,
 };
@@ -512,11 +512,6 @@ fn main() {
 
     server.request_shutdown();
     drop(server);
-    #[cfg(feature = "telemetry")]
-    {
-        let snap = oppsla_core::telemetry::snapshot();
-        eprintln!("server_loadtest telemetry: {}", snap.summary());
-    }
     if !determinism_ok {
         eprintln!("server_loadtest: determinism check FAILED");
         std::process::exit(1);

@@ -12,7 +12,7 @@
 //! `--no-clear` appends frames instead of redrawing in place (for logs
 //! and CI). Exits nonzero when the daemon is unreachable.
 
-use oppsla_server::cli::Args;
+use oppsla_eval::cli::Args;
 use oppsla_server::protocol::{read_frame, write_frame, Request, Response, StatsReport};
 use std::net::TcpStream;
 

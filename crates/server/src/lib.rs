@@ -16,7 +16,6 @@
 //!   itself, and the query-log digest that witnesses determinism.
 //! * [`server`] — the TCP daemon: accept loop, per-connection framing,
 //!   bounded admission control (the one bound on concurrent compute).
-//! * [`cli`] — the tiny `--key value` parser the binaries share.
 //!
 //! The `oppsla_serverd` binary runs the daemon; `server_loadtest` boots
 //! one in-process, replays synthetic multi-tenant traffic against it,
@@ -24,7 +23,6 @@
 
 #![warn(missing_docs)]
 
-pub mod cli;
 pub mod metrics;
 pub mod metrics_http;
 pub mod protocol;

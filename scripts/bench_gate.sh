@@ -34,7 +34,8 @@
 # The reports are the one-row-per-line JSON emitted by the bench
 # binaries; parsing sticks to POSIX awk so the gate runs anywhere sh
 # does. Fields the gate does not know about are ignored: a report from a
-# newer binary may carry extra fields, and a report *missing* an
+# newer binary may carry extra fields (older ones carry stale
+# telemetry_enabled/trace_enabled flags), and a report *missing* an
 # optional field the gate can check (like trace_hook_ns_per_op) warns
 # instead of failing — older binaries' reports stay gateable.
 set -eu
@@ -71,20 +72,51 @@ base=$2
 [ -r "$new" ] || { echo "bench_gate: cannot read $new" >&2; exit 2; }
 [ -r "$base" ] || { echo "bench_gate: cannot read $base" >&2; exit 2; }
 
-# Zero-cost-when-off gate for the trace hooks: a forward report built
-# without the `trace` feature must report the disarmed query hook as an
-# exact 0.0 ns — anything else means the hooks stopped compiling out.
-# The field is optional (older binaries never wrote it): a report that
-# does not carry it at all only warns, so the gate keeps working on
-# reports from binaries that predate — or postdate — the field.
-if grep -q '"trace_enabled": false' "$new"; then
-    if ! grep -q '"trace_hook_ns_per_op"' "$new"; then
-        echo "warn     $new has trace_enabled: false but no trace_hook_ns_per_op field (optional; skipping the zero-cost check)"
-    elif ! grep -q '"trace_hook_ns_per_op": 0.0' "$new"; then
-        echo "FAIL     trace feature is off but trace_hook_ns_per_op is nonzero in $new" >&2
-        exit 1
-    fi
-fi
+# Disarmed-hook cost gate. Every build carries the telemetry and trace
+# hooks on the query path, disarmed unless --telemetry or --trace arms
+# them, so a forward report (one with engine_ns_per_query rows) FAILS
+# when its telemetry_hook_ns_per_op or trace_hook_ns_per_op exceeds 0.1%
+# of its smallest engine_ns_per_query. The fields are optional (older
+# binaries never wrote them): a forward report without one only warns,
+# so the gate keeps working on reports from binaries that predate — or
+# postdate — the field. Reports without engine rows are not checked.
+awk -v file="$new" '
+function num(line, name,    tmp) {
+    tmp = line
+    if (!sub(".*\"" name "\": *", "", tmp)) return ""
+    sub(/[^-0-9.eE+].*/, "", tmp)
+    return tmp
+}
+{
+    v = num($0, "engine_ns_per_query")
+    if (v != "" && (cheapest == "" || v + 0 < cheapest + 0)) cheapest = v
+    for (i = 1; i <= 2; i++) {
+        v = num($0, hooks[i])
+        if (v != "") hook[hooks[i]] = v
+    }
+}
+BEGIN {
+    hooks[1] = "telemetry_hook_ns_per_op"
+    hooks[2] = "trace_hook_ns_per_op"
+}
+END {
+    if (cheapest == "") exit 0
+    bound = cheapest / 1000
+    status = 0
+    for (i = 1; i <= 2; i++) {
+        n = hooks[i]
+        if (!(n in hook)) {
+            printf "warn     %s has no %s field (optional; skipping its cost check)\n", file, n
+        } else if (hook[n] + 0 > bound) {
+            printf "FAIL     %s = %s ns exceeds 0.1%% of the cheapest forward (%.2f ns of %s ns) in %s\n", n, hook[n], bound, cheapest, file
+            status = 1
+        } else {
+            printf "ok       %s = %s ns (bound %.2f ns, 0.1%% of %s ns)\n", n, hook[n], bound, cheapest
+        }
+    }
+    exit status
+}
+' "$new" || exit 1
 
 awk -v newfile="$new" -v basefile="$base" -v require="$require" -v maxreg="$maxreg" '
 function extract(line, field,    tmp) {

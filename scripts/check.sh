@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # The full local gate: formatting, release build (including the
-# examples), test suite (once per feature set), and clippy with warnings
-# denied.
+# examples), test suite, and clippy with warnings denied. There is one
+# build configuration: telemetry and tracing are compiled in and armed
+# at run time, so one test pass covers them.
 #
 # Formatting and clippy are scoped to the oppsla crates: the vendored
 # stubs under vendor/ are workspace members but not ours to lint.
@@ -28,22 +29,9 @@ cargo test -q --offline --manifest-path e2ebench/Cargo.toml
 # thrown: this covers the env-var resolution path the in-process
 # force_simd_level tests cannot reach.
 OPPSLA_NO_SIMD=1 cargo test -q -p oppsla-tensor -p oppsla-nn -p oppsla
-# The telemetry feature is additive but changes what is compiled in, so
-# the instrumented crates get their own test pass. Per-package (not
-# --workspace): the vendored stubs have no such feature.
-cargo test -q -p oppsla-obs -p oppsla-core -p oppsla-nn -p oppsla-attacks \
-    -p oppsla-eval -p oppsla-bench -p oppsla-server --features telemetry
-# Same again for the trace feature (additive over telemetry): the
-# per-query recorder, its hooks in core/nn/attacks/eval, and the
-# thread-count-invariance test only compile under it.
-cargo test -q -p oppsla-obs -p oppsla-core -p oppsla-nn -p oppsla-attacks \
-    -p oppsla-eval -p oppsla-bench -p oppsla-server --features trace
 # The bench-gate self-test is pure shell; it runs in milliseconds.
 sh scripts/test_bench_gate.sh
 # One clippy pass over every target (lib, bins, tests, benches,
-# examples) with `trace` (which implies `telemetry`) enabled, so warnings
-# in feature-gated code are also denied.
-cargo clippy $OPPSLA_PKGS --all-targets \
-    --features oppsla-obs/trace,oppsla-core/trace,oppsla-nn/trace,oppsla-attacks/trace,oppsla-eval/trace,oppsla-bench/trace,oppsla-server/trace \
-    -- -D warnings
+# examples).
+cargo clippy $OPPSLA_PKGS --all-targets -- -D warnings
 echo "check.sh: all green"

@@ -7,20 +7,18 @@
 # Trained models and synthesized program suites are cached under
 # target/oppsla-models/ and target/oppsla-programs/, so reruns are fast.
 #
-# Set OPPSLA_TELEMETRY=1 to build with the telemetry feature and collect
+# Set OPPSLA_TELEMETRY=1 to pass --telemetry to every binary and collect
 # per-phase counter events as target/oppsla-reports/<exp>.telemetry.jsonl.
 # Telemetry writes only to those files and stderr — the stdout captured in
 # logs/ is byte-identical either way.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-FEATURES=()
 if [ "${OPPSLA_TELEMETRY:-0}" = "1" ]; then
-    FEATURES=(--features telemetry)
     mkdir -p target/oppsla-reports
 fi
 
-cargo build --release -p oppsla-bench "${FEATURES[@]}"
+cargo build --release -p oppsla-bench
 
 mkdir -p logs
 for exp in fig3 table1 fig4 table2; do

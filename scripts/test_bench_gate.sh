@@ -1,9 +1,10 @@
 #!/usr/bin/env sh
 # Self-test for scripts/bench_gate.sh, exercising it on synthetic
-# reports. Covers the pass/warn/fail paths the CI jobs rely on, and in
-# particular the forward-compat contract: a report missing an *optional*
-# field (trace_hook_ns_per_op) must WARN, not fail — reports written by
-# binaries from before or after the field was introduced stay gateable.
+# reports. Covers the pass/warn/fail paths the CI jobs rely on: the
+# disarmed-hook cost bound, and the forward-compat contract that a
+# report missing an *optional* field (trace_hook_ns_per_op) must WARN,
+# not fail — reports written by binaries from before or after the field
+# was introduced stay gateable.
 #
 # Usage: scripts/test_bench_gate.sh   (exit 0 iff every case behaves)
 set -eu
@@ -92,17 +93,35 @@ expect "server per-tenant latency fields are ignored" 0 \
 expect_grep "latency fields never become compared metrics" \
     "geometric mean of 1 speedup" "$tmp/tenantlat.json" "$tmp/base.json"
 
-row 2.0 ', "trace_enabled": false' > "$tmp/nohook.json"
-expect "trace_enabled false without hook field passes" 0 \
-    "$tmp/nohook.json" "$tmp/base.json"
+# --- disarmed-hook cost: 0.1% of the cheapest forward -----------------
+# fwd TELEMETRY_HOOK TRACE_HOOK: a forward report whose cheapest row
+# costs 5000 ns (bound 5 ns); an empty hook argument omits the field.
+fwd() {
+    if [ -n "$1" ]; then printf '  "telemetry_hook_ns_per_op": %s,\n' "$1"; fi
+    if [ -n "$2" ]; then printf '  "trace_hook_ns_per_op": %s,\n' "$2"; fi
+    printf '{"arch": "vgg", "input": "shapes32", "engine_ns_per_query": 20000.0, "x_speedup": 2.0}\n'
+    printf '{"arch": "mlp", "input": "shapes32", "engine_ns_per_query": 5000.0, "x_speedup": 2.0}\n'
+}
+fwd "" "" > "$tmp/fwd-base.json"
+
+fwd "" "" > "$tmp/nohook.json"
+expect "forward report without hook fields passes" 0 \
+    "$tmp/nohook.json" "$tmp/fwd-base.json"
 expect_grep "absent optional hook field warns" \
-    "warn.*trace_hook_ns_per_op" "$tmp/nohook.json" "$tmp/base.json"
+    "warn.*trace_hook_ns_per_op" "$tmp/nohook.json" "$tmp/fwd-base.json"
 
-row 2.0 ', "trace_enabled": false, "trace_hook_ns_per_op": 0.0' > "$tmp/zerohook.json"
-expect "zero disarmed hook passes" 0 "$tmp/zerohook.json" "$tmp/base.json"
+fwd 1.3 5.0 > "$tmp/cheaphook.json"
+expect "hooks within 0.1% of the cheapest forward pass" 0 \
+    "$tmp/cheaphook.json" "$tmp/fwd-base.json"
 
-row 2.0 ', "trace_enabled": false, "trace_hook_ns_per_op": 3.5' > "$tmp/hothook.json"
-expect "nonzero disarmed hook fails" 1 "$tmp/hothook.json" "$tmp/base.json"
+fwd 1.3 5.1 > "$tmp/hottrace.json"
+expect "trace hook over 0.1% of the cheapest forward fails" 1 \
+    "$tmp/hottrace.json" "$tmp/fwd-base.json"
+
+# 7 ns is under 0.1% of the first row (20 ns) but over the cheapest's.
+fwd 7.0 1.7 > "$tmp/hottelemetry.json"
+expect "telemetry hook over 0.1% of the cheapest forward fails" 1 \
+    "$tmp/hottelemetry.json" "$tmp/fwd-base.json"
 
 # --- hard floors -----------------------------------------------------
 printf '{"bench": "t", "arch": "densenet-small", "input": "shapes32", "engine_speedup": 0.8}\n' \
