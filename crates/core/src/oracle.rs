@@ -668,9 +668,13 @@ impl<'a> Oracle<'a> {
     /// sketch's removal discipline) submit each candidate to the
     /// classifier exactly once, reorderings included.
     ///
-    /// Fresh candidates are clamped to the remaining budget, so each one
-    /// evaluated could still be consumed. A no-op without speculation
-    /// ([`Oracle::speculates`]).
+    /// Fresh candidates are clamped to the remaining budget, so one
+    /// prefetch never evaluates more candidates than the budget can still
+    /// count. Entries already pending are not subtracted, so the pool as a
+    /// whole may hold more than that: what a caller pools and never
+    /// reaches (a pair its queue pushes back, say) is evaluated for
+    /// nothing, so callers pool only what they expect to consume. A no-op
+    /// without speculation ([`Oracle::speculates`]).
     pub fn prefetch_pixel_batch(&mut self, base: &Image, candidates: &[(Location, Pixel)]) {
         if !self.speculates() {
             return;

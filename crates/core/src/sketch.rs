@@ -219,9 +219,14 @@ pub fn run_sketch_with_goal_prior(
     // any order, and counts at consume time, so query counts and scores
     // are the same with or without it. Two sources feed it:
     //
-    // * the init scan pools the next `INIT_PREFETCH` queue entries
-    //   whenever the queue head is not pooled. B1/B2 push-backs and eager
-    //   refinement may reorder them; they stay pooled until queried;
+    // * whenever the queue head is not pooled, the init scan walks up to
+    //   `INIT_WINDOW` entries from the head and pools up to
+    //   `INIT_PREFETCH` of them that no earlier window entry's B1 or B2
+    //   could push back ([`Conditions::plan_init_scan`]). A pushed-back
+    //   pair goes to the back of a queue of `8·d₁·d₂` pairs, which a
+    //   budgeted run rarely reaches, so pooling it would mostly forward a
+    //   candidate the run never counts. Eager refinement may still
+    //   reorder the window; its entries stay pooled until queried;
     // * before a refine query whose candidate is not pooled, the sketch
     //   plans the refine queries Algorithm 1 will certainly issue next
     //   ([`Conditions::plan_refinement`]) and pools them.
@@ -229,7 +234,6 @@ pub fn run_sketch_with_goal_prior(
     // Every pooled pair is still in the queue, and the removal discipline
     // takes each out once, so the no-duplicate-queries guarantee survives
     // speculation.
-    const INIT_PREFETCH: usize = 8;
     let speculate = oracle.speculates();
     let mut plan: Vec<Pair> = Vec::with_capacity(REFINE_LOOKAHEAD);
     let mut upcoming: Vec<(crate::pair::Location, crate::pair::Pixel)> =
@@ -249,8 +253,7 @@ pub fn run_sketch_with_goal_prior(
                 .next()
                 .is_some_and(|head| !pooled(oracle, head))
         {
-            plan.clear();
-            plan.extend(queue.iter().take(INIT_PREFETCH));
+            conditions.plan_init_scan(&queue, &mut plan);
             prefetch(oracle, &plan);
         }
         let Some(pair) = queue.pop() else { break };
@@ -394,6 +397,12 @@ pub fn run_sketch_with_goal_prior(
 /// candidates one refine prefetch evaluates).
 const REFINE_LOOKAHEAD: usize = 32;
 
+/// The most entries one init-scan window pools.
+const INIT_PREFETCH: usize = 8;
+
+/// The most queue entries, from the head, one init-scan window walks.
+const INIT_WINDOW: usize = 32;
+
 /// Everything the conditions read besides a failed pair and its scores.
 struct Conditions<'a> {
     program: &'a Program,
@@ -425,6 +434,38 @@ impl Conditions<'_> {
         // The placeholder scores are never read.
         !self.program.conditions[slot - 1].reads_scores()
             && self.holds(slot, pair, self.orig_scores)
+    }
+
+    /// Plans into `plan` the init-scan window: up to [`INIT_PREFETCH`]
+    /// queue entries, walked from the head and at most [`INIT_WINDOW`] of
+    /// them, that no earlier window entry `q` could push back when it
+    /// fails — by B1 (the same corner at `L∞` distance 1 from `q`) or by
+    /// B2 (at `q`'s location).
+    ///
+    /// B1 is decided exactly when it reads no scores
+    /// ([`Conditions::holds_unqueried`]), so it then excludes only what
+    /// it really pushes back, and is assumed to fire when it does. B2 is
+    /// assumed to fire, and excludes every later entry at `q`'s location
+    /// though it pushes back only the first of them: in the rank-major
+    /// queue order, entries at one location sit `d₁·d₂` entries apart, so
+    /// two rarely share a window.
+    fn plan_init_scan(&self, queue: &PairQueue, plan: &mut Vec<Pair>) {
+        plan.clear();
+        let b1_reads_scores = self.program.conditions[0].reads_scores();
+        for entry in queue.iter().take(INIT_WINDOW) {
+            let pushed_back = plan.iter().any(|&q| {
+                q.location == entry.location
+                    || (q.corner == entry.corner
+                        && q.location.distance(entry.location) == 1
+                        && (b1_reads_scores || self.holds_unqueried(1, q)))
+            });
+            if !pushed_back {
+                plan.push(entry);
+                if plan.len() == INIT_PREFETCH {
+                    break;
+                }
+            }
+        }
     }
 
     /// Plans into `plan` the refine queries Algorithm 1 will certainly

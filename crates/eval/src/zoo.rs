@@ -737,6 +737,19 @@ mod tests {
         // hit byte-identical to the original.
         let rewritten = std::fs::read(&path).unwrap();
         assert_eq!(rewritten, bytes, "cache file restored by the retrain");
+
+        // A file that parses but whose first `data` array is one element
+        // short of its shape is corrupt too: it used to load and then
+        // panic in the accuracy pass's first forward.
+        let json = String::from_utf8(bytes.clone()).unwrap();
+        let start = json.find("\"data\":[").expect("a data array") + "\"data\":[".len();
+        let comma = start + json[start..].find(',').expect("more than one element");
+        std::fs::write(&path, format!("{}{}", &json[..start], &json[comma + 1..])).unwrap();
+        let recovered = train_or_load(Arch::Mlp, Scale::Cifar, &config);
+        for (img, _) in &test {
+            assert_eq!(recovered.scores(img), reference.scores(img));
+        }
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "cache file restored");
     }
 
     #[test]

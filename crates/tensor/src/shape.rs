@@ -16,8 +16,24 @@ use std::fmt;
 /// assert_eq!(s.numel(), 24);
 /// assert_eq!(s.strides(), vec![12, 4, 1]);
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, serde::Serialize)]
 pub struct Shape(Vec<usize>);
+
+/// Why `dims` make no shape, if they do not: an extent of zero (empty
+/// tensors are not supported) or an element count that overflows
+/// `usize`.
+fn check_dims(dims: &[usize]) -> Result<(), String> {
+    let mut numel = 1usize;
+    for (i, &d) in dims.iter().enumerate() {
+        if d == 0 {
+            return Err(format!("shape dimension {i} is zero"));
+        }
+        numel = numel
+            .checked_mul(d)
+            .ok_or_else(|| "shape element count overflows usize".to_string())?;
+    }
+    Ok(())
+}
 
 impl Shape {
     /// Creates a shape from dimension extents.
@@ -27,12 +43,8 @@ impl Shape {
     /// Panics if any extent is zero (empty tensors are not supported) or if
     /// the total element count would overflow `usize`.
     pub fn new(dims: Vec<usize>) -> Self {
-        let mut numel = 1usize;
-        for (i, &d) in dims.iter().enumerate() {
-            assert!(d > 0, "shape dimension {i} is zero");
-            numel = numel
-                .checked_mul(d)
-                .expect("shape element count overflows usize");
+        if let Err(why) = check_dims(&dims) {
+            panic!("{why}");
         }
         Shape(dims)
     }
@@ -116,6 +128,16 @@ impl fmt::Display for Shape {
     }
 }
 
+/// Reads the extents the derived `Serialize` writes, with the checks of
+/// [`Shape::new`] as errors: a shape read from a file can be damaged.
+impl serde::Deserialize for Shape {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let dims = Vec::<usize>::from_value(v)?;
+        check_dims(&dims).map_err(serde::Error)?;
+        Ok(Shape(dims))
+    }
+}
+
 impl From<Vec<usize>> for Shape {
     fn from(dims: Vec<usize>) -> Self {
         Shape::new(dims)
@@ -144,6 +166,18 @@ mod tests {
         assert_eq!(s.rank(), 0);
         assert_eq!(s.numel(), 1);
         assert!(s.strides().is_empty());
+    }
+
+    #[test]
+    fn deserialize_rejects_what_new_would_panic_on() {
+        use serde::{Deserialize, Serialize, Value};
+        let dims = |d: &[i128]| Value::Arr(d.iter().map(|&d| Value::Int(d)).collect());
+        let s = Shape::new(vec![2, 3]);
+        assert_eq!(Shape::from_value(&s.to_value()), Ok(s));
+        let zero = Shape::from_value(&dims(&[2, 0])).unwrap_err();
+        assert!(zero.0.contains("dimension 1 is zero"), "{zero}");
+        let huge = Shape::from_value(&dims(&[1 << 40, 1 << 40])).unwrap_err();
+        assert!(huge.0.contains("overflows"), "{huge}");
     }
 
     #[test]

@@ -20,7 +20,7 @@ use std::fmt;
 /// let c = a.add(&b);
 /// assert_eq!(c.data(), &[11.0, 12.0, 13.0, 14.0]);
 /// ```
-#[derive(Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, PartialEq, serde::Serialize)]
 pub struct Tensor {
     shape: Shape,
     data: Vec<f32>,
@@ -51,14 +51,9 @@ impl Tensor {
     /// Panics if `data.len()` does not equal the shape's element count.
     pub fn from_vec(shape: impl Into<Shape>, data: Vec<f32>) -> Self {
         let shape = shape.into();
-        assert_eq!(
-            data.len(),
-            shape.numel(),
-            "data length {} does not match shape {} ({} elements)",
-            data.len(),
-            shape,
-            shape.numel()
-        );
+        if let Err(why) = check_len(&shape, &data) {
+            panic!("{why}");
+        }
         Tensor { shape, data }
     }
 
@@ -278,6 +273,35 @@ impl Tensor {
     }
 }
 
+/// Reads the object the derived `Serialize` writes, with the checks of
+/// [`Tensor::from_vec`] as errors: a tensor read from a file can be
+/// damaged, and one whose data disagrees with its shape would panic in
+/// the first kernel that trusts the shape.
+impl serde::Deserialize for Tensor {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let obj = v
+            .as_obj()
+            .ok_or_else(|| serde::Error::expected("object", "Tensor"))?;
+        let shape = Shape::from_value(serde::field(obj, "shape")?)?;
+        let data = Vec::<f32>::from_value(serde::field(obj, "data")?)?;
+        check_len(&shape, &data).map_err(serde::Error)?;
+        Ok(Tensor { shape, data })
+    }
+}
+
+/// Why `data` cannot fill `shape`, if it cannot.
+fn check_len(shape: &Shape, data: &[f32]) -> Result<(), String> {
+    if data.len() == shape.numel() {
+        return Ok(());
+    }
+    Err(format!(
+        "data length {} does not match shape {} ({} elements)",
+        data.len(),
+        shape,
+        shape.numel()
+    ))
+}
+
 impl fmt::Debug for Tensor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         const PREVIEW: usize = 8;
@@ -362,6 +386,34 @@ mod tests {
     #[should_panic(expected = "shape mismatch")]
     fn add_rejects_shape_mismatch() {
         Tensor::zeros([2]).add(&Tensor::zeros([3]));
+    }
+
+    #[test]
+    fn deserialize_rejects_what_from_vec_would_panic_on() {
+        use serde::{Deserialize, Serialize, Value};
+        let t = Tensor::from_vec([2, 3], vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0]);
+        assert_eq!(Tensor::from_value(&t.to_value()), Ok(t));
+        let tensor = |dims: &[i128], len: usize| {
+            Value::Obj(vec![
+                (
+                    "shape".into(),
+                    Value::Arr(dims.iter().map(|&d| Value::Int(d)).collect()),
+                ),
+                ("data".into(), Value::Arr(vec![Value::Num(0.5); len])),
+            ])
+        };
+        assert!(Tensor::from_value(&tensor(&[2, 3], 6)).is_ok());
+        assert!(Tensor::from_value(&tensor(&[], 1)).is_ok());
+        for (dims, len) in [
+            (&[2, 3][..], 5),
+            (&[2, 3], 7),
+            (&[], 0),
+            (&[2, 0], 0),
+            (&[1 << 40, 1 << 40], 1),
+        ] {
+            let err = Tensor::from_value(&tensor(dims, len));
+            assert!(err.is_err(), "{dims:?} with {len} elements loaded");
+        }
     }
 
     #[test]

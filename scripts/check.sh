@@ -29,8 +29,10 @@ cargo test -q --offline --manifest-path e2ebench/Cargo.toml
 # thrown: this covers the env-var resolution path the in-process
 # force_simd_level tests cannot reach.
 OPPSLA_NO_SIMD=1 cargo test -q -p oppsla-tensor -p oppsla-nn -p oppsla
-# The bench-gate self-test is pure shell; it runs in milliseconds.
+# The bench-gate and A/B-summary self-tests are pure shell; they run in
+# milliseconds.
 sh scripts/test_bench_gate.sh
+sh scripts/test_e2e_ab.sh
 # One clippy pass over every target (lib, bins, tests, benches,
 # examples).
 cargo clippy $OPPSLA_PKGS --all-targets -- -D warnings
