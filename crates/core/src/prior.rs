@@ -71,17 +71,16 @@ impl SaliencyPrior {
     ///
     /// # Panics
     ///
-    /// Panics if `grid` is zero, any table has the wrong length, or any
-    /// weight is non-finite (a NaN weight would make the queue order
-    /// undefined).
+    /// Panics if `grid` is zero or its square overflows `usize`, any
+    /// table has the wrong length, or any weight is non-finite (a NaN
+    /// weight would make the queue order undefined).
     pub fn new(grid: usize, per_class: Vec<Vec<f64>>) -> Self {
         assert!(grid > 0, "saliency grid must be at least 1x1");
+        let cells = grid
+            .checked_mul(grid)
+            .expect("saliency grid^2 overflows usize");
         for (class, table) in per_class.iter().enumerate() {
-            assert_eq!(
-                table.len(),
-                grid * grid,
-                "class {class} table length != grid^2"
-            );
+            assert_eq!(table.len(), cells, "class {class} table length != grid^2");
             assert!(
                 table.iter().all(|w| w.is_finite()),
                 "class {class} has a non-finite weight"
@@ -173,6 +172,14 @@ mod tests {
     #[should_panic(expected = "table length")]
     fn saliency_rejects_misshapen_tables() {
         SaliencyPrior::new(3, vec![vec![0.0; 8]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows")]
+    fn saliency_rejects_a_grid_whose_square_overflows() {
+        // Unchecked, the square wraps to 0 in a release build and the
+        // empty table passes.
+        SaliencyPrior::new(1 << (usize::BITS / 2), vec![vec![]]);
     }
 
     #[test]

@@ -36,3 +36,35 @@ pub mod suite;
 pub mod trajectory;
 pub mod transfer;
 pub mod zoo;
+
+#[cfg(test)]
+pub(crate) mod test_dir {
+    use std::path::{Path, PathBuf};
+
+    /// A unit test's temporary directory, `oppsla-<name>-<pid>` under the
+    /// system temp dir, removed with everything in it on drop.
+    pub(crate) struct TempDir(PathBuf);
+
+    impl TempDir {
+        /// Creates the directory; `name` must be unique among the
+        /// crate's tests, which run in parallel in one process.
+        pub(crate) fn new(name: &str) -> Self {
+            let dir = std::env::temp_dir().join(format!("oppsla-{name}-{}", std::process::id()));
+            std::fs::create_dir_all(&dir).unwrap();
+            TempDir(dir)
+        }
+    }
+
+    impl std::ops::Deref for TempDir {
+        type Target = Path;
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+}

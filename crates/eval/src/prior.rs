@@ -189,8 +189,8 @@ pub fn save_prior(prior: &SaliencyPrior, path: &Path) -> Result<(), String> {
 /// # Errors
 ///
 /// Returns an error string when the file is unreadable, malformed, or
-/// fails [`SaliencyPrior`]'s validity checks (zero grid, wrong table
-/// length, non-finite weights).
+/// fails [`SaliencyPrior`]'s validity checks (zero grid, a grid whose
+/// square overflows, wrong table length, non-finite weights).
 pub fn load_prior(path: &Path) -> Result<SaliencyPrior, String> {
     let json = fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
     let file: PriorFile =
@@ -198,13 +198,16 @@ pub fn load_prior(path: &Path) -> Result<SaliencyPrior, String> {
     if file.grid == 0 {
         return Err(format!("{}: grid must be positive", path.display()));
     }
+    let cells = file
+        .grid
+        .checked_mul(file.grid)
+        .ok_or_else(|| format!("{}: grid {} is too large", path.display(), file.grid))?;
     for (class, table) in file.per_class.iter().enumerate() {
-        if table.len() != file.grid * file.grid {
+        if table.len() != cells {
             return Err(format!(
-                "{}: class {class} table has {} weights, expected {}",
+                "{}: class {class} table has {} weights, expected {cells}",
                 path.display(),
                 table.len(),
-                file.grid * file.grid
             ));
         }
         if table.iter().any(|w| !w.is_finite()) {
@@ -220,6 +223,7 @@ pub fn load_prior(path: &Path) -> Result<SaliencyPrior, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_dir::TempDir;
     use oppsla_core::pair::Location;
     use oppsla_core::prior::Prior;
 
@@ -295,7 +299,7 @@ mod tests {
     #[test]
     fn mined_priors_round_trip_through_json() {
         let prior = mine_saliency_prior(corpus(), 8).unwrap();
-        let dir = std::env::temp_dir().join(format!("oppsla-prior-test-{}", std::process::id()));
+        let dir = TempDir::new("prior-test");
         let path = dir.join("prior.json");
         save_prior(&prior, &path).unwrap();
         let loaded = load_prior(&path).unwrap();
@@ -305,11 +309,14 @@ mod tests {
 
     #[test]
     fn load_prior_rejects_malformed_tables() {
-        let dir = std::env::temp_dir().join(format!("oppsla-prior-bad-{}", std::process::id()));
-        fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("prior-bad");
         let path = dir.join("bad.json");
         fs::write(&path, r#"{"grid": 2, "per_class": [[1.0, 2.0]]}"#).unwrap();
         assert!(load_prior(&path).is_err(), "2 weights for a 2x2 grid");
+        // A grid whose square wraps to 0 in usize must not pass an empty
+        // table (the queue would index it and panic).
+        fs::write(&path, r#"{"grid": 4294967296, "per_class": [[]]}"#).unwrap();
+        assert!(load_prior(&path).is_err(), "grid^2 overflows");
         fs::write(&path, "not json").unwrap();
         assert!(load_prior(&path).is_err());
         assert!(load_prior(&dir.join("missing.json")).is_err());

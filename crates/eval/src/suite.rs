@@ -309,6 +309,7 @@ impl Attack for SuiteAttack {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_dir::TempDir;
     use oppsla_core::oracle::FnClassifier;
     use oppsla_core::pair::{Location, Pixel};
     use rand::SeedableRng;
@@ -387,7 +388,7 @@ mod tests {
 
     #[test]
     fn suite_cache_round_trips() {
-        let dir = std::env::temp_dir().join(format!("oppsla-suite-test-{}", std::process::id()));
+        let dir = TempDir::new("suite-test");
         let path = dir.join("suite.json");
         let suite = ProgramSuite::per_class(vec![
             Program::paper_example(),
@@ -402,8 +403,7 @@ mod tests {
     #[test]
     fn load_suite_rejects_missing_and_malformed_files() {
         assert!(load_suite(std::path::Path::new("/nonexistent/suite.json")).is_err());
-        let dir = std::env::temp_dir().join(format!("oppsla-suite-bad-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("suite-bad");
         let path = dir.join("bad.json");
         std::fs::write(&path, "[not json").unwrap();
         assert!(load_suite(&path).is_err());
@@ -425,7 +425,7 @@ mod tests {
             max_iterations: 1,
             ..SynthConfig::default()
         };
-        let dir = std::env::temp_dir().join(format!("oppsla-suite-hit-{}", std::process::id()));
+        let dir = TempDir::new("suite-hit");
         let path = dir.join("cached.json");
         let (first, first_reports) = synthesize_suite_cached(&clf, &train, 2, &config, Some(&path));
         assert!(first_reports.is_some(), "cold cache synthesizes");

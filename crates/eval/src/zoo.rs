@@ -567,22 +567,22 @@ fn arch_seed(arch: Arch) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_dir::TempDir;
+    use std::path::Path;
 
-    fn fast_config(cache: bool) -> ZooConfig {
+    fn fast_config(cache_dir: Option<&Path>) -> ZooConfig {
         ZooConfig {
             train_per_class: 8,
             epochs: Some(2),
             learning_rate: 2e-3,
             seed: 1,
-            cache_dir: cache.then(|| {
-                std::env::temp_dir().join(format!("oppsla-zoo-test-{}", std::process::id()))
-            }),
+            cache_dir: cache_dir.map(Path::to_path_buf),
         }
     }
 
     #[test]
     fn trains_an_mlp_and_serves_scores() {
-        let model = train_or_load(Arch::Mlp, Scale::Cifar, &fast_config(false));
+        let model = train_or_load(Arch::Mlp, Scale::Cifar, &fast_config(None));
         assert_eq!(model.num_classes(), 10);
         let test = attack_test_set(Scale::Cifar, 1, 2);
         let scores = model.scores(&test[0].0);
@@ -593,7 +593,8 @@ mod tests {
 
     #[test]
     fn cache_round_trip_gives_identical_scores() {
-        let config = fast_config(true);
+        let dir = TempDir::new("zoo-cache");
+        let config = fast_config(Some(&dir));
         let a = train_or_load(Arch::Mlp, Scale::Cifar, &config);
         let b = train_or_load(Arch::Mlp, Scale::Cifar, &config); // cache hit
         let test = attack_test_set(Scale::Cifar, 1, 3);
@@ -605,7 +606,7 @@ mod tests {
 
     #[test]
     fn engine_scores_match_the_tape() {
-        let model = train_or_load(Arch::Mlp, Scale::Cifar, &fast_config(false));
+        let model = train_or_load(Arch::Mlp, Scale::Cifar, &fast_config(None));
         let test = attack_test_set(Scale::Cifar, 1, 4);
         for (img, _) in &test {
             assert_eq!(
@@ -618,7 +619,7 @@ mod tests {
 
     #[test]
     fn zoo_classifier_and_sessions_agree_with_the_model() {
-        let model = train_or_load(Arch::Mlp, Scale::Cifar, &fast_config(false));
+        let model = train_or_load(Arch::Mlp, Scale::Cifar, &fast_config(None));
         let classifier = model.classifier();
         let session = classifier.session();
         let test = attack_test_set(Scale::Cifar, 1, 5);
@@ -633,7 +634,7 @@ mod tests {
 
     #[test]
     fn session_pixel_delta_matches_full_scores() {
-        let model = train_or_load(Arch::VggSmall, Scale::Cifar, &fast_config(false));
+        let model = train_or_load(Arch::VggSmall, Scale::Cifar, &fast_config(None));
         let classifier = model.classifier();
         let session = classifier.session();
         let test = attack_test_set(Scale::Cifar, 1, 6);
@@ -670,7 +671,7 @@ mod tests {
 
     #[test]
     fn session_batch_paths_match_sequential() {
-        let model = train_or_load(Arch::VggSmall, Scale::Cifar, &fast_config(false));
+        let model = train_or_load(Arch::VggSmall, Scale::Cifar, &fast_config(None));
         let classifier = model.classifier();
         let session = classifier.session();
         let test = attack_test_set(Scale::Cifar, 1, 8);
@@ -706,14 +707,11 @@ mod tests {
         // Regression: a truncated cache file (killed mid-write, disk
         // full) must behave as a cache miss — warn, retrain, and rewrite
         // the file — not poison every later run.
-        let config = ZooConfig {
-            cache_dir: fast_config(true).cache_dir.map(|d| d.join("corrupt")),
-            ..fast_config(true)
-        };
+        let dir = TempDir::new("zoo-corrupt");
+        let config = fast_config(Some(&dir));
         let reference = train_or_load(Arch::Mlp, Scale::Cifar, &config);
-        let dir = config.cache_dir.as_ref().unwrap();
-        let path = std::fs::read_dir(dir)
-            .expect("cache dir exists after first train")
+        let path = std::fs::read_dir(&*dir)
+            .expect("cache dir exists")
             .map(|e| e.unwrap().path())
             .find(|p| p.extension().is_some_and(|e| e == "json"))
             .expect("first run wrote a cache file");

@@ -31,7 +31,11 @@
 //!   radius (the receptive-field cone's growth step).
 //! * **MaxPool (window v)** — rows `[y0/v, ⌊(y1−1)/v⌋]` (coordinates
 //!   shrink by the window).
-//! * **ReLU** — the same rectangle (elementwise).
+//! * **ReLU** — the same rectangle (elementwise). The plan fuses each
+//!   ReLU it can into the convolution, fully connected layer or add that
+//!   produces its input, so this step runs only for a ReLU that could not
+//!   fuse (none in the model zoo); a fused one keeps its producer's
+//!   region for the same reason.
 //! * **Residual add** — the bounding box of the two input rectangles
 //!   (elementwise over the union).
 //! * **Concat segment** — the input rectangle, surfacing at the segment's
@@ -47,7 +51,7 @@
 //! cell is the base value (verified strictly in
 //! `tests/delta_matches_full.rs`).
 
-use crate::infer::{ForwardWorkspace, InferOp, InferencePlan};
+use crate::infer::{relu_if, ForwardWorkspace, InferOp, InferencePlan};
 use oppsla_tensor::gemm;
 use oppsla_tensor::ops::{self, Rect};
 use oppsla_tensor::Tensor;
@@ -82,14 +86,21 @@ enum Step {
     /// Region-restricted convolution (op index into the plan), one
     /// kernel call for every candidate of the pass.
     Conv { op: usize },
-    /// Elementwise ReLU over the dirty region.
+    /// Elementwise ReLU over the dirty region (a ReLU the plan could not
+    /// fuse into its producer).
     Relu { x: usize, out: usize },
     /// Region-restricted max pool (op index into the plan).
     Pool { op: usize },
     /// Full recompute of the (cheap) global average pool.
     Gap { op: usize },
-    /// Elementwise sum over the merged dirty region.
-    Add { x: usize, y: usize, out: usize },
+    /// Elementwise sum over the merged dirty region, through a fused
+    /// ReLU when `relu` is set.
+    Add {
+        x: usize,
+        y: usize,
+        out: usize,
+        relu: bool,
+    },
     /// One concat segment: copies the input's dirty region to the
     /// segment's channel offset in the output.
     CopySeg {
@@ -220,7 +231,7 @@ impl DeltaPlan {
                 InferOp::Relu { x, out } => Step::Relu { x, out },
                 InferOp::MaxPool { .. } => Step::Pool { op: i },
                 InferOp::GlobalAvgPool { .. } => Step::Gap { op: i },
-                InferOp::Add { x, y, out } => Step::Add { x, y, out },
+                InferOp::Add { x, y, out, relu } => Step::Add { x, y, out, relu },
                 InferOp::CopySeg { x, out, offset, .. } => {
                     let [_, h, w] =
                         buf_chw[out].expect("concat output must be a spatial [c, h, w] buffer");
@@ -427,7 +438,8 @@ impl DeltaPlan {
     /// dirty: [`LINEAR_ROWS`] candidates' input rows at a time, gathered
     /// into a tile on the stack, go through one
     /// [`gemm::linear_nt_rows_into`] call into the scratch panel, which
-    /// is then scattered back (plus bias) into each workspace. Each row
+    /// is then scattered back (plus bias, through a fused ReLU if the
+    /// layer has one) into each workspace. Each row
     /// is exactly the sequential route's [`gemm::linear_nt_into`] call,
     /// so the tile a candidate lands in never changes an output bit.
     fn run_linear_batch(
@@ -444,6 +456,7 @@ impl DeltaPlan {
             ref bias,
             in_f,
             out_f,
+            relu,
         } = plan.ops[op]
         else {
             unreachable!("Step::Linear points at a non-linear op");
@@ -475,7 +488,7 @@ impl DeltaPlan {
             for (&i, logits) in tile[..m].iter().zip(panel.chunks_exact(out_f)) {
                 let ws = &mut workspaces[i];
                 for ((o, &v), &bv) in ws.bufs[out].iter_mut().zip(logits).zip(bias) {
-                    *o = v + bv;
+                    *o = relu_if(relu, v + bv);
                 }
                 self.mark(ws, out, Region::Full);
             }
@@ -621,7 +634,7 @@ impl DeltaPlan {
                     ops::global_avg_pool_into(xb, channels, h, w, ob);
                     self.mark(ws, out, Region::Full);
                 }
-                Step::Add { x, y, out } => {
+                Step::Add { x, y, out, relu } => {
                     let region = union_region(ws.dirty[x], ws.dirty[y]);
                     if region.is_clean() {
                         return;
@@ -633,7 +646,7 @@ impl DeltaPlan {
                         ob[lo..hi].copy_from_slice(&xb[lo..hi]);
                         let (yb, ob) = buf_pair(&mut ws.bufs, y, out);
                         for (o, &v) in ob[lo..hi].iter_mut().zip(&yb[lo..hi]) {
-                            *o += v;
+                            *o = relu_if(relu, *o + v);
                         }
                     }
                     self.mark(ws, out, region);
@@ -683,6 +696,7 @@ impl DeltaPlan {
                         ref bias,
                         in_f,
                         out_f,
+                        relu,
                     } = plan.ops[op]
                     else {
                         unreachable!("Step::Linear points at a non-linear op");
@@ -693,7 +707,7 @@ impl DeltaPlan {
                     let (xb, ob) = buf_pair(&mut ws.bufs, x, out);
                     gemm::linear_nt_into(xb, weight_t, in_f, out_f, ob);
                     for (o, &bv) in ob.iter_mut().zip(bias) {
-                        *o += bv;
+                        *o = relu_if(relu, *o + bv);
                     }
                     self.mark(ws, out, Region::Full);
                 }

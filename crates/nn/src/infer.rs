@@ -19,6 +19,13 @@
 //! bit-identical to [`ConvNet::scores`] (verified by
 //! `tests/infer_matches_tape.rs`).
 //!
+//! After planning, the compiler fuses each ReLU into the convolution,
+//! fully connected layer or residual add that produces its input when
+//! nothing else reads that input: the producer then stores `v.max(0.0)`
+//! itself, and the pre-ReLU buffer leaves the plan, so no workspace or
+//! snapshot allocates, copies or restores it. The ReLU is the same
+//! `f32::max` on the same value, so fusion changes no output bit.
+//!
 //! Weights are snapshotted at compile time: rebuild the plan after
 //! training or loading weights.
 //!
@@ -74,7 +81,7 @@ pub(crate) enum InferOp {
         x: usize,
         out: usize,
         /// The kernel bank and bias transposed once at plan-compile time
-        /// to output-channel lanes.
+        /// to output-channel lanes; it carries the fused-ReLU flag.
         lanes: ConvLanes,
         geom: Conv2dGeometry,
     },
@@ -92,11 +99,11 @@ pub(crate) enum InferOp {
         bias: Vec<f32>,
         in_f: usize,
         out_f: usize,
+        /// A fused ReLU, applied after the bias.
+        relu: bool,
     },
-    Relu {
-        x: usize,
-        out: usize,
-    },
+    /// A ReLU the compiler could not fuse into its input's producer.
+    Relu { x: usize, out: usize },
     MaxPool {
         x: usize,
         out: usize,
@@ -117,6 +124,8 @@ pub(crate) enum InferOp {
         x: usize,
         y: usize,
         out: usize,
+        /// A fused ReLU, applied after the sum.
+        relu: bool,
     },
     /// Copies buffer `x` into `out[offset..offset + len]` (one concat
     /// segment; a channel concatenation lowers to one copy per input).
@@ -126,6 +135,54 @@ pub(crate) enum InferOp {
         offset: usize,
         len: usize,
     },
+}
+
+impl InferOp {
+    /// The buffers this op reads.
+    fn reads(&self) -> [Option<usize>; 2] {
+        match *self {
+            InferOp::Add { x, y, .. } => [Some(x), Some(y)],
+            InferOp::Conv2d { x, .. }
+            | InferOp::Linear { x, .. }
+            | InferOp::Relu { x, .. }
+            | InferOp::MaxPool { x, .. }
+            | InferOp::GlobalAvgPool { x, .. }
+            | InferOp::CopySeg { x, .. } => [Some(x), None],
+        }
+    }
+
+    /// Fuses `relu(x) → out` into this op if it is a convolution, fully
+    /// connected layer or add that writes `x` and has no ReLU yet: it
+    /// then writes `out` through the ReLU itself. Returns whether it did.
+    fn fuse_relu(&mut self, x: usize, relu_out: usize) -> bool {
+        match self {
+            InferOp::Conv2d { out, lanes, .. } if *out == x && !lanes.relu() => {
+                lanes.set_relu(true);
+                *out = relu_out;
+            }
+            InferOp::Linear { out, relu, .. } | InferOp::Add { out, relu, .. }
+                if *out == x && !*relu =>
+            {
+                *relu = true;
+                *out = relu_out;
+            }
+            _ => return false,
+        }
+        true
+    }
+
+    /// Renumbers every buffer index through `map`.
+    fn remap(&mut self, map: &[usize]) {
+        match self {
+            InferOp::Add { x, y, out, .. } => (*x, *y, *out) = (map[*x], map[*y], map[*out]),
+            InferOp::Conv2d { x, out, .. }
+            | InferOp::Linear { x, out, .. }
+            | InferOp::Relu { x, out }
+            | InferOp::MaxPool { x, out, .. }
+            | InferOp::GlobalAvgPool { x, out, .. }
+            | InferOp::CopySeg { x, out, .. } => (*x, *out) = (map[*x], map[*out]),
+        }
+    }
 }
 
 /// Records the ops and buffer sizes of a forward pass as the layer stack
@@ -251,6 +308,7 @@ impl InferencePlanner {
             bias: bias.data().to_vec(),
             in_f,
             out_f,
+            relu: false,
         });
         out
     }
@@ -329,6 +387,7 @@ impl InferencePlanner {
             x: self.buf(x),
             y: self.buf(y),
             out: self.buf(out),
+            relu: false,
         });
         out
     }
@@ -402,24 +461,76 @@ pub struct InferencePlan {
 }
 
 impl InferencePlan {
-    /// Compiles `net` into a flat plan, snapshotting its current weights.
+    /// Compiles `net` into a flat plan, snapshotting its current weights
+    /// and fusing each ReLU it can into its input's producer.
     pub fn compile(net: &ConvNet) -> Self {
-        let mut p = InferencePlanner::new(net.input_spec());
-        let input = p.input_slot();
-        let out = net.stack().plan(&mut p, input);
+        Self::compile_stack(net.stack(), net.input_spec(), net.num_classes())
+    }
+
+    /// [`InferencePlan::compile`] for any layer stack whose output is a
+    /// `[num_classes]` logit vector.
+    fn compile_stack(stack: &dyn Layer, input: InputSpec, num_classes: usize) -> Self {
+        let mut p = InferencePlanner::new(input);
+        let x = p.input_slot();
+        let out = stack.plan(&mut p, x);
         assert_eq!(
             p.dims(out),
-            &[net.num_classes()],
+            &[num_classes],
             "network output slot is not a [num_classes] logit vector"
         );
-        InferencePlan {
-            input: net.input_spec(),
-            num_classes: net.num_classes(),
+        let mut plan = InferencePlan {
+            input,
+            num_classes,
             output_buf: p.buf(out),
             ops: p.ops,
             buf_lens: p.buf_lens,
             buf_dims: p.buf_dims,
+        };
+        plan.fuse_relus();
+        plan
+    }
+
+    /// Folds each `Relu { x, out }` into the op just before it when that
+    /// op is a convolution, fully connected layer or add writing `x`, no
+    /// other op reads `x`, and `x` is not the output: the producer writes
+    /// `out` itself and buffer `x` leaves the plan. The ReLU maps a dirty
+    /// rectangle to itself, so the delta engine's region algebra is the
+    /// same with or without it.
+    fn fuse_relus(&mut self) {
+        let mut readers = vec![0usize; self.buf_lens.len()];
+        for op in &self.ops {
+            for b in op.reads().into_iter().flatten() {
+                readers[b] += 1;
+            }
         }
+        let mut dropped = vec![false; self.buf_lens.len()];
+        let mut ops: Vec<InferOp> = Vec::with_capacity(self.ops.len());
+        for op in self.ops.drain(..) {
+            if let InferOp::Relu { x, out } = op {
+                let sole_reader = readers[x] == 1 && x != self.output_buf;
+                if sole_reader && ops.last_mut().is_some_and(|prev| prev.fuse_relu(x, out)) {
+                    dropped[x] = true;
+                    continue;
+                }
+            }
+            ops.push(op);
+        }
+        // Renumber the surviving buffers densely.
+        let mut map = vec![0; dropped.len()];
+        let mut next = 0;
+        for (b, &gone) in dropped.iter().enumerate() {
+            map[b] = next;
+            next += usize::from(!gone);
+        }
+        for op in &mut ops {
+            op.remap(&map);
+        }
+        for b in (0..dropped.len()).rev().filter(|&b| dropped[b]) {
+            self.buf_lens.remove(b);
+            self.buf_dims.remove(b);
+        }
+        self.output_buf = map[self.output_buf];
+        self.ops = ops;
     }
 
     /// Expected input geometry.
@@ -512,11 +623,12 @@ impl InferencePlan {
                     bias,
                     in_f,
                     out_f,
+                    relu,
                 } => {
                     let (xb, ob) = buf_pair(bufs, *x, *out);
                     gemm::linear_nt_into(xb, weight_t, *in_f, *out_f, ob);
                     for (o, &bv) in ob.iter_mut().zip(bias) {
-                        *o += bv;
+                        *o = relu_if(*relu, *o + bv);
                     }
                 }
                 InferOp::Relu { x, out } => {
@@ -546,14 +658,14 @@ impl InferencePlan {
                     let (xb, ob) = buf_pair(bufs, *x, *out);
                     ops::global_avg_pool_into(xb, *channels, *h, *w, ob);
                 }
-                InferOp::Add { x, y, out } => {
+                InferOp::Add { x, y, out, relu } => {
                     {
                         let (xb, ob) = buf_pair(bufs, *x, *out);
                         ob.copy_from_slice(xb);
                     }
                     let (yb, ob) = buf_pair(bufs, *y, *out);
                     for (o, &v) in ob.iter_mut().zip(yb) {
-                        *o += v;
+                        *o = relu_if(*relu, *o + v);
                     }
                 }
                 InferOp::CopySeg {
@@ -568,6 +680,17 @@ impl InferencePlan {
             }
         }
         self.output_buf
+    }
+}
+
+/// `v.max(0.0)` for a fused ReLU, else `v`: the same `f32::max` on the
+/// same value as a standalone [`InferOp::Relu`].
+#[inline]
+pub(crate) fn relu_if(relu: bool, v: f32) -> f32 {
+    if relu {
+        v.max(0.0)
+    } else {
+        v
     }
 }
 
@@ -804,6 +927,128 @@ mod tests {
                 *poked.at_mut(&[ch, row, col]) = v;
             }
             assert_eq!(got, engine.scores(&poked), "({row}, {col}) diverged");
+        }
+    }
+
+    /// Plans `stack` without the fusion pass: the op list the layers
+    /// emit.
+    fn unfused(stack: &dyn Layer, input: InputSpec) -> InferencePlanner {
+        let mut p = InferencePlanner::new(input);
+        let x = p.input_slot();
+        stack.plan(&mut p, x);
+        p
+    }
+
+    fn is_relu(op: &InferOp) -> bool {
+        matches!(op, InferOp::Relu { .. })
+    }
+
+    #[test]
+    fn zoo_plans_fuse_every_relu_and_drop_its_input_buffer() {
+        for spec in [InputSpec::RGB32, InputSpec::RGB64] {
+            for arch in Arch::CNN_FAMILIES.into_iter().chain([Arch::Mlp]) {
+                let mut rng = ChaCha8Rng::seed_from_u64(31);
+                let net = ConvNet::build(arch, spec, 10, &mut rng);
+                let raw = unfused(net.stack(), spec);
+                let pre_relu: Vec<usize> = raw
+                    .ops
+                    .iter()
+                    .filter_map(|op| match *op {
+                        InferOp::Relu { x, .. } => Some(x),
+                        _ => None,
+                    })
+                    .collect();
+                assert!(!pre_relu.is_empty(), "{arch} plans no ReLU");
+                let plan = InferencePlan::compile(&net);
+                assert!(
+                    !plan.ops.iter().any(is_relu),
+                    "{arch} at {spec:?} kept a standalone ReLU"
+                );
+                assert_eq!(plan.ops.len(), raw.ops.len() - pre_relu.len(), "{arch}");
+                assert_eq!(
+                    plan.buf_lens.len(),
+                    raw.buf_lens.len() - pre_relu.len(),
+                    "{arch} at {spec:?} kept a pre-ReLU buffer"
+                );
+                let floats = |lens: &[usize]| lens.iter().sum::<usize>();
+                let dropped: usize = pre_relu.iter().map(|&x| raw.buf_lens[x]).sum();
+                assert_eq!(
+                    floats(&plan.buf_lens),
+                    floats(&raw.buf_lens) - dropped,
+                    "{arch} at {spec:?}"
+                );
+                if (arch, spec) == (Arch::VggSmall, InputSpec::RGB32) {
+                    assert_eq!(plan.ops.len(), 7);
+                    assert_eq!(plan.buf_lens.len(), 8);
+                    assert_eq!(floats(&plan.buf_lens), 38_458);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn relus_that_cannot_fuse_stay_standalone_and_match_the_tape() {
+        use crate::autograd::{softmax_rows, Tape};
+        use crate::delta::{BaseActivations, DeltaBatchScratch, DeltaPlan};
+        use crate::layers::{Conv2d, Flatten, Linear, MaxPool, ParallelConcat, Relu, Sequential};
+
+        let spec = InputSpec::RGB32;
+        let mut rng = ChaCha8Rng::seed_from_u64(12);
+        // The first ReLU follows a max pool; the second one's input has a
+        // second reader (the concat copies the conv output beside it),
+        // whose negative cells reach the logits.
+        let stack = Sequential::new()
+            .push(Conv2d::new(&mut rng, "hand.c1", 3, 4, 3, 1))
+            .push(MaxPool::new(2))
+            .push(Relu)
+            .push(Conv2d::new(&mut rng, "hand.c2", 4, 4, 3, 1))
+            .push(ParallelConcat::with_input(vec![
+                Sequential::new().push(Relu)
+            ]))
+            .push(Flatten)
+            .push(Linear::new(&mut rng, "hand.fc", 8 * 16 * 16, 3));
+        let plan = InferencePlan::compile_stack(&stack, spec, 3);
+        let raw = unfused(&stack, spec);
+        assert_eq!(plan.ops.iter().filter(|op| is_relu(op)).count(), 2);
+        assert_eq!(plan.ops.len(), raw.ops.len());
+        assert_eq!(plan.buf_lens, raw.buf_lens);
+
+        let image = test_image(spec);
+        let tape_scores = |image: &Tensor| {
+            let mut tape = Tape::no_grad();
+            let x = tape.input(image.reshape([1, 3, 32, 32]));
+            let y = stack.forward(&mut tape, x);
+            softmax_rows(tape.value(y)).into_vec()
+        };
+        let mut ws = plan.workspace();
+        let mut got = Vec::new();
+        plan.scores_into(&mut ws, &image, &mut got);
+        assert_eq!(got, tape_scores(&image));
+
+        // Both delta routes run the standalone steps too.
+        let delta = DeltaPlan::compile(&plan);
+        let base = BaseActivations::capture(&plan, &mut ws, &image);
+        let mut dws: Vec<_> = (0..2).map(|_| delta.workspace(&base)).collect();
+        let cands = [(0, 0, [1.0, 0.0, 0.5]), (17, 9, [0.0, 1.0, 1.0])];
+        let mut batched = Vec::new();
+        let mut scratch = DeltaBatchScratch::new();
+        delta.scores_pixel_delta_batch_into(
+            &plan,
+            &base,
+            &mut dws,
+            &cands,
+            &mut scratch,
+            &mut batched,
+        );
+        for (i, &(row, col, rgb)) in cands.iter().enumerate() {
+            let mut poked = image.clone();
+            for (ch, v) in rgb.into_iter().enumerate() {
+                *poked.at_mut(&[ch, row, col]) = v;
+            }
+            let want = tape_scores(&poked);
+            delta.scores_pixel_delta_into(&plan, &base, &mut dws[0], row, col, rgb, &mut got);
+            assert_eq!(got, want, "sequential delta at ({row}, {col})");
+            assert_eq!(batched[i * 3..(i + 1) * 3], want[..], "batched delta");
         }
     }
 

@@ -157,18 +157,36 @@ mod tests {
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
-    fn tmpdir(name: &str) -> std::path::PathBuf {
+    /// A test's temporary directory under the system temp dir, removed with
+    /// its contents on drop.
+    struct TmpDir(std::path::PathBuf);
+
+    impl std::ops::Deref for TmpDir {
+        type Target = Path;
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TmpDir {
+        fn drop(&mut self) {
+            let _ = fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn tmpdir(name: &str) -> TmpDir {
         let dir =
             std::env::temp_dir().join(format!("oppsla-serialize-{name}-{}", std::process::id()));
         fs::create_dir_all(&dir).unwrap();
-        dir
+        TmpDir(dir)
     }
 
     #[test]
     fn round_trip_preserves_scores() {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let net = ConvNet::build(Arch::Mlp, InputSpec::RGB32, 4, &mut rng);
-        let path = tmpdir("roundtrip").join("mlp.json");
+        let dir = tmpdir("roundtrip");
+        let path = dir.join("mlp.json");
         save_weights(&net, &path).unwrap();
 
         let mut rng2 = ChaCha8Rng::seed_from_u64(999); // different init
@@ -191,7 +209,7 @@ mod tests {
         fs::write(&path, b"{\"old\": true}").unwrap();
         save_weights(&net, &path).unwrap();
         load_weights(&net, &path).unwrap();
-        let leftovers: Vec<_> = fs::read_dir(&dir)
+        let leftovers: Vec<_> = fs::read_dir(&*dir)
             .unwrap()
             .map(|e| e.unwrap().file_name())
             .filter(|n| n.to_string_lossy().contains(".tmp."))
@@ -206,7 +224,8 @@ mod tests {
     fn load_rejects_arch_mismatch() {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let net = ConvNet::build(Arch::Mlp, InputSpec::RGB32, 4, &mut rng);
-        let path = tmpdir("archmismatch").join("mlp.json");
+        let dir = tmpdir("archmismatch");
+        let path = dir.join("mlp.json");
         save_weights(&net, &path).unwrap();
         let other = ConvNet::build(Arch::VggSmall, InputSpec::RGB32, 4, &mut rng);
         let err = load_weights(&other, &path).unwrap_err();
@@ -217,7 +236,8 @@ mod tests {
     fn load_rejects_class_count_mismatch() {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let net = ConvNet::build(Arch::Mlp, InputSpec::RGB32, 4, &mut rng);
-        let path = tmpdir("classmismatch").join("mlp.json");
+        let dir = tmpdir("classmismatch");
+        let path = dir.join("mlp.json");
         save_weights(&net, &path).unwrap();
         let other = ConvNet::build(Arch::Mlp, InputSpec::RGB32, 5, &mut rng);
         assert!(load_weights(&other, &path).is_err());
@@ -235,7 +255,8 @@ mod tests {
     fn load_rejects_malformed_json() {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let net = ConvNet::build(Arch::Mlp, InputSpec::RGB32, 4, &mut rng);
-        let path = tmpdir("badjson").join("garbage.json");
+        let dir = tmpdir("badjson");
+        let path = dir.join("garbage.json");
         fs::write(&path, "{not json").unwrap();
         let err = load_weights(&net, &path).unwrap_err();
         assert!(matches!(err, WeightError::Parse(_)), "{err}");

@@ -665,6 +665,10 @@ const REGION_PX: usize = 8;
 /// rounded up to a multiple of 16, the widest register of any level, so
 /// every level reads one layout; padding lanes are zero.
 /// Build it once per plan: a compiled plan keeps one per convolution.
+///
+/// A bank may carry a fused ReLU ([`ConvLanes::set_relu`]): the kernel
+/// then stores `v.max(0.0)` for each output cell `v`, the same `f32::max`
+/// on the same value a separate ReLU pass would compute.
 #[derive(Debug, Clone)]
 pub struct ConvLanes {
     out_c: usize,
@@ -672,6 +676,7 @@ pub struct ConvLanes {
     width: usize,
     weight: Vec<f32>,
     bias: Vec<f32>,
+    relu: bool,
 }
 
 impl ConvLanes {
@@ -699,7 +704,18 @@ impl ConvLanes {
             width,
             weight: lanes,
             bias: padded,
+            relu: false,
         }
+    }
+
+    /// Whether the kernel applies a fused ReLU to every stored cell.
+    pub fn relu(&self) -> bool {
+        self.relu
+    }
+
+    /// Fuses (or unfuses) a ReLU into every store of this bank's output.
+    pub fn set_relu(&mut self, relu: bool) {
+        self.relu = relu;
     }
 }
 
@@ -717,6 +733,8 @@ struct RegionCtx {
     width: usize,
     /// Vector registers per channel block (SIMD levels only).
     regs: usize,
+    /// Store `v.max(0.0)` instead of `v` (a fused ReLU).
+    relu: bool,
     weight: *const f32,
     bias: *const f32,
 }
@@ -794,7 +812,9 @@ fn tap_window(o: usize, s: usize, p: usize, k: usize, n: usize) -> (usize, usize
 /// only with pixels of the same window. Skipping is bit-exact: in
 /// IEEE-754 round-to-nearest an accumulator seeded with `+0.0` can never
 /// become `-0.0`, so adding the padding's `w · 0.0 = ±0.0` is always the
-/// identity. Padding lanes are never stored.
+/// identity. Padding lanes are never stored. With a fused ReLU
+/// ([`ConvLanes::set_relu`]) every stored cell is `v.max(0.0)` of that
+/// value instead.
 ///
 /// # Panics
 ///
@@ -866,6 +886,7 @@ pub fn conv2d_region_batch_into_with<'a>(
         out_c: lanes.out_c,
         width: lanes.width,
         regs,
+        relu: lanes.relu,
         weight: lanes.weight.as_ptr(),
         bias: lanes.bias.as_ptr(),
     };
@@ -961,7 +982,8 @@ pub fn conv2d_region_batch_into_with<'a>(
 /// Reference region-conv tile: per pixel and output channel, one
 /// accumulator from `0.0` over the window's taps in `(ch, ky, kx)` order,
 /// then the bias — the recurrence of `ops::matmul_into` over im2col
-/// columns, less the padding's exact-zero taps.
+/// columns, less the padding's exact-zero taps — and, for a fused ReLU,
+/// `max(0.0)` on the stored value.
 ///
 /// # Safety
 ///
@@ -982,7 +1004,8 @@ unsafe fn region_tile_scalar(t: &RegionTile, cx: &RegionCtx) {
                     }
                 }
             }
-            *dst.add(oc * cx.plane) = acc + *cx.bias.add(oc);
+            let v = acc + *cx.bias.add(oc);
+            *dst.add(oc * cx.plane) = if cx.relu { v.max(0.0) } else { v };
         }
     }
 }
@@ -994,7 +1017,9 @@ unsafe fn region_tile_scalar(t: &RegionTile, cx: &RegionCtx) {
 /// `0.0` in `(ch, ky, kx)` order, so each lane is bit-identical to
 /// [`region_tile_scalar`]. The bias is added last, and each pixel's
 /// registers go through a stack row from which only the real channels
-/// are stored.
+/// are stored, a fused ReLU applied per lane in that scalar store loop:
+/// `f32::max` there matches the scalar kernel and a separate ReLU pass,
+/// which a vector max is not specified to do for NaN or signed zeros.
 macro_rules! region_kernel {
     ($name:ident, $arch:literal, $feature:literal, $lanes:expr, $set1:ident, $load:ident, $store:ident, $zero:expr, $mul:ident, $add:ident) => {
         /// # Safety
@@ -1052,7 +1077,7 @@ macro_rules! region_kernel {
                     }
                     let dst = dst.add(r0 * L * cx.plane);
                     for (j, &v) in cells[..live].iter().enumerate() {
-                        *dst.add(j * cx.plane) = v;
+                        *dst.add(j * cx.plane) = if cx.relu { v.max(0.0) } else { v };
                     }
                 }
             }

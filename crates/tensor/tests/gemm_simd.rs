@@ -65,12 +65,15 @@ proptest! {
 /// The batched region kernel's reference: each output cell of `rect`
 /// accumulates from `0.0` over its in-bounds taps in `(ch, ky, kx)` order,
 /// `w · x` per tap, then adds its bias; out-of-bounds taps are skipped.
+/// With `relu` the stored cell is then `max(0.0)` of that value, as a
+/// separate ReLU pass would store it.
 fn naive_region(
     image: &[f32],
     weight: &[f32],
     bias: &[f32],
     geom: &Conv2dGeometry,
     rect: Rect,
+    relu: bool,
     out: &mut [f32],
 ) {
     let (c, h, w) = (geom.in_channels, geom.in_h, geom.in_w);
@@ -92,7 +95,8 @@ fn naive_region(
                         }
                     }
                 }
-                out[(oc * oh + oy) * ow + ox] = acc + bias[oc];
+                let v = acc + bias[oc];
+                out[(oc * oh + oy) * ow + ox] = if relu { v.max(0.0) } else { v };
             }
         }
     }
@@ -136,7 +140,9 @@ proptest! {
     /// cells of each candidate, and nothing else. Channel counts cross the
     /// 4/8/16-lane register widths and the 16-lane padding, rectangles
     /// touch every edge (clipped tap windows), and several candidates per
-    /// call make tiles span candidates.
+    /// call make tiles span candidates. Every case runs unfused and with a
+    /// fused ReLU, over pre-activations of both signs and, with more than
+    /// one output channel, one channel of exact zeros.
     #[test]
     fn region_conv_kernel_matches_reference(
         in_c in 1usize..=20,
@@ -163,9 +169,17 @@ proptest! {
         };
         let (oh, ow) = (geom.out_h(), geom.out_w());
         let k = in_c * kernel * kernel;
-        let weight = lcg_data(out_c * k, seed);
-        let bias = lcg_data(out_c, seed.wrapping_add(3));
-        let lanes = ConvLanes::new(&weight, &bias, out_c, k);
+        let mut weight = lcg_data(out_c * k, seed);
+        let mut bias = lcg_data(out_c, seed.wrapping_add(3));
+        // Weights and biases in [-2, 2) drive about half the cells
+        // negative; a channel of zero weights and zero bias stores +0.0.
+        // A lone channel keeps its weights, so its arithmetic is checked.
+        if out_c > 1 {
+            let zero_oc = seed as usize % out_c;
+            weight[zero_oc * k..(zero_oc + 1) * k].fill(0.0);
+            bias[zero_oc] = 0.0;
+        }
+        let mut lanes = ConvLanes::new(&weight, &bias, out_c, k);
         let mut state = seed;
         let mut r = |n: usize| {
             state = state.wrapping_mul(1664525).wrapping_add(1013904223);
@@ -179,25 +193,28 @@ proptest! {
             .collect();
         // Untouched cells must keep this sentinel.
         let blank = vec![f32::from_bits(0x7fc0_1234); out_c * oh * ow];
-        let mut want = vec![blank.clone(); cands];
-        for ((image, &rect), out) in images.iter().zip(&rects).zip(want.iter_mut()) {
-            naive_region(image, &weight, &bias, &geom, rect, out);
-        }
-        for level in available_levels() {
-            let mut got = vec![blank.clone(); cands];
-            let jobs = images
-                .iter()
-                .zip(&rects)
-                .zip(got.iter_mut())
-                .map(|((image, &rect), out)| (image.as_slice(), rect, out.as_mut_slice()));
-            conv2d_region_batch_into_with(level, &lanes, &geom, jobs);
-            for (i, (g, wv)) in got.iter().zip(&want).enumerate() {
-                prop_assert_eq!(
-                    bits(g),
-                    bits(wv),
-                    "region kernel diverged at level={} candidate {} of {} rect={:?} {:?}",
-                    level.as_str(), i, cands, rects[i], geom
-                );
+        for relu in [false, true] {
+            lanes.set_relu(relu);
+            let mut want = vec![blank.clone(); cands];
+            for ((image, &rect), out) in images.iter().zip(&rects).zip(want.iter_mut()) {
+                naive_region(image, &weight, &bias, &geom, rect, relu, out);
+            }
+            for level in available_levels() {
+                let mut got = vec![blank.clone(); cands];
+                let jobs = images
+                    .iter()
+                    .zip(&rects)
+                    .zip(got.iter_mut())
+                    .map(|((image, &rect), out)| (image.as_slice(), rect, out.as_mut_slice()));
+                conv2d_region_batch_into_with(level, &lanes, &geom, jobs);
+                for (i, (g, wv)) in got.iter().zip(&want).enumerate() {
+                    prop_assert_eq!(
+                        bits(g),
+                        bits(wv),
+                        "region kernel diverged at level={} relu={} candidate {} of {} rect={:?} {:?}",
+                        level.as_str(), relu, i, cands, rects[i], geom
+                    );
+                }
             }
         }
     }
