@@ -36,6 +36,10 @@
 //! runs sequentially and may route differently while producing identical
 //! scores.
 //!
+//! A query record that cannot be replayed (a pixel outside the
+//! reconstructed image, only one coordinate marked full-image, a channel
+//! outside `[0, 1]`) is a mismatch, and its run's replay stops there.
+//!
 //! Exits 0 when everything verifies, 1 on any mismatch (or a trace whose
 //! recorder dropped records).
 
@@ -66,6 +70,39 @@ fn parse_scale(id: &str) -> Option<Scale> {
     [Scale::Cifar, Scale::ImageNetLike]
         .into_iter()
         .find(|s| s.id() == id)
+}
+
+/// The candidate of a query record to be replayed on `image`: `None` for a
+/// full-image query (both coordinates [`NO_PIXEL`]), or a pixel inside
+/// the image with every channel in `[0, 1]`.
+///
+/// # Errors
+///
+/// Describes any other record (one coordinate [`NO_PIXEL`], a pixel
+/// outside the image, a channel outside `[0, 1]`): a damaged trace, which
+/// replay reports as a mismatch instead of querying it.
+fn replay_candidate(
+    image: &Image,
+    row: u32,
+    col: u32,
+    rgb: [f32; 3],
+) -> Result<Option<(Location, Pixel)>, String> {
+    if row == NO_PIXEL && col == NO_PIXEL {
+        return Ok(None);
+    }
+    let inside = |coord: u32, extent: usize| (coord as usize) < extent;
+    if !inside(row, image.height()) || !inside(col, image.width()) {
+        return Err(format!(
+            "query pixel ({row}, {col}) is outside the {}x{} image",
+            image.height(),
+            image.width()
+        ));
+    }
+    if !rgb.iter().all(|c| (0.0..=1.0).contains(c)) {
+        return Err(format!("query pixel value {rgb:?} is outside [0, 1]"));
+    }
+    // Both coordinates are below an image extent, which fits in 16 bits.
+    Ok(Some((Location::new(row as u16, col as u16), Pixel(rgb))))
 }
 
 /// One section's records: coordinating-thread metadata in emission order,
@@ -282,6 +319,8 @@ impl Replayer {
                 let mut oracle = Oracle::new(&*session);
                 oracle.begin_candidate_scope();
                 let mut closed = false;
+                // Set when a record stops the run's replay early.
+                let mut abandoned = false;
                 let mut run_result = (0u64, false);
                 for rec in run {
                     if closed {
@@ -301,18 +340,20 @@ impl Replayer {
                             flip,
                             ..
                         } => {
-                            let queried = if *row == NO_PIXEL {
-                                oracle.query_into(image, &mut buf)
-                            } else {
-                                oracle.query_pixel_delta_into(
-                                    image,
-                                    Location::new(*row as u16, *col as u16),
-                                    Pixel([*r, *g, *b]),
-                                    &mut buf,
-                                )
+                            let queried = match replay_candidate(image, *row, *col, [*r, *g, *b]) {
+                                Ok(None) => oracle.query_into(image, &mut buf),
+                                Ok(Some((location, pixel))) => {
+                                    oracle.query_pixel_delta_into(image, location, pixel, &mut buf)
+                                }
+                                Err(damage) => {
+                                    errs.push(format!("{}: {damage}", at(rec.sub)));
+                                    abandoned = true;
+                                    break;
+                                }
                             };
                             if queried.is_err() {
                                 errs.push(format!("{}: replay oracle out of budget", at(rec.sub)));
+                                abandoned = true;
                                 break;
                             }
                             if oracle.queries() != *seq {
@@ -358,7 +399,7 @@ impl Replayer {
                         )),
                     }
                 }
-                if !closed {
+                if !closed && !abandoned {
                     errs.push(format!(
                         "section {section} ({label}) round {round} image {i}: run never closed \
                      (no run summary record)"
@@ -538,5 +579,58 @@ mod tests {
         }
         assert_eq!(parse_arch("no-such-arch"), None);
         assert_eq!(parse_scale("no-such-scale"), None);
+    }
+
+    /// A pixel query and a full-image query as `fig3 --trace` writes them.
+    const PIXEL_QUERY: &str = r#"{"k":"query","sec":1,"rnd":1,"lane":1,"img":7,"sub":1,"phase":"init_scan","route":"batch_hit","cache":"none","seq":2,"row":15,"col":15,"r":0,"g":1,"b":0,"margin":0.36582404,"pred":7,"flip":false}"#;
+    const FULL_QUERY: &str = r#"{"k":"query","sec":1,"rnd":1,"lane":1,"img":7,"sub":0,"phase":"baseline","route":"full","cache":"none","seq":1,"row":4294967295,"col":4294967295,"r":0,"g":0,"b":0,"margin":0.37575483,"pred":7,"flip":false}"#;
+
+    /// Parses `line` and checks its candidate against a 32x32 image.
+    fn check(line: &str) -> Result<Option<(Location, Pixel)>, String> {
+        let image = Image::filled(32, 32, Pixel([0.5, 0.5, 0.5]));
+        let rec = Record::parse(line).expect("a well-formed record");
+        let Body::Query {
+            row, col, r, g, b, ..
+        } = rec.body
+        else {
+            panic!("not a query record: {line}");
+        };
+        replay_candidate(&image, row, col, [r, g, b])
+    }
+
+    #[test]
+    fn intact_query_records_replay() {
+        assert_eq!(
+            check(PIXEL_QUERY),
+            Ok(Some((Location::new(15, 15), Pixel([0.0, 1.0, 0.0]))))
+        );
+        assert_eq!(check(FULL_QUERY), Ok(None));
+        let corner = PIXEL_QUERY
+            .replace(r#""row":15"#, r#""row":31"#)
+            .replace(r#""col":15"#, r#""col":0"#);
+        assert_eq!(
+            check(&corner),
+            Ok(Some((Location::new(31, 0), Pixel([0.0, 1.0, 0.0]))))
+        );
+    }
+
+    #[test]
+    fn damaged_query_records_are_rejected() {
+        let damaged = [
+            // Outside the image, on either axis or just past its edge.
+            PIXEL_QUERY.replace(r#""row":15"#, r#""row":99"#),
+            PIXEL_QUERY.replace(r#""col":15"#, r#""col":32"#),
+            // Would wrap to row 15 in 16 bits.
+            PIXEL_QUERY.replace(r#""row":15"#, r#""row":65551"#),
+            // Only one coordinate marks a full-image query.
+            PIXEL_QUERY.replace(r#""row":15"#, r#""row":4294967295"#),
+            FULL_QUERY.replace(r#""col":4294967295"#, r#""col":3"#),
+            // Channels outside [0, 1].
+            PIXEL_QUERY.replace(r#""g":1"#, r#""g":1.5"#),
+            PIXEL_QUERY.replace(r#""r":0"#, r#""r":-0.25"#),
+        ];
+        for line in &damaged {
+            assert!(check(line).is_err(), "accepted a damaged record: {line}");
+        }
     }
 }

@@ -270,29 +270,61 @@ fn hash_scores(scores: &[f32]) -> u64 {
     h
 }
 
-/// FNV-1a 64 as a `HashMap` hasher for speculation pool keys and the
-/// synthesizer's score tables: deterministic across processes (no
-/// per-process seed), cheap on short keys. Keys are candidates the
-/// program itself generates, never outside input.
+/// The `HashMap` hasher for speculation pool keys and the synthesizer's
+/// score tables: deterministic across processes (no per-process seed),
+/// and cheap on their `(u16, u16, [u32; 3])` keys. Each write mixes a
+/// whole word into the state with one multiply (five per key), and
+/// `finish` ends with an avalanche step so the table's bucket bits (low)
+/// and tag bits (high) both depend on every input bit. Keys are
+/// candidates the program itself generates, never outside input, and
+/// neither map is iterated, so no order depends on the hash.
 #[derive(Default)]
-pub(crate) struct FnvHasher(u64);
+pub(crate) struct WordHasher(u64);
 
-impl std::hash::Hasher for FnvHasher {
+impl WordHasher {
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(26) ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
+
+impl std::hash::Hasher for WordHasher {
     fn finish(&self) -> u64 {
-        self.0
+        // The finalizer of MurmurHash3's 64-bit variant.
+        let mut h = self.0;
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        h ^ (h >> 33)
     }
 
     fn write(&mut self, bytes: &[u8]) {
-        let mut h = if self.0 == 0 {
-            0xcbf2_9ce4_8422_2325
-        } else {
-            self.0
-        };
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100_0000_01b3);
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.mix(u64::from_le_bytes(word.try_into().expect("8-byte chunk")));
         }
-        self.0 = h;
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut word = [0u8; 8];
+            word[..tail.len()].copy_from_slice(tail);
+            self.mix(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u16(&mut self, n: u16) {
+        self.mix(u64::from(n));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.mix(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.mix(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.mix(n as u64);
     }
 }
 
@@ -330,7 +362,7 @@ struct SpecPool {
     /// `Send`. Meaningless while the pool is empty.
     base_addr: usize,
     /// Pending candidates, each with the slot holding its scores.
-    pending: HashMap<CandidateKey, usize, BuildHasherDefault<FnvHasher>>,
+    pending: HashMap<CandidateKey, usize, BuildHasherDefault<WordHasher>>,
     /// `num_classes` scores per slot.
     slots: Vec<f32>,
     /// Slots whose candidate was consumed, reused before `slots` grows, so

@@ -144,16 +144,21 @@ impl Corner {
     /// (the paper's "farthest pixel, second farthest pixel, …" ordering).
     /// Ties break by corner index so the ranking is total and
     /// deterministic.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a channel of `pixel` is NaN.
     pub fn ranked_by_distance(pixel: Pixel) -> [Corner; 8] {
-        let mut corners = Corner::ALL;
-        corners.sort_by(|a, b| {
-            let da = pixel.distance(a.as_pixel());
-            let db = pixel.distance(b.as_pixel());
-            db.partial_cmp(&da)
+        // Each distance once, then a stable sort on them: ties keep index
+        // order.
+        let dist = Corner::ALL.map(|c| pixel.distance(c.as_pixel()));
+        let mut ranked = Corner::ALL;
+        ranked.sort_by(|a, b| {
+            dist[b.index() as usize]
+                .partial_cmp(&dist[a.index() as usize])
                 .expect("pixel distances are finite")
-                .then(a.0.cmp(&b.0))
         });
-        corners
+        ranked
     }
 }
 

@@ -11,15 +11,65 @@
 
 use crate::image::Image;
 use crate::pair::{Corner, Location, Pair};
+use std::ops::Deref;
 
-/// Dense id of a pair: `(row·width + col)·8 + corner`.
+/// Dense id of a pair: `(location index << 3) | corner`, where a
+/// location's index is `(row << col_bits) | col` and `1 << col_bits` is
+/// the width rounded up to a power of two, so ids decode with shifts and
+/// masks instead of a division by the width.
 type PairId = u32;
 
+/// The link of an entry without a predecessor or successor.
+const NIL: PairId = PairId::MAX;
+
+/// A pair's links in the queue; meaningful only while the pair is queued.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
-    prev: Option<PairId>,
-    next: Option<PairId>,
-    alive: bool,
+    prev: PairId,
+    next: PairId,
+}
+
+const UNLINKED: Entry = Entry {
+    prev: NIL,
+    next: NIL,
+};
+
+/// The corners still queued at one location, held inline: their ids in
+/// queue-relative order (initial order = farthness rank; push-back moves
+/// to the end), and a bit per corner for membership.
+#[derive(Debug, Clone, Copy, Default)]
+struct Corners {
+    ids: [u8; 8],
+    len: u8,
+    queued: u8,
+}
+
+impl Corners {
+    fn as_slice(&self) -> &[u8] {
+        &self.ids[..self.len as usize]
+    }
+
+    fn contains(&self, corner: u8) -> bool {
+        self.queued & (1 << corner) != 0
+    }
+
+    fn push(&mut self, corner: u8) {
+        debug_assert!(!self.contains(corner), "append of a live pair");
+        self.ids[self.len as usize] = corner;
+        self.len += 1;
+        self.queued |= 1 << corner;
+    }
+
+    fn remove(&mut self, corner: u8) {
+        let pos = self
+            .as_slice()
+            .iter()
+            .position(|&c| c == corner)
+            .expect("per-location list out of sync");
+        self.ids.copy_within(pos + 1..self.len as usize, pos);
+        self.len -= 1;
+        self.queued &= !(1 << corner);
+    }
 }
 
 /// Queue of remaining location–perturbation candidates (`L` in
@@ -44,12 +94,13 @@ struct Entry {
 pub struct PairQueue {
     height: usize,
     width: usize,
+    /// Bits of the column in a location index (see [`PairId`]).
+    col_bits: u32,
     entries: Vec<Entry>,
-    head: Option<PairId>,
-    tail: Option<PairId>,
-    /// Per location: the corner ids still in the queue, in queue-relative
-    /// order (initial order = farthness rank; push-back moves to the end).
-    per_location: Vec<Vec<u8>>,
+    head: PairId,
+    tail: PairId,
+    /// Per location index: the corners still in the queue.
+    per_location: Vec<Corners>,
     len: usize,
 }
 
@@ -66,66 +117,77 @@ impl PairQueue {
     /// locations ordered by descending `prior` weight. Ties (and the
     /// [`Uniform`](crate::prior::Uniform) prior, where everything ties)
     /// fall back to the paper's centre-out order, ties row-major.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a prior weight is not finite, or the image has more
+    /// pairs than 32-bit ids can name.
     pub fn for_image_with_prior(
         image: &Image,
         class: usize,
         prior: &dyn crate::prior::Prior,
     ) -> Self {
         let (h, w) = (image.height(), image.width());
-        let num_pairs = 8 * h * w;
+        let col_bits = w.next_power_of_two().trailing_zeros();
+        let num_ids = (h << col_bits) * 8;
+        assert!(num_ids <= NIL as usize, "{h}x{w} image overflows pair ids");
         let mut queue = PairQueue {
             height: h,
             width: w,
-            entries: vec![
-                Entry {
-                    prev: None,
-                    next: None,
-                    alive: false,
-                };
-                num_pairs
-            ],
-            head: None,
-            tail: None,
-            per_location: vec![Vec::with_capacity(8); h * w],
+            col_bits,
+            entries: vec![UNLINKED; num_ids],
+            head: NIL,
+            tail: NIL,
+            per_location: vec![Corners::default(); h << col_bits],
             len: 0,
         };
 
-        // Locations sorted by descending prior weight (primary among
-        // locations), centre-out (secondary), ties row-major. Weights
-        // are precomputed once per location: priors are pure, but table
-        // lookups inside a sort comparator would still be paid O(n log n)
-        // times.
-        let mut locations: Vec<(Location, f64)> = (0..h as u16)
-            .flat_map(|row| (0..w as u16).map(move |col| Location::new(row, col)))
-            .map(|loc| {
+        // Each location's sort key, computed once: descending prior
+        // weight (primary among locations), centre-out (secondary), ties
+        // row-major. The centre sits on a pixel or halfway between two,
+        // so twice a location's L∞ distance from it is an exact integer
+        // with the order of `Image::center_distance`; packed above the
+        // row and column, one integer compare settles all but the weight.
+        let mut keys: Vec<(f64, u64)> = Vec::with_capacity(h * w);
+        for row in 0..h {
+            for col in 0..w {
+                let loc = Location::new(row as u16, col as u16);
                 let weight = prior.location_weight(class, image, loc);
                 assert!(weight.is_finite(), "prior weight for {loc:?} not finite");
-                (loc, weight)
-            })
-            .collect();
-        locations.sort_by(|(a, wa), (b, wb)| {
+                let centre2 = (2 * row).abs_diff(h - 1).max((2 * col).abs_diff(w - 1));
+                keys.push((
+                    weight,
+                    (centre2 as u64) << 32 | (row as u64) << 16 | col as u64,
+                ));
+            }
+        }
+        keys.sort_unstable_by(|(wa, a), (wb, b)| {
             wb.partial_cmp(wa)
                 .expect("prior weights are finite")
-                .then(
-                    image
-                        .center_distance(*a)
-                        .partial_cmp(&image.center_distance(*b))
-                        .expect("centre distances are finite"),
-                )
                 .then(a.cmp(b))
         });
-        let locations: Vec<Location> = locations.into_iter().map(|(loc, _)| loc).collect();
 
-        // Farthness ranking per location (primary key).
-        let rankings: Vec<[Corner; 8]> = locations
+        // Farthness ranking per location (primary key), stored as the
+        // location's queued corners; then emit, for each rank (farthest
+        // first), all locations in key order.
+        let locations: Vec<usize> = keys
             .iter()
-            .map(|&loc| Corner::ranked_by_distance(image.pixel(loc)))
+            .map(|&(_, key)| {
+                let loc = Location::new((key >> 16) as u16, key as u16);
+                let li = queue.loc_index(loc);
+                let ranking = Corner::ranked_by_distance(image.pixel(loc));
+                queue.per_location[li] = Corners {
+                    ids: ranking.map(Corner::index),
+                    len: 8,
+                    queued: u8::MAX,
+                };
+                li
+            })
             .collect();
-
-        // Emit: for each rank (farthest first), all locations centre-out.
         for rank in 0..8 {
-            for (loc, ranking) in locations.iter().zip(&rankings) {
-                queue.append(Pair::new(*loc, ranking[rank]));
+            for &li in &locations {
+                let corner = queue.per_location[li].ids[rank];
+                queue.link_tail(((li << 3) | corner as usize) as PairId);
             }
         }
         queue
@@ -143,12 +205,15 @@ impl PairQueue {
 
     /// True when `pair` is still in the queue.
     pub fn contains(&self, pair: Pair) -> bool {
-        self.entries[self.id(pair) as usize].alive
+        self.per_location[self.loc_index(pair.location)].contains(pair.corner.index())
     }
 
     /// Pops the front pair.
     pub fn pop(&mut self) -> Option<Pair> {
-        let id = self.head?;
+        let id = self.head;
+        if id == NIL {
+            return None;
+        }
         let pair = self.pair(id);
         self.detach(id);
         Some(pair)
@@ -156,11 +221,10 @@ impl PairQueue {
 
     /// Removes an arbitrary pair. Returns `true` when it was present.
     pub fn remove(&mut self, pair: Pair) -> bool {
-        let id = self.id(pair);
-        if !self.entries[id as usize].alive {
+        if !self.contains(pair) {
             return false;
         }
-        self.detach(id);
+        self.detach(self.id(pair));
         true
     }
 
@@ -184,18 +248,27 @@ impl PairQueue {
     /// order (at most 8; the first is [`PairQueue::next_at_location`]).
     pub fn pairs_at_location(&self, loc: Location) -> impl Iterator<Item = Pair> + '_ {
         self.per_location[self.loc_index(loc)]
+            .as_slice()
             .iter()
             .map(move |&c| Pair::new(loc, Corner::new(c)))
     }
 
     /// The paper's `closest_loc(l, p)`: all pairs still in the queue whose
     /// location is at `L∞` distance 1 from `loc` and whose perturbation is
-    /// `corner` (at most 8).
-    pub fn location_neighbors(&self, loc: Location, corner: Corner) -> Vec<Pair> {
-        loc.neighbors(self.height, self.width)
-            .map(|n| Pair::new(n, corner))
-            .filter(|&p| self.contains(p))
-            .collect()
+    /// `corner` (at most 8, in [`Location::neighbors`] order).
+    pub fn location_neighbors(&self, loc: Location, corner: Corner) -> Neighbors {
+        let mut out = Neighbors {
+            pairs: [Pair::new(loc, corner); 8],
+            len: 0,
+        };
+        for n in loc.neighbors(self.height, self.width) {
+            let pair = Pair::new(n, corner);
+            if self.contains(pair) {
+                out.pairs[out.len as usize] = pair;
+                out.len += 1;
+            }
+        }
+        out
     }
 
     /// Remaining pairs in queue order (O(n); for tests and diagnostics).
@@ -207,65 +280,87 @@ impl PairQueue {
     }
 
     fn id(&self, pair: Pair) -> PairId {
-        debug_assert!(
-            (pair.location.row as usize) < self.height && (pair.location.col as usize) < self.width,
-            "pair location out of bounds"
-        );
-        ((self.loc_index(pair.location) * 8) + pair.corner.index() as usize) as PairId
+        ((self.loc_index(pair.location) << 3) | pair.corner.index() as usize) as PairId
     }
 
     fn pair(&self, id: PairId) -> Pair {
-        let corner = Corner::new((id % 8) as u8);
-        let li = (id / 8) as usize;
-        let loc = Location::new((li / self.width) as u16, (li % self.width) as u16);
-        Pair::new(loc, corner)
+        let li = id >> 3;
+        let loc = Location::new(
+            (li >> self.col_bits) as u16,
+            (li & ((1 << self.col_bits) - 1)) as u16,
+        );
+        Pair::new(loc, Corner::new((id & 7) as u8))
     }
 
     fn loc_index(&self, loc: Location) -> usize {
-        loc.row as usize * self.width + loc.col as usize
+        debug_assert!(
+            (loc.row as usize) < self.height && (loc.col as usize) < self.width,
+            "pair location out of bounds"
+        );
+        (loc.row as usize) << self.col_bits | loc.col as usize
     }
 
     /// Links a currently-absent pair at the tail.
     fn append(&mut self, pair: Pair) {
-        let id = self.id(pair);
-        debug_assert!(!self.entries[id as usize].alive, "append of a live pair");
-        self.entries[id as usize] = Entry {
-            prev: self.tail,
-            next: None,
-            alive: true,
-        };
-        match self.tail {
-            Some(t) => self.entries[t as usize].next = Some(id),
-            None => self.head = Some(id),
-        }
-        self.tail = Some(id);
         let li = self.loc_index(pair.location);
         self.per_location[li].push(pair.corner.index());
+        self.link_tail(self.id(pair));
+    }
+
+    /// Links the entry `id` at the tail of the list (its location's
+    /// corner list is the caller's).
+    fn link_tail(&mut self, id: PairId) {
+        self.entries[id as usize] = Entry {
+            prev: self.tail,
+            next: NIL,
+        };
+        match self.tail {
+            NIL => self.head = id,
+            t => self.entries[t as usize].next = id,
+        }
+        self.tail = id;
         self.len += 1;
     }
 
     /// Unlinks a live pair.
     fn detach(&mut self, id: PairId) {
         let entry = self.entries[id as usize];
-        debug_assert!(entry.alive, "detach of a dead pair");
         match entry.prev {
-            Some(p) => self.entries[p as usize].next = entry.next,
-            None => self.head = entry.next,
+            NIL => self.head = entry.next,
+            p => self.entries[p as usize].next = entry.next,
         }
         match entry.next {
-            Some(n) => self.entries[n as usize].prev = entry.prev,
-            None => self.tail = entry.prev,
+            NIL => self.tail = entry.prev,
+            n => self.entries[n as usize].prev = entry.prev,
         }
-        self.entries[id as usize].alive = false;
-        let pair = self.pair(id);
-        let li = self.loc_index(pair.location);
-        let corners = &mut self.per_location[li];
-        let pos = corners
-            .iter()
-            .position(|&c| c == pair.corner.index())
-            .expect("per-location list out of sync");
-        corners.remove(pos);
+        self.per_location[(id >> 3) as usize].remove((id & 7) as u8);
         self.len -= 1;
+    }
+}
+
+/// The pairs [`PairQueue::location_neighbors`] found, at most eight, held
+/// inline so the sketch's per-failure neighbour lists allocate nothing.
+/// Dereferences to a slice; iterating by value yields the pairs in order.
+#[derive(Debug, Clone, Copy)]
+pub struct Neighbors {
+    pairs: [Pair; 8],
+    len: u8,
+}
+
+impl Deref for Neighbors {
+    type Target = [Pair];
+
+    fn deref(&self) -> &[Pair] {
+        &self.pairs[..self.len as usize]
+    }
+}
+
+impl IntoIterator for Neighbors {
+    type Item = Pair;
+    type IntoIter = std::iter::Take<std::array::IntoIter<Pair, 8>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.pairs.into_iter().take(self.len as usize)
     }
 }
 
@@ -273,14 +368,17 @@ impl PairQueue {
 #[derive(Debug)]
 pub struct Iter<'a> {
     queue: &'a PairQueue,
-    cursor: Option<PairId>,
+    cursor: PairId,
 }
 
 impl Iterator for Iter<'_> {
     type Item = Pair;
 
     fn next(&mut self) -> Option<Pair> {
-        let id = self.cursor?;
+        let id = self.cursor;
+        if id == NIL {
+            return None;
+        }
         self.cursor = self.queue.entries[id as usize].next;
         Some(self.queue.pair(id))
     }

@@ -245,6 +245,7 @@ pub fn run_sketch_with_goal_prior(
     };
     let pooled =
         |oracle: &Oracle<'_>, p: Pair| oracle.is_prefetched(image, p.location, p.corner.as_pixel());
+    let mut failures = Failures::default();
 
     loop {
         if speculate
@@ -289,17 +290,14 @@ pub fn run_sketch_with_goal_prior(
             }
         }
 
-        // B3/B4: eager front-checking (lines 7–24 of Algorithm 1). The
-        // queues own their score vectors: `buf` is overwritten by the next
-        // query, so entries must be snapshots.
-        let mut loc_q: VecDeque<(Pair, Vec<f32>)> = VecDeque::new();
-        let mut pert_q: VecDeque<(Pair, Vec<f32>)> = VecDeque::new();
-        loc_q.push_back((pair, buf.clone()));
-        pert_q.push_back((pair, buf.clone()));
+        // B3/B4: eager front-checking (lines 7–24 of Algorithm 1). `buf`
+        // is overwritten by the next query, so each failed pair's scores
+        // are snapshotted into `failures`, which the whole run reuses.
+        failures.start(pair, &buf);
 
-        while !loc_q.is_empty() || !pert_q.is_empty() {
-            while let Some((failed, failed_scores)) = loc_q.pop_front() {
-                if !conditions.holds(3, failed, &failed_scores) {
+        while !failures.loc_q.is_empty() || !failures.pert_q.is_empty() {
+            while let Some((failed, snapshot)) = failures.loc_q.pop_front() {
+                if !conditions.holds(3, failed, failures.scores(snapshot)) {
                     continue;
                 }
                 trace::record_cond("b3");
@@ -310,8 +308,7 @@ pub fn run_sketch_with_goal_prior(
                             &queue,
                             &neighbors[i..],
                             true,
-                            &loc_q,
-                            &pert_q,
+                            &failures,
                             &mut plan,
                         );
                         prefetch(oracle, &plan);
@@ -324,10 +321,7 @@ pub fn run_sketch_with_goal_prior(
                         Counter::QueryRefine,
                         "refine_b3",
                     ) {
-                        Ok(false) => {
-                            loc_q.push_back((candidate, buf.clone()));
-                            pert_q.push_back((candidate, buf.clone()));
-                        }
+                        Ok(false) => failures.push(candidate, &buf),
                         Ok(true) => {
                             return SketchOutcome::Success {
                                 pair: candidate,
@@ -342,8 +336,8 @@ pub fn run_sketch_with_goal_prior(
                     }
                 }
             }
-            while let Some((failed, failed_scores)) = pert_q.pop_front() {
-                if !conditions.holds(4, failed, &failed_scores) {
+            while let Some((failed, snapshot)) = failures.pert_q.pop_front() {
+                if !conditions.holds(4, failed, failures.scores(snapshot)) {
                     continue;
                 }
                 trace::record_cond("b4");
@@ -353,8 +347,7 @@ pub fn run_sketch_with_goal_prior(
                             &queue,
                             &[candidate],
                             false,
-                            &loc_q,
-                            &pert_q,
+                            &failures,
                             &mut plan,
                         );
                         prefetch(oracle, &plan);
@@ -367,10 +360,7 @@ pub fn run_sketch_with_goal_prior(
                         Counter::QueryRefine,
                         "refine_b4",
                     ) {
-                        Ok(false) => {
-                            loc_q.push_back((candidate, buf.clone()));
-                            pert_q.push_back((candidate, buf.clone()));
-                        }
+                        Ok(false) => failures.push(candidate, &buf),
                         Ok(true) => {
                             return SketchOutcome::Success {
                                 pair: candidate,
@@ -402,6 +392,44 @@ const INIT_PREFETCH: usize = 8;
 
 /// The most queue entries, from the head, one init-scan window walks.
 const INIT_WINDOW: usize = 32;
+
+/// Algorithm 1's `loc_q` and `pert_q`: the failed pairs that B3 and B4
+/// still have to examine, each with a snapshot of its scores. A failed
+/// pair joins both queues with one snapshot in `scores`, which grows
+/// through one refinement and is cleared at the next; the buffers live
+/// for the whole run, so a failed query allocates nothing.
+#[derive(Default)]
+struct Failures {
+    loc_q: VecDeque<(Pair, usize)>,
+    pert_q: VecDeque<(Pair, usize)>,
+    /// The snapshots, one score vector of `classes` values each.
+    scores: Vec<f32>,
+    classes: usize,
+}
+
+impl Failures {
+    /// Starts a refinement from the failed init-scan `pair`: both queues
+    /// hold it alone.
+    fn start(&mut self, pair: Pair, scores: &[f32]) {
+        debug_assert!(self.loc_q.is_empty() && self.pert_q.is_empty());
+        self.scores.clear();
+        self.classes = scores.len();
+        self.push(pair, scores);
+    }
+
+    /// Queues the failed `pair` on both queues.
+    fn push(&mut self, pair: Pair, scores: &[f32]) {
+        let snapshot = self.scores.len() / self.classes;
+        self.scores.extend_from_slice(scores);
+        self.loc_q.push_back((pair, snapshot));
+        self.pert_q.push_back((pair, snapshot));
+    }
+
+    /// The scores of `snapshot`.
+    fn scores(&self, snapshot: usize) -> &[f32] {
+        &self.scores[snapshot * self.classes..][..self.classes]
+    }
+}
 
 /// Everything the conditions read besides a failed pair and its scores.
 struct Conditions<'a> {
@@ -473,8 +501,8 @@ impl Conditions<'_> {
     /// the order it is expected to issue them and at most
     /// [`REFINE_LOOKAHEAD`] of them. `next` are the queries due now, all
     /// still in `queue`: the rest of a B3 entry's neighbours (`in_b3`) or
-    /// one B4 candidate. `loc_q` and `pert_q` hold the unprocessed entries
-    /// with their scores.
+    /// one B4 candidate. `failures` holds the unprocessed entries with
+    /// their scores.
     ///
     /// Between now and the end of the refinement the queue only loses
     /// pairs, each to a query, so every planned pair is queried:
@@ -499,18 +527,17 @@ impl Conditions<'_> {
         queue: &PairQueue,
         next: &[Pair],
         in_b3: bool,
-        loc_q: &VecDeque<(Pair, Vec<f32>)>,
-        pert_q: &VecDeque<(Pair, Vec<f32>)>,
+        failures: &Failures,
         plan: &mut Vec<Pair>,
     ) {
         plan.clear();
         plan.extend(next.iter().take(REFINE_LOOKAHEAD));
         let b3_neighbors = |plan: &mut Vec<Pair>| {
-            for (entry, scores) in loc_q {
+            for &(entry, snapshot) in &failures.loc_q {
                 if plan.len() >= REFINE_LOOKAHEAD {
                     return;
                 }
-                if self.holds(3, *entry, scores) {
+                if self.holds(3, entry, failures.scores(snapshot)) {
                     for n in queue.location_neighbors(entry.location, entry.corner) {
                         if plan.len() < REFINE_LOOKAHEAD && !plan.contains(&n) {
                             plan.push(n);
@@ -538,11 +565,11 @@ impl Conditions<'_> {
                 }
             }
         };
-        for (entry, scores) in pert_q {
+        for &(entry, snapshot) in &failures.pert_q {
             if plan.len() >= REFINE_LOOKAHEAD {
                 return;
             }
-            b4_step(plan, *entry, Some(scores));
+            b4_step(plan, entry, Some(failures.scores(snapshot)));
         }
         let mut i = 0;
         while i < plan.len() && plan.len() < REFINE_LOOKAHEAD {

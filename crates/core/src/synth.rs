@@ -10,7 +10,7 @@
 
 use crate::dsl::{mutate_in, random_program_in, GrammarConfig, ImageDims, Program};
 use crate::image::Image;
-use crate::oracle::{candidate_key, BatchClassifier, CandidateKey, Classifier, FnvHasher, Oracle};
+use crate::oracle::{candidate_key, BatchClassifier, CandidateKey, Classifier, Oracle, WordHasher};
 use crate::pair::{Location, Pixel};
 use crate::parallel::parallel_map_with;
 use crate::sketch::{run_sketch, SketchOutcome};
@@ -424,7 +424,7 @@ struct ScoreTable {
     /// `N(x)`; empty until first computed.
     baseline: Vec<f32>,
     /// Each scored candidate's slot in `scores`.
-    slots: HashMap<CandidateKey, usize, BuildHasherDefault<FnvHasher>>,
+    slots: HashMap<CandidateKey, usize, BuildHasherDefault<WordHasher>>,
     scores: Vec<f32>,
     /// Scratch for one batch: each candidate's slot, and the candidates
     /// not yet scored.

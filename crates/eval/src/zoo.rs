@@ -298,9 +298,10 @@ struct SessionDeltaCache {
 
 impl SessionState {
     /// Makes the resident cache track `base` (hit / recapture / cold
-    /// capture, with telemetry) and returns it. Batch workspaces are
-    /// re-seeded on a recapture so stale activations from the previous
-    /// base can never leak into a batched candidate.
+    /// capture, with telemetry) and returns it. The resident base is a hit
+    /// only when it equals `base` bit for bit ([`Image::same_bits`]).
+    /// Batch workspaces are re-seeded on a recapture so stale activations
+    /// from the previous base can never leak into a batched candidate.
     fn ensure_cache(
         &mut self,
         plan: &InferencePlan,
@@ -311,7 +312,7 @@ impl SessionState {
             ws, input, cache, ..
         } = self;
         match cache {
-            Some(c) if c.base_image == *base => {
+            Some(c) if c.base_image.same_bits(base) => {
                 telemetry::count(Counter::DeltaCacheHit);
                 telemetry::trace::tag_cache(telemetry::trace::CacheTag::Hit);
             }

@@ -5,6 +5,7 @@
 
 use oppsla::core::image::Image;
 use oppsla::core::pair::{Corner, Location, Pair, Pixel};
+use oppsla::core::prior::{Prior, SaliencyPrior, Uniform};
 use oppsla::core::queue::PairQueue;
 use proptest::prelude::*;
 use std::collections::VecDeque;
@@ -65,6 +66,69 @@ impl NaiveQueue {
     }
 }
 
+/// Appendix A's initial order, transcribed from plain comparators:
+/// locations by descending prior weight, then by distance from the image
+/// centre, ties row-major; each location's corners by descending `L₁`
+/// distance from its pixel, ties by corner index; emitted rank by rank.
+/// Every key is recomputed inside its comparator, as written.
+fn reference_initial_order(image: &Image, class: usize, prior: &dyn Prior) -> Vec<Pair> {
+    let mut locations: Vec<Location> = (0..image.height() as u16)
+        .flat_map(|row| (0..image.width() as u16).map(move |col| Location::new(row, col)))
+        .collect();
+    locations.sort_by(|a, b| {
+        let (wa, wb) = (
+            prior.location_weight(class, image, *a),
+            prior.location_weight(class, image, *b),
+        );
+        wb.partial_cmp(&wa)
+            .unwrap()
+            .then(
+                image
+                    .center_distance(*a)
+                    .partial_cmp(&image.center_distance(*b))
+                    .unwrap(),
+            )
+            .then(a.cmp(b))
+    });
+    let ranked = |pixel: Pixel| {
+        let mut corners = Corner::ALL;
+        corners.sort_by(|a, b| {
+            let da = pixel.distance(a.as_pixel());
+            let db = pixel.distance(b.as_pixel());
+            db.partial_cmp(&da).unwrap().then(a.index().cmp(&b.index()))
+        });
+        corners
+    };
+    (0..8)
+        .flat_map(|rank| {
+            locations
+                .iter()
+                .map(move |&loc| Pair::new(loc, ranked(image.pixel(loc))[rank]))
+        })
+        .collect()
+}
+
+/// An image with every channel on the grid {0, ¼, ½, ¾, 1}, where many
+/// corner distances tie, and weight tables drawn from {−0, 0, 1, 2},
+/// where many location weights tie (−0 and 0 compare equal).
+fn arb_order_case() -> impl Strategy<Value = (Image, usize, Vec<f64>)> {
+    (1usize..=12, 1usize..=40).prop_flat_map(|(h, w)| {
+        (
+            proptest::collection::vec(0u8..5, 3 * h * w),
+            1usize..=4,
+            proptest::collection::vec(0u8..4, 16),
+        )
+            .prop_map(move |(channels, grid, weights)| {
+                let data = channels.iter().map(|&c| f32::from(c) / 4.0).collect();
+                let table = weights[..grid * grid]
+                    .iter()
+                    .map(|&w| [-0.0, 0.0, 1.0, 2.0][w as usize])
+                    .collect();
+                (Image::new(h, w, data), grid, table)
+            })
+    })
+}
+
 #[derive(Debug, Clone)]
 enum Op {
     Pop,
@@ -118,7 +182,7 @@ proptest! {
                 }
                 Op::CheckNeighbors(loc, corner) => {
                     prop_assert_eq!(
-                        real.location_neighbors(loc, corner),
+                        real.location_neighbors(loc, corner).to_vec(),
                         model.location_neighbors(loc, corner)
                     );
                 }
@@ -160,6 +224,31 @@ proptest! {
                     "block {} not centre-out", block
                 );
             }
+        }
+    }
+
+    /// The initial order equals the plain transcription of Appendix A
+    /// pair for pair, over extents from 1×1 to 12×40 (single rows and
+    /// columns, odd, even and non-square), under the uniform prior, a
+    /// saliency prior with tied weights, and a class the saliency prior
+    /// has no table for.
+    #[test]
+    fn initial_order_matches_the_plain_comparators(case in arb_order_case()) {
+        let (image, grid, table) = case;
+        let saliency = SaliencyPrior::new(grid, vec![table]);
+        for (class, prior) in [(0, &Uniform as &dyn Prior), (0, &saliency), (1, &saliency)] {
+            let queue: Vec<Pair> = PairQueue::for_image_with_prior(&image, class, prior)
+                .iter()
+                .collect();
+            prop_assert_eq!(
+                queue,
+                reference_initial_order(&image, class, prior),
+                "{}x{} image, prior {}, class {}",
+                image.height(),
+                image.width(),
+                prior.name(),
+                class
+            );
         }
     }
 }
